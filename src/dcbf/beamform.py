@@ -78,7 +78,6 @@ class Beamformer:
     node_ids: tuple[str, ...] = ()
     output_delay: int = 0
     solve_residual: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def node_weights(self, i: int) -> np.ndarray:
         return np.atleast_1d(self.weights[i])

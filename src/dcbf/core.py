@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,25 +118,23 @@ class MeshConfig:
     n_nodes: int = 3
     sample_rate_hz: float = 2e6
     bandwidth_hz: float = 1e6
-    carrier_hz: float = 60.484e9
     cycle_period_s: float = 0.2
     amble_len: int = 8192
     payload_len: int = 8192
     est_integration_len: int = 2048
     guard_len: int = 256
     diag_loading_eps: float = 1e-3
-    seed: int = 0
 
 
 def validate_config(cfg: MeshConfig) -> MeshConfig:
     """Return cfg unchanged if all invariants hold, else raise ConfigError.
 
     Checks: n_nodes >= 1, all lengths > 0, bandwidth <= sample rate,
-    non-negative diagonal loading, 64-bit seed.
+    non-negative diagonal loading.
     """
     if cfg.n_nodes < 1:
         raise ConfigError("n_nodes", "must be ≥ 1")
-    for name in ("sample_rate_hz", "bandwidth_hz", "carrier_hz", "cycle_period_s"):
+    for name in ("sample_rate_hz", "bandwidth_hz", "cycle_period_s"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(name, "must be > 0")
     if cfg.bandwidth_hz > cfg.sample_rate_hz:
@@ -149,8 +147,6 @@ def validate_config(cfg: MeshConfig) -> MeshConfig:
             raise ConfigError(name, "must be > 0")
     if cfg.diag_loading_eps < 0:
         raise ConfigError("diag_loading_eps", "must be ≥ 0")
-    if not (0 <= cfg.seed < 2**64):
-        raise ConfigError("seed", "must fit in 64 bits")
     return cfg
 
 
@@ -189,7 +185,3 @@ class NodeState:
 
     def wrapped_phase(self) -> float:
         return float(np.mod(self.phase_rad, 2 * np.pi))
-
-
-def with_seed(cfg: MeshConfig, seed: int) -> MeshConfig:
-    return replace(cfg, seed=seed)

@@ -16,7 +16,6 @@ __all__ = [
     "ChannelEstimate",
     "acquire",
     "cfo_reference_table",
-    "default_coarse_grid",
     "ml_cfo",
     "ml_cfo_table",
     "estimate_channel",
@@ -55,10 +54,6 @@ class ChannelEstimate:
     label: str = ""
 
 
-def default_coarse_grid(span_hz: float = 2000.0, step_hz: float = 50.0) -> np.ndarray:
-    return np.arange(-span_hz, span_hz + step_hz / 2, step_hz)
-
-
 def cfo_reference_table(reference: ComplexSignal, cfo_grid_hz: np.ndarray) -> np.ndarray:
     """Precompute conj(ref[t] * exp(i*2*pi*f*t/fs)) for every grid frequency.
 
@@ -73,7 +68,8 @@ def acquire(
     z: ComplexSignal,
     reference: ComplexSignal,
     lag_range: tuple[int, int] | None = None,
-    cfo_grid_hz: np.ndarray | None = None,
+    *,
+    cfo_grid_hz: np.ndarray,
     threshold: float = 0.1,
     table: np.ndarray | None = None,
 ) -> AcquisitionResult:
@@ -90,8 +86,6 @@ def acquire(
     n, t_ref = len(zs), len(ref)
     if t_ref > n:
         raise ValueError(f"reference ({t_ref}) longer than signal ({n})")
-    if cfo_grid_hz is None:
-        cfo_grid_hz = default_coarse_grid()
     cfo_grid_hz = np.atleast_1d(np.asarray(cfo_grid_hz, dtype=float))
     lag_lo, lag_hi = lag_range if lag_range is not None else (0, n - t_ref + 1)
     lag_hi = min(lag_hi, n - t_ref + 1)

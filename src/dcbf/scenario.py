@@ -2,8 +2,11 @@
 
 Four experiments: receive beamforming (with or without an interferer),
 transmit beamforming, transmit nulling, and the coherence-stability run
-that freezes feedback partway through. Each runner emits one CycleRecord
-per cycle with SISO and beamformed metrics.
+that freezes feedback partway through. One runner holds what they share:
+the mesh clocks, the channel links and their dynamics, and the receive
+chain. The receive and transmit families are policies on top of it: what
+a cycle transmits, how weights feed back, and what it measures. Each run
+emits one CycleRecord per cycle with SISO and beamformed metrics.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import beamform, estimation, metrics, waveform
 from .core import ComplexSignal, ConfigError, MeshConfig, NodeState, substream, validate_config
-from .estimation import AcquisitionError
+from .estimation import AcquisitionError, AcquisitionResult
 from .impairments import ChannelModel, NoiseSpec, add_noise, advance_clock, apply_channel, apply_node_imperfections
 
 __all__ = [
@@ -31,6 +34,14 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("RX_BF", "RX_BF_INTERF", "TX_BF", "TX_NULL", "COHERENCE")
+RX_EXPERIMENTS = ("RX_BF", "RX_BF_INTERF")
+
+# Per-node link labels of each experiment family, "{}" standing for the
+# 1-based node index. Receive links run from the source A and the
+# interferer J to every mesh node; transmit links run from every mesh node
+# to the receiver B and to the nulled receiver C.
+RX_LINKS = ("A->n{}", "J->n{}")
+TX_LINKS = ("n{}->B", "n{}->C")
 
 # Interference-only covariance windows are capped at this many look-through
 # samples; far beyond the sample-support needed for N*T_w degrees of freedom.
@@ -96,7 +107,27 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.ots_jitter_rad < 0:
         raise ConfigError("ots_jitter_rad", "must be ≥ 0")
     validate_config(cfg.mesh)
+    if cfg.channels is not None:
+        _validate_channels(cfg)
     return cfg
+
+
+def _validate_channels(cfg: ScenarioConfig) -> None:
+    """Every explicit channel must name a link the experiment draws and parse."""
+    if not isinstance(cfg.channels, dict):
+        raise ConfigError("channels", "must map link labels to channel specs")
+    formats = RX_LINKS if cfg.experiment in RX_EXPERIMENTS else TX_LINKS
+    labels = [f.format(i + 1) for f in formats for i in range(cfg.mesh.n_nodes)]
+    for label, spec in cfg.channels.items():
+        name = f"channels.{label}"
+        if label not in labels:
+            raise ConfigError(name, f"no {cfg.experiment} link has this label (links: {', '.join(labels)})")
+        if not isinstance(spec, dict) or "taps" not in spec or not set(spec) <= {"taps", "tof"}:
+            raise ConfigError(name, 'must be {"taps": [[re, im], ...], "tof": samples}')
+        try:
+            _explicit_channel(spec, label)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(name, str(exc)) from exc
 
 
 @dataclass
@@ -154,15 +185,8 @@ def _get_channel(cfg: ScenarioConfig, rng: np.random.Generator, label: str) -> C
 
 
 def _walk_channel(ch: ChannelModel, std: float, rng: np.random.Generator) -> ChannelModel:
-    if std <= 0:
-        return ch
     jitter = std * (rng.normal(size=ch.n_taps) + 1j * rng.normal(size=ch.n_taps)) / np.sqrt(2)
     return ChannelModel(taps=ch.taps + jitter, tof_delay=ch.tof_delay, label=ch.label)
-
-
-def _place_sum(dst: np.ndarray, src: np.ndarray) -> None:
-    n = min(len(dst), len(src))
-    dst[:n] += src[:n]
 
 
 def _identity_beamformer(n_nodes: int, t_w: int, node_ids: tuple[str, ...]) -> beamform.Beamformer:
@@ -171,11 +195,6 @@ def _identity_beamformer(n_nodes: int, t_w: int, node_ids: tuple[str, ...]) -> b
     return beamform.Beamformer(
         weights=w, method="MMSE_RX", delta=0.0, node_ids=node_ids, output_delay=t_w // 2
     )
-
-
-def _fine_grid(coarse_hz: float, coarse_step: float, fine_step: float) -> np.ndarray:
-    span = 2 * coarse_step
-    return np.arange(coarse_hz - span, coarse_hz + span + fine_step / 2, fine_step)
 
 
 def _noise_gain(pulse: np.ndarray, bf: beamform.Beamformer) -> float:
@@ -189,38 +208,45 @@ def _noise_gain(pulse: np.ndarray, bf: beamform.Beamformer) -> float:
     return total
 
 
-class _RxRunner:
-    def __init__(self, cfg: ScenarioConfig):
+class _Runner:
+    """Mesh state, receive chain and cycle loop shared by the experiments.
+
+    An experiment family is a policy: _transmit sends a cycle's frames,
+    _arrivals routes them over the links (LINKS) to each receiver, whose CFO
+    is refined on the known (offset, reference) cfo_windows, and _measure
+    turns the receptions into the record and the feedback. heard_families:
+    how many link families reach a receive buffer, sized for their taps and delays.
+    """
+
+    LINKS: tuple[str, str]
+
+    def __init__(self, cfg: ScenarioConfig, layout, n_preambles: int, heard_families: int):
         self.cfg = validate_scenario(cfg)
         mesh = cfg.mesh
         self.mesh = mesh
         self.n = mesh.n_nodes
         self.fs = mesh.sample_rate_hz
         self.pulse = waveform.rrc_taps()
-        self.layout = waveform.rx_source_layout(mesh)
-        self.look_seg = self.layout.segment("look_through")
-        self.pay_seg = self.layout.segment("payload")
-        self.with_interf = cfg.experiment == "RX_BF_INTERF" and cfg.interferer_power > 0
+        self.layout = layout(mesh)
 
-        # known transmit preamble, matched-filtered: acquisition/training reference
-        pre_syms = waveform.amble_symbols(mesh, 0, 1)
-        pre_wave = waveform.shape_symbols(pre_syms, 2, self.pulse)
-        self.ref_mf = ComplexSignal(np.convolve(pre_wave, self.pulse, mode="same"), self.fs)
-        acq_len = min(mesh.est_integration_len, len(self.ref_mf.samples))
-        self.acq_ref = ComplexSignal(self.ref_mf.samples[:acq_len], self.fs)
+        # acquisition correlates against every listed preamble and keeps the
+        # strongest detection (any one faded link must not blind the receiver)
+        self.pre_mf = [self._amble_mf(i, 1) for i in range(n_preambles)]
+        self.t_ref = len(self.pre_mf[0].samples)
+        acq_len = min(mesh.est_integration_len, self.t_ref)
+        self.acq_refs = [ComplexSignal(p.samples[:acq_len], self.fs) for p in self.pre_mf]
         self.coarse_grid = np.arange(
             -cfg.coarse_cfo_span_hz, cfg.coarse_cfo_span_hz + cfg.coarse_cfo_step_hz / 2, cfg.coarse_cfo_step_hz
         )
-        self.acq_table = estimation.cfo_reference_table(self.acq_ref, self.coarse_grid)
-        self.fine_grid = _fine_grid(0.0, cfg.coarse_cfo_step_hz, cfg.fine_cfo_step_hz)
-        self.fine_table = estimation.ml_cfo_table(self.fine_grid, len(self.ref_mf.samples), self.fs)
+        self.acq_tables = [estimation.cfo_reference_table(r, self.coarse_grid) for r in self.acq_refs]
+        # fine grid relative to the coarse estimate: two coarse steps either side
+        span = 2 * cfg.coarse_cfo_step_hz
+        self.fine_grid = np.arange(-span, span + cfg.fine_cfo_step_hz / 2, cfg.fine_cfo_step_hz)
+        self.fine_table = estimation.ml_cfo_table(self.fine_grid, self.t_ref, self.fs)
 
         seed = cfg.seed
-        ch_rng = substream(seed, "scenario", "channels")
-        self.ch_a = [_get_channel(cfg, ch_rng, f"A->n{i + 1}") for i in range(self.n)]
-        self.ch_j = [_get_channel(cfg, ch_rng, f"J->n{i + 1}") for i in range(self.n)]
+        self.links = self._draw_links(substream(seed, "scenario", "channels"))
         self.walk_rng = substream(seed, "scenario", "channel_walk")
-
         self.nodes = [
             NodeState(
                 node_id=f"n{i + 1}",
@@ -230,18 +256,144 @@ class _RxRunner:
             )
             for i in range(self.n)
         ]
-        self.source = NodeState(node_id="A", cfo_hz=cfg.source_cfo_hz, rng=substream(seed, "A", "phase_walk"))
-        self.interferer = NodeState(
-            node_id="J", cfo_hz=cfg.interferer_cfo_hz, rng=substream(seed, "J", "phase_walk")
-        )
-        self.noise_rng = [substream(seed, f"n{i + 1}", "noise") for i in range(self.n)]
         self.jitter_rng = [substream(seed, f"n{i + 1}", "ots_jitter") for i in range(self.n)]
         self._jitter_now = [0.0] * self.n
 
-        max_tof = max([c.tof_delay for c in self.ch_a + self.ch_j], default=0)
-        max_taps = max([c.n_taps for c in self.ch_a + self.ch_j], default=1)
+        heard = [c for chans in self.links[:heard_families] for c in chans]
+        max_tof = max([c.tof_delay for c in heard], default=0)
+        max_taps = max([c.n_taps for c in heard], default=1)
         self.lag_hi = max_tof + max_taps + 16
         self.buf_len = self.layout.total_length + self.lag_hi + 64
+        self.t_axis = np.arange(self.buf_len) / self.fs
+
+    def _amble_mf(self, poly_index: int, init_state: int) -> ComplexSignal:
+        """A known amble, pulse-shaped and matched-filtered."""
+        wave = waveform.shape_symbols(waveform.amble_symbols(self.mesh, poly_index, init_state), 2, self.pulse)
+        return ComplexSignal(np.convolve(wave, self.pulse, mode="same"), self.fs)
+
+    def _radio(self, node_id: str, cfo_hz: float) -> NodeState:
+        """An out-of-mesh radio: its own LO offset, no phase walk."""
+        return NodeState(node_id=node_id, cfo_hz=cfo_hz, rng=substream(self.cfg.seed, node_id, "phase_walk"))
+
+    def _set_receivers(self, receivers: list[NodeState]) -> None:
+        self.receivers = receivers
+        self.noise_rng = [substream(self.cfg.seed, rx.node_id, "noise") for rx in receivers]
+
+    def _draw_links(self, rng: np.random.Generator) -> list[list[ChannelModel]]:
+        return [[_get_channel(self.cfg, rng, f.format(i + 1)) for i in range(self.n)] for f in self.LINKS]
+
+    def _evolve_channels(self, k: int) -> None:
+        cfg = self.cfg
+        if cfg.channel_redraw_every > 0 and k > 0 and k % cfg.channel_redraw_every == 0:
+            self.links = self._draw_links(substream(cfg.seed, "scenario", f"channels_cycle{k}"))
+        std = cfg.channel_walk_std_per_cycle
+        if std > 0 and k > 0:
+            self.links = [[_walk_channel(c, std, self.walk_rng) for c in chans] for chans in self.links]
+
+    def _jitter_clocks(self) -> None:
+        if self.cfg.ots_jitter_rad > 0:
+            for i, node in enumerate(self.nodes):
+                # fresh per-cycle residual (not a walk): swap out last cycle's draw
+                jit = self.jitter_rng[i].normal(0.0, self.cfg.ots_jitter_rad)
+                node.phase_rad += jit - self._jitter_now[i]
+                self._jitter_now[i] = jit
+
+    def _receive(self, r: int, arrivals: list[tuple[ComplexSignal, ChannelModel]]):
+        """Receiver r's cycle: (matched-filtered buffer, acquisition, CFO
+        estimate); raises AcquisitionError when no preamble clears the threshold."""
+        cfg = self.cfg
+        buf = np.zeros(self.buf_len, dtype=np.complex128)
+        for sig, ch in arrivals:
+            x = apply_channel(sig, ch).samples[: self.buf_len]
+            buf[: len(x)] += x
+        z = apply_node_imperfections(ComplexSignal(buf, self.fs), self.receivers[r], sign=-1)
+        z = add_noise(z, NoiseSpec(cfg.noise_power), self.noise_rng[r])
+        z = estimation.remove_dc(z)
+        z_mf = np.convolve(z.samples, self.pulse, mode="same")
+
+        sig_mf = ComplexSignal(z_mf, self.fs)
+        acq = None
+        for ref, table in zip(self.acq_refs, self.acq_tables):
+            try:
+                cand = estimation.acquire(
+                    sig_mf,
+                    ref,
+                    lag_range=(0, self.lag_hi),
+                    cfo_grid_hz=self.coarse_grid,
+                    threshold=cfg.detection_threshold,
+                    table=table,
+                )
+            except AcquisitionError:
+                continue
+            if acq is None or cand.detection_stat > acq.detection_stat:
+                acq = cand
+        if acq is None:
+            raise AcquisitionError(0.0, cfg.detection_threshold)
+
+        # fine CFO: derotate each known window by the coarse estimate, search
+        # the fixed relative grid, and average over the windows
+        derot = self._phasor(acq.coarse_cfo_hz, self.t_ref)
+        fines = []
+        for offset, ref in self.cfo_windows:
+            start = acq.lag + offset
+            win = z_mf[start : start + self.t_ref] * derot
+            fine = estimation.ml_cfo(ComplexSignal(win, self.fs), ref, 0, self.fine_grid, table=self.fine_table)
+            fines.append(acq.coarse_cfo_hz + fine.f_hat_hz)
+        return z_mf, acq, float(np.mean(fines))
+
+    def _phasor(self, f_hz: float, n: int | None = None) -> np.ndarray:
+        """exp(-i 2 pi f t) over the first n samples of a cycle buffer: derotates a CFO of f_hz.
+
+        Returned, not applied: numpy computes `z * self._phasor(f)` in the large temporary with
+        the operands swapped, which rounds the last bit differently from `z * derot`, and each
+        family keeps its own form."""
+        return np.exp(-2j * np.pi * f_hz * self.t_axis[:n])
+
+    def run(self) -> list[CycleRecord]:
+        period = self.mesh.cycle_period_s
+        records = []
+        for k in range(self.cfg.n_cycles):
+            rec = CycleRecord(cycle=k, t_virtual_s=k * period)
+            flags: list[str] = []
+            self._evolve_channels(k)
+            self._jitter_clocks()
+            sent = self._transmit(k, rec, flags)
+            receptions = []  # per receiver: (buffer, acquisition, CFO), None when not acquired
+            for r, rx in enumerate(self.receivers):
+                try:
+                    receptions.append(self._receive(r, self._arrivals(sent, r)))
+                except AcquisitionError:
+                    flags.append(f"acq_fail:{rx.node_id}")
+                    receptions.append(None)
+            self._measure(k, rec, flags, receptions)
+            rec.flags = ";".join(flags)
+            records.append(rec)
+
+            # clocks run on to the next cycle: transmitters from the end of
+            # what they sent, receivers from the end of their buffers
+            for node, sig in sent:
+                advance_clock(node, max(period - len(sig.samples) / self.fs, 0.0))
+            for node in self.receivers:
+                advance_clock(node, max(period - self.buf_len / self.fs, 0.0))
+        return records
+
+
+class _RxRunner(_Runner):
+    """Receive beamforming: the source A (and the interferer J) transmit,
+    every mesh node receives, and MMSE filters combine the nodes."""
+
+    LINKS = RX_LINKS
+
+    def __init__(self, cfg: ScenarioConfig):
+        # both families size the buffers, even when no interferer transmits
+        super().__init__(cfg, waveform.rx_source_layout, n_preambles=1, heard_families=2)
+        self.look_seg = self.layout.segment("look_through")
+        self.pay_seg = self.layout.segment("payload")
+        self.with_interf = cfg.experiment == "RX_BF_INTERF" and cfg.interferer_power > 0
+        self.source = self._radio("A", cfg.source_cfo_hz)
+        self.interferer = self._radio("J", cfg.interferer_cfo_hz)
+        self._set_receivers(self.nodes)
+        self.cfo_windows = [(0, self.pre_mf[0])]
 
     def _bf_link_metrics(self, bf: beamform.Beamformer, zs: list[np.ndarray], ts: list[int]):
         """Apply a receive beamformer and measure payload/look-through powers.
@@ -275,249 +427,131 @@ class _RxRunner:
         return train, cov
 
     def _mmse(self, mats, cov_mats):
-        kwargs = {}
-        if self.cfg.cov_source == "interference_only":
-            kwargs["cov_mats"] = cov_mats
+        # cov_mats holds Nones, and is not read, when cov_source is "full"
         return beamform.mmse_rx_beamformer(
             mats,
-            self.ref_mf.samples,
+            self.pre_mf[0].samples,
             cov_source=self.cfg.cov_source,
+            cov_mats=cov_mats,
             eps=self.mesh.diag_loading_eps,
-            **kwargs,
         )
 
-    def run(self) -> list[CycleRecord]:
+    def _transmit(self, k, rec, flags):
         cfg, mesh = self.cfg, self.mesh
-        records = []
-        look_seg = self.look_seg
-        pay_seg = self.pay_seg
-        t_axis = np.arange(self.buf_len) / self.fs
-        t_ref = len(self.ref_mf.samples)
-        for k in range(cfg.n_cycles):
-            t_virtual = k * mesh.cycle_period_s
-            rec = CycleRecord(cycle=k, t_virtual_s=t_virtual)
-            flags = []
-
-            if cfg.channel_redraw_every > 0 and k > 0 and k % cfg.channel_redraw_every == 0:
-                ch_rng = substream(cfg.seed, "scenario", f"channels_cycle{k}")
-                self.ch_a = [_get_channel(cfg, ch_rng, c.label) for c in self.ch_a]
-                self.ch_j = [_get_channel(cfg, ch_rng, c.label) for c in self.ch_j]
-            if cfg.channel_walk_std_per_cycle > 0 and k > 0:
-                self.ch_a = [_walk_channel(c, cfg.channel_walk_std_per_cycle, self.walk_rng) for c in self.ch_a]
-                self.ch_j = [_walk_channel(c, cfg.channel_walk_std_per_cycle, self.walk_rng) for c in self.ch_j]
-
-            spec = waveform.FrameSpec(
-                waveform.FrameKind.RX_BF_SOURCE,
-                amble_seed=0,
-                payload_seed=derive_seed(cfg.seed, f"src_payload_{k}"),
-            )
-            frame, _ = waveform.build_frame(spec, mesh)
-            src = ComplexSignal(frame.samples * np.sqrt(cfg.signal_power), self.fs)
-            src = apply_node_imperfections(src, self.source)
-
-            intf = None
-            if self.with_interf:
-                ilayout = waveform.FrameLayout(
-                    (waveform.Segment("interference", 0, self.buf_len),), self.buf_len
-                )
-                ispec = waveform.FrameSpec(
-                    waveform.FrameKind.RX_BF_INTERFERER,
-                    layout=ilayout,
-                    payload_seed=derive_seed(cfg.seed, f"intf_payload_{k}"),
-                )
-                iframe, _ = waveform.build_frame(ispec, mesh)
-                intf = ComplexSignal(iframe.samples * np.sqrt(cfg.interferer_power), self.fs)
-                intf = apply_node_imperfections(intf, self.interferer)
-
-            warmup = t_virtual < cfg.warmup_identity_s
-
-            # pass 1: impairments, noise, acquisition, per-node fine CFO
-            z_matched: list[np.ndarray | None] = []
-            lags: list[int] = []
-            fine_hz: list[float] = []
-            for i in range(self.n):
-                buf = np.zeros(self.buf_len, dtype=np.complex128)
-                _place_sum(buf, apply_channel(src, self.ch_a[i]).samples)
-                if intf is not None:
-                    _place_sum(buf, apply_channel(intf, self.ch_j[i]).samples)
-                node = self.nodes[i]
-                if cfg.ots_jitter_rad > 0:
-                    # fresh per-cycle residual (not a walk): swap out last cycle's draw
-                    jit = self.jitter_rng[i].normal(0.0, cfg.ots_jitter_rad)
-                    node.phase_rad += jit - self._jitter_now[i]
-                    self._jitter_now[i] = jit
-                z = apply_node_imperfections(ComplexSignal(buf, self.fs), node, sign=-1)
-                z = add_noise(z, NoiseSpec(cfg.noise_power), self.noise_rng[i])
-
-                z = estimation.remove_dc(z)
-                z_mf = np.convolve(z.samples, self.pulse, mode="same")
-                try:
-                    acq = estimation.acquire(
-                        ComplexSignal(z_mf, self.fs),
-                        self.acq_ref,
-                        lag_range=(0, self.lag_hi),
-                        cfo_grid_hz=self.coarse_grid,
-                        threshold=cfg.detection_threshold,
-                        table=self.acq_table,
-                    )
-                except AcquisitionError:
-                    flags.append(f"acq_fail:n{i + 1}")
-                    z_matched.append(None)
-                    lags.append(0)
-                    fine_hz.append(float("nan"))
-                    rec.detection_stat.append(float("nan"))
-                    rec.cfo_est_hz.append(float("nan"))
-                    continue
-                # fine CFO: derotate the acquired preamble window by the coarse
-                # estimate, then search the fixed relative grid
-                win = z_mf[acq.lag : acq.lag + t_ref] * np.exp(
-                    -2j * np.pi * acq.coarse_cfo_hz * t_axis[:t_ref]
-                )
-                fine = estimation.ml_cfo(
-                    ComplexSignal(win, self.fs), self.ref_mf, 0, self.fine_grid, table=self.fine_table
-                )
-                z_matched.append(z_mf)
-                lags.append(acq.lag)
-                fine_hz.append(acq.coarse_cfo_hz + fine.f_hat_hz)
-                rec.detection_stat.append(acq.detection_stat)
-                rec.cfo_est_hz.append(fine_hz[-1])
-
-            detected = [i for i in range(self.n) if z_matched[i] is not None]
-
-            # pass 2: one common CFO correction for the whole mesh (the nodes
-            # share a frequency reference, so per-node corrections would put
-            # spurious differential rotation on every external signal), then
-            # per-node SISO metrics through the identical single-node chain
-            f_common = float(np.mean([fine_hz[i] for i in detected])) if detected else 0.0
-            derot = np.exp(-2j * np.pi * f_common * t_axis)
-            z_corrected: list[np.ndarray | None] = [
-                (z_matched[i] * derot) if z_matched[i] is not None else None for i in range(self.n)
-            ]
-            mats, cov_mats = [], []
-            siso_lin: list[tuple[float, float, float]] = []  # (snr, inr, sinr) linear
-            for i in range(self.n):
-                if z_corrected[i] is None:
-                    rec.siso_snr_db.append(float("nan"))
-                    rec.siso_inr_db.append(float("nan"))
-                    rec.siso_sinr_db.append(float("nan"))
-                    continue
-                zc = z_corrected[i]
-                node_id = f"n{i + 1}"
-                # SISO figures come from the identical single-node processing
-                # chain, so the beamformed/SISO ratio isolates the array gain
-                if warmup:
-                    bf1 = _identity_beamformer(1, cfg.t_w, (node_id,))
-                else:
-                    train, cov = self._node_mats(zc, lags[i], node_id)
-                    mats.append(train)
-                    cov_mats.append(cov)
-                    bf1 = self._mmse([train], [cov])
-                lm1, lin1 = self._bf_link_metrics(bf1, [zc], [lags[i]])
-                rec.siso_snr_db.append(lm1.snr_db)
-                rec.siso_inr_db.append(lm1.inr_db)
-                rec.siso_sinr_db.append(lm1.sinr_db)
-                siso_lin.append(lin1)
-            if detected:
-                zs = [z_corrected[i] for i in detected]
-                ts = [lags[i] for i in detected]
-                ids = tuple(f"n{i + 1}" for i in detected)
-                if warmup:
-                    bf = _identity_beamformer(len(detected), cfg.t_w, ids)
-                    flags.append("warmup")
-                else:
-                    bf = self._mmse(mats, cov_mats)
-                lm_bf, lin_bf = self._bf_link_metrics(bf, zs, ts)
-                rec.bf_snr_db = lm_bf.snr_db
-                rec.bf_inr_db = lm_bf.inr_db
-                rec.bf_sinr_db = lm_bf.sinr_db
-                rec.beamformer_ref = _bf_ref(bf)
-                snrs = [s[0] for s in siso_lin if s[0] > 0]
-                if snrs and lin_bf[0] > 0:
-                    rec.gain_snr_db = metrics.snr_gain(lin_bf[0], snrs)
-                sinrs = [s[2] for s in siso_lin if s[2] > 0]
-                if sinrs:
-                    rec.sinr_improvement_db = rec.bf_sinr_db - metrics.to_db(float(np.mean(sinrs)))
-                inrs = [s[1] for s in siso_lin if s[1] > 0]
-                if inrs:
-                    rec.inr_reduction_db = metrics.to_db(float(np.mean(inrs))) - rec.bf_inr_db
-            else:
-                flags.append("no_detection")
-
-            rec.flags = ";".join(flags)
-            records.append(rec)
-
-            gap = mesh.cycle_period_s - self.buf_len / self.fs
-            for node in self.nodes:
-                advance_clock(node, max(gap, 0.0))
-            advance_clock(self.source, max(mesh.cycle_period_s - len(src.samples) / self.fs, 0.0))
-            if intf is not None:
-                advance_clock(self.interferer, max(mesh.cycle_period_s - len(intf.samples) / self.fs, 0.0))
-        return records
-
-
-class _TxRunner:
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = validate_scenario(cfg)
-        mesh = cfg.mesh
-        self.mesh = mesh
-        self.n = mesh.n_nodes
-        self.fs = mesh.sample_rate_hz
-        self.pulse = waveform.rrc_taps()
-        self.layout = waveform.tx_node_layout(mesh)
-        self.nulling = cfg.experiment == "TX_NULL"
-        self.coherence = cfg.experiment == "COHERENCE"
-
-        self.pre_mf = []
-        self.post_mf = []
-        for i in range(self.n):
-            pre = waveform.shape_symbols(waveform.amble_symbols(mesh, i, 1), 2, self.pulse)
-            post = waveform.shape_symbols(waveform.amble_symbols(mesh, i, 2), 2, self.pulse)
-            self.pre_mf.append(ComplexSignal(np.convolve(pre, self.pulse, mode="same"), self.fs))
-            self.post_mf.append(ComplexSignal(np.convolve(post, self.pulse, mode="same"), self.fs))
-        # CDMA acquisition correlates against every node's preamble and keeps
-        # the strongest detection (any one faded link must not blind the receiver)
-        acq_len = min(mesh.est_integration_len, mesh.amble_len)
-        self.coarse_grid = np.arange(
-            -cfg.coarse_cfo_span_hz, cfg.coarse_cfo_span_hz + cfg.coarse_cfo_step_hz / 2, cfg.coarse_cfo_step_hz
+        spec = waveform.FrameSpec(
+            waveform.FrameKind.RX_BF_SOURCE,
+            amble_seed=0,
+            payload_seed=derive_seed(cfg.seed, f"src_payload_{k}"),
         )
-        self.acq_refs = [ComplexSignal(p.samples[:acq_len], self.fs) for p in self.pre_mf]
-        self.acq_tables = [estimation.cfo_reference_table(r, self.coarse_grid) for r in self.acq_refs]
-        self.fine_grid = _fine_grid(0.0, cfg.coarse_cfo_step_hz, cfg.fine_cfo_step_hz)
-        self.fine_table = estimation.ml_cfo_table(self.fine_grid, mesh.amble_len, self.fs)
-
-        seed = cfg.seed
-        ch_rng = substream(seed, "scenario", "channels")
-        self.ch_b = [_get_channel(cfg, ch_rng, f"n{i + 1}->B") for i in range(self.n)]
-        self.ch_c = [_get_channel(cfg, ch_rng, f"n{i + 1}->C") for i in range(self.n)]
-        self.walk_rng = substream(seed, "scenario", "channel_walk")
-
-        self.nodes = [
-            NodeState(
-                node_id=f"n{i + 1}",
-                cfo_hz=0.0,
-                phase_walk_var_per_s=cfg.phase_walk_var_per_s,
-                rng=substream(seed, f"n{i + 1}", "phase_walk"),
+        frame, _ = waveform.build_frame(spec, mesh)
+        src = ComplexSignal(frame.samples * np.sqrt(cfg.signal_power), self.fs)
+        sent = [(self.source, apply_node_imperfections(src, self.source))]
+        if self.with_interf:
+            ilayout = waveform.FrameLayout(
+                (waveform.Segment("interference", 0, self.buf_len),), self.buf_len
             )
-            for i in range(self.n)
-        ]
-        self.rx_b = NodeState(node_id="B", cfo_hz=cfg.rx_b_cfo_hz, rng=substream(seed, "B", "phase_walk"))
-        self.rx_c = NodeState(node_id="C", cfo_hz=cfg.rx_c_cfo_hz, rng=substream(seed, "C", "phase_walk"))
-        self.noise_rng = {"B": substream(seed, "B", "noise"), "C": substream(seed, "C", "noise")}
-        self.jitter_rng = [substream(seed, f"n{i + 1}", "ots_jitter") for i in range(self.n)]
-        self._jitter_now = [0.0] * self.n
+            ispec = waveform.FrameSpec(
+                waveform.FrameKind.RX_BF_INTERFERER,
+                layout=ilayout,
+                payload_seed=derive_seed(cfg.seed, f"intf_payload_{k}"),
+            )
+            iframe, _ = waveform.build_frame(ispec, mesh)
+            intf = ComplexSignal(iframe.samples * np.sqrt(cfg.interferer_power), self.fs)
+            sent.append((self.interferer, apply_node_imperfections(intf, self.interferer)))
+        return sent
 
-        chans = self.ch_b + (self.ch_c if self.nulling else [])
-        max_tof = max([c.tof_delay for c in chans], default=0)
-        max_taps = max([c.n_taps for c in chans], default=1)
-        self.lag_hi = max_tof + max_taps + 16
-        self.buf_len = self.layout.total_length + self.lag_hi + 64
+    def _arrivals(self, sent, r):
+        # the source reaches node r over A->n, the interferer over J->n
+        return [(sig, chans[r]) for (_, sig), chans in zip(sent, self.links)]
+
+    def _measure(self, k, rec, flags, receptions):
+        cfg = self.cfg
+        nan = float("nan")
+        detected = [i for i in range(self.n) if receptions[i] is not None]
+        rec.detection_stat = [h[1].detection_stat if h else nan for h in receptions]
+        rec.cfo_est_hz = [h[2] if h else nan for h in receptions]
+
+        # one common CFO correction for the whole mesh (the nodes share a
+        # frequency reference, so per-node corrections would put spurious
+        # differential rotation on every external signal), then per-node SISO
+        # metrics through the identical single-node chain
+        f_common = float(np.mean([receptions[i][2] for i in detected])) if detected else 0.0
+        derot = self._phasor(f_common)
+        z_corrected = {i: receptions[i][0] * derot for i in detected}
+        lags = {i: receptions[i][1].lag for i in detected}
+        warmup = rec.t_virtual_s < cfg.warmup_identity_s
+        mats, cov_mats = [], []
+        siso_lin: list[tuple[float, float, float]] = []  # (snr, inr, sinr) linear
+        for i in range(self.n):
+            if i not in z_corrected:
+                rec.siso_snr_db.append(nan)
+                rec.siso_inr_db.append(nan)
+                rec.siso_sinr_db.append(nan)
+                continue
+            zc = z_corrected[i]
+            node_id = f"n{i + 1}"
+            # SISO figures come from the identical single-node processing
+            # chain, so the beamformed/SISO ratio isolates the array gain
+            if warmup:
+                bf1 = _identity_beamformer(1, cfg.t_w, (node_id,))
+            else:
+                train, cov = self._node_mats(zc, lags[i], node_id)
+                mats.append(train)
+                cov_mats.append(cov)
+                bf1 = self._mmse([train], [cov])
+            lm1, lin1 = self._bf_link_metrics(bf1, [zc], [lags[i]])
+            rec.siso_snr_db.append(lm1.snr_db)
+            rec.siso_inr_db.append(lm1.inr_db)
+            rec.siso_sinr_db.append(lm1.sinr_db)
+            siso_lin.append(lin1)
+        if not detected:
+            flags.append("no_detection")
+            return
+        ids = tuple(f"n{i + 1}" for i in detected)
+        if warmup:
+            bf = _identity_beamformer(len(detected), cfg.t_w, ids)
+            flags.append("warmup")
+        else:
+            bf = self._mmse(mats, cov_mats)
+        lm_bf, lin_bf = self._bf_link_metrics(bf, list(z_corrected.values()), list(lags.values()))
+        rec.bf_snr_db = lm_bf.snr_db
+        rec.bf_inr_db = lm_bf.inr_db
+        rec.bf_sinr_db = lm_bf.sinr_db
+        rec.beamformer_ref = _bf_ref(bf)
+        snrs = [s[0] for s in siso_lin if s[0] > 0]
+        if snrs and lin_bf[0] > 0:
+            rec.gain_snr_db = metrics.snr_gain(lin_bf[0], snrs)
+        sinrs = [s[2] for s in siso_lin if s[2] > 0]
+        if sinrs:
+            rec.sinr_improvement_db = rec.bf_sinr_db - metrics.to_db(float(np.mean(sinrs)))
+        inrs = [s[1] for s in siso_lin if s[1] > 0]
+        if inrs:
+            rec.inr_reduction_db = metrics.to_db(float(np.mean(inrs))) - rec.bf_inr_db
+
+
+class _TxRunner(_Runner):
+    """Transmit beamforming, nulling and coherence: every mesh node
+    transmits, B (and C when nulling) receive, and their channel estimates
+    feed back into the nodes' predistortion weights."""
+
+    LINKS = TX_LINKS
+
+    def __init__(self, cfg: ScenarioConfig):
+        nulling = cfg.experiment == "TX_NULL"
+        super().__init__(cfg, waveform.tx_node_layout, n_preambles=cfg.mesh.n_nodes, heard_families=1 + nulling)
+        self.nulling = nulling
+        self.coherence = cfg.experiment == "COHERENCE"
+        rx_b = self._radio("B", cfg.rx_b_cfo_hz)
+        self._set_receivers([rx_b, self._radio("C", cfg.rx_c_cfo_hz)] if nulling else [rx_b])
+        # the common CFO is refined on each node's TDMA postamble
+        self.cfo_windows = [
+            (self.layout.segment(f"postamble_{i + 1}").offset, self._amble_mf(i, 2)) for i in range(self.n)
+        ]
 
         # feedback pipeline: estimates keyed by the cycle that produced them
         self.estimates: dict[int, dict[str, list[np.ndarray]]] = {}
         self.weights: list[np.ndarray] | None = None
         self.weights_from_cycle: int | None = None
-
-    # -- feedback ----------------------------------------------------------
 
     def _dominant_taps(self, ests: list[np.ndarray]) -> np.ndarray:
         out = np.zeros(self.n, dtype=np.complex128)
@@ -547,230 +581,127 @@ class _TxRunner:
         self.weights_from_cycle = est_cycle
         return weights, ""
 
-    # -- reception processing ----------------------------------------------
-
-    def _receive(self, tx_signals: list[ComplexSignal], chans: list[ChannelModel], rx: NodeState, key: str):
-        buf = np.zeros(self.buf_len, dtype=np.complex128)
-        for sig, ch in zip(tx_signals, chans):
-            _place_sum(buf, apply_channel(sig, ch).samples)
-        y = apply_node_imperfections(ComplexSignal(buf, self.fs), rx, sign=-1)
-        return add_noise(y, NoiseSpec(self.cfg.noise_power), self.noise_rng[key])
-
-    def _process(self, y: ComplexSignal, rec_prefix: str):
-        """Acquire, CFO-correct, estimate channels and powers at one receiver.
-
-        Returns (per-link channel taps, siso linear SNRs, siso link metrics,
-        bf link metrics, bf linear SNR, acquisition, cfo estimate); raises
-        AcquisitionError when no preamble clears the threshold.
-        """
+    def _transmit(self, k, rec, flags):
         cfg, mesh = self.cfg, self.mesh
-        y = estimation.remove_dc(y)
-        z_mf = np.convolve(y.samples, self.pulse, mode="same")
-        sig_mf = ComplexSignal(z_mf, self.fs)
-        acq = None
-        for ref, table in zip(self.acq_refs, self.acq_tables):
-            try:
-                cand = estimation.acquire(
-                    sig_mf,
-                    ref,
-                    lag_range=(0, self.lag_hi),
-                    cfo_grid_hz=self.coarse_grid,
-                    threshold=cfg.detection_threshold,
-                    table=table,
-                )
-            except AcquisitionError:
-                continue
-            if acq is None or cand.detection_stat > acq.detection_stat:
-                acq = cand
-        if acq is None:
-            raise AcquisitionError(0.0, cfg.detection_threshold)
-        # refine the common CFO on each node's TDMA postamble, then average
-        t_axis = np.arange(len(z_mf)) / self.fs
-        t_ref = mesh.amble_len
-        derot = np.exp(-2j * np.pi * acq.coarse_cfo_hz * t_axis[:t_ref])
-        fines = []
-        for i in range(self.n):
-            seg = self.layout.segment(f"postamble_{i + 1}")
-            start = acq.lag + seg.offset
-            win = z_mf[start : start + t_ref] * derot
-            fine = estimation.ml_cfo(
-                ComplexSignal(win, self.fs), self.post_mf[i], 0, self.fine_grid, table=self.fine_table
+        pay_seg = self.layout.segment("bf_payload")
+        weights, wflag = self._build_weights(k)
+        if wflag:
+            flags.append(wflag)
+        # feedback causality: applied weights derive only from receptions at
+        # least feedback_latency_cycles old
+        if self.weights_from_cycle is not None and self.weights_from_cycle > k - cfg.feedback_latency_cycles:
+            raise RuntimeError(f"feedback causality: cycle {k} applies weights from cycle {self.weights_from_cycle}")
+        if weights is not None:
+            bf_obj = beamform.Beamformer(
+                weights=np.vstack([np.atleast_1d(w) for w in weights]),
+                method="TX_NULL" if self.nulling else "STMF",
+                node_ids=tuple(f"n{i + 1}" for i in range(self.n)),
             )
-            fines.append(acq.coarse_cfo_hz + fine.f_hat_hz)
-        f_hat = float(np.mean(fines))
-        zc = z_mf * np.exp(-2j * np.pi * f_hat * t_axis)
+            rec.beamformer_ref = _bf_ref(bf_obj)
 
+        sent = []
+        for i, node in enumerate(self.nodes):
+            spec = waveform.FrameSpec(
+                waveform.FrameKind.TX_BF_NODE,
+                amble_seed=0,
+                payload_seed=derive_seed(cfg.seed, f"tx_payload_{k}"),
+                node_id=i + 1,
+                n_nodes=self.n,
+            )
+            frame, _ = waveform.build_frame(spec, mesh)
+            samples = frame.samples * np.sqrt(cfg.signal_power)
+            if weights is not None:
+                raw = samples[pay_seg.offset : pay_seg.offset + pay_seg.length]
+                w = weights[i]
+                if len(w) == 1:
+                    distorted = np.conj(w[0]) * raw
+                else:
+                    distorted = np.convolve(raw, np.conj(w), mode="full")[: pay_seg.length]
+                samples = samples.copy()
+                samples[pay_seg.offset : pay_seg.offset + pay_seg.length] = distorted
+            sent.append((node, apply_node_imperfections(ComplexSignal(samples, self.fs), node)))
+        return sent
+
+    def _arrivals(self, sent, r):
+        # every node reaches receiver r (B, then C) over its own link
+        return [(sig, ch) for (_, sig), ch in zip(sent, self.links[r])]
+
+    def _link_budget(self, rx_id: str, z_mf: np.ndarray, acq: AcquisitionResult, f_hat: float):
+        """CFO-correct one receiver's buffer and estimate its channels and powers: (per-link
+        taps, SISO link metrics, beamformed link metrics, SNR gain in dB or None)."""
+        cfg = self.cfg
+        zc = z_mf * self._phasor(f_hat)
         ests = estimation.estimate_channels_joint(
             ComplexSignal(zc, self.fs),
             self.pre_mf,
             acq.lag,
             cfg.t_h,
-            labels=[f"n{i + 1}->{rec_prefix}" for i in range(self.n)],
+            labels=[f"n{i + 1}->{rx_id}" for i in range(self.n)],
         )
-        look = self.layout.segment("look_through")
-        p_lt = metrics.segment_power(zc, look, shift=acq.lag)
+        p_lt = metrics.segment_power(zc, self.layout.segment("look_through"), shift=acq.lag)
         siso_lin, siso_lm = [], []
         for i in range(self.n):
-            seg = self.layout.segment(f"monitor_{i + 1}")
-            p_mon = metrics.segment_power(zc, seg, shift=acq.lag)
-            lm = metrics.link_metrics(p_mon, p_lt, cfg.noise_power)
-            siso_lm.append(lm)
+            p_mon = metrics.segment_power(zc, self.layout.segment(f"monitor_{i + 1}"), shift=acq.lag)
+            siso_lm.append(metrics.link_metrics(p_mon, p_lt, cfg.noise_power))
             siso_lin.append((p_mon - p_lt) / cfg.noise_power)
-        bf_seg = self.layout.segment("bf_payload")
-        p_bf = metrics.segment_power(zc, bf_seg, shift=acq.lag)
+        p_bf = metrics.segment_power(zc, self.layout.segment("bf_payload"), shift=acq.lag)
         bf_lm = metrics.link_metrics(p_bf, p_lt, cfg.noise_power)
         bf_lin = (p_bf - p_lt) / cfg.noise_power
-        return [e.taps for e in ests], siso_lin, siso_lm, bf_lm, bf_lin, acq, f_hat
+        pos = [s for s in siso_lin if s > 0]
+        # clamped, not skipped: a beamformed power at or below the noise floor
+        # is a (deep) attenuation, not missing data
+        gain = metrics.to_db(max(bf_lin, 1e-9) / float(np.mean(pos))) if pos else None
+        return [e.taps for e in ests], siso_lm, bf_lm, gain
 
-    # -- main loop -----------------------------------------------------------
-
-    def run(self) -> list[CycleRecord]:
-        cfg, mesh = self.cfg, self.mesh
-        records = []
-        pay_seg = self.layout.segment("bf_payload")
-        for k in range(cfg.n_cycles):
-            t_virtual = k * mesh.cycle_period_s
-            rec = CycleRecord(cycle=k, t_virtual_s=t_virtual)
-            flags = []
-
-            if cfg.channel_redraw_every > 0 and k > 0 and k % cfg.channel_redraw_every == 0:
-                ch_rng = substream(cfg.seed, "scenario", f"channels_cycle{k}")
-                self.ch_b = [_get_channel(cfg, ch_rng, c.label) for c in self.ch_b]
-                self.ch_c = [_get_channel(cfg, ch_rng, c.label) for c in self.ch_c]
-            if cfg.channel_walk_std_per_cycle > 0 and k > 0:
-                self.ch_b = [_walk_channel(c, cfg.channel_walk_std_per_cycle, self.walk_rng) for c in self.ch_b]
-                self.ch_c = [_walk_channel(c, cfg.channel_walk_std_per_cycle, self.walk_rng) for c in self.ch_c]
-
-            weights, wflag = self._build_weights(k)
-            if wflag:
-                flags.append(wflag)
-            if self.weights_from_cycle is not None:
-                # feedback causality: applied weights derive only from receptions
-                # at least feedback_latency_cycles old
-                assert self.weights_from_cycle <= k - cfg.feedback_latency_cycles
-
-            tx_signals = []
-            for i in range(self.n):
-                spec = waveform.FrameSpec(
-                    waveform.FrameKind.TX_BF_NODE,
-                    amble_seed=0,
-                    payload_seed=derive_seed(cfg.seed, f"tx_payload_{k}"),
-                    node_id=i + 1,
-                    n_nodes=self.n,
-                )
-                frame, _ = waveform.build_frame(spec, mesh)
-                samples = frame.samples * np.sqrt(cfg.signal_power)
-                if weights is not None:
-                    raw = samples[pay_seg.offset : pay_seg.offset + pay_seg.length]
-                    w = weights[i]
-                    if len(w) == 1:
-                        distorted = np.conj(w[0]) * raw
-                    else:
-                        distorted = np.convolve(raw, np.conj(w), mode="full")[: pay_seg.length]
-                    samples = samples.copy()
-                    samples[pay_seg.offset : pay_seg.offset + pay_seg.length] = distorted
-                node = self.nodes[i]
-                if cfg.ots_jitter_rad > 0:
-                    jit = self.jitter_rng[i].normal(0.0, cfg.ots_jitter_rad)
-                    node.phase_rad += jit - self._jitter_now[i]
-                    self._jitter_now[i] = jit
-                tx_signals.append(apply_node_imperfections(ComplexSignal(samples, self.fs), node))
-
-            try:
-                result_b = self._process(self._receive(tx_signals, self.ch_b, self.rx_b, "B"), "B")
-            except AcquisitionError:
-                result_b = None
-                flags.append("acq_fail:B")
-            result_c = None
-            if self.nulling:
-                try:
-                    result_c = self._process(self._receive(tx_signals, self.ch_c, self.rx_c, "C"), "C")
-                except AcquisitionError:
-                    flags.append("acq_fail:C")
-
-            est_entry = {}
-            if result_b is not None:
-                ests_b, siso_lin, siso_lm, bf_lm, bf_lin, acq, f_hat = result_b
-                est_entry["B"] = ests_b
-                rec.siso_snr_db = [lm.snr_db for lm in siso_lm]
-                rec.siso_inr_db = [lm.inr_db for lm in siso_lm]
-                rec.siso_sinr_db = [lm.sinr_db for lm in siso_lm]
-                rec.detection_stat = [acq.detection_stat] * self.n
-                rec.cfo_est_hz = [f_hat] * self.n
-                rec.bf_snr_db = bf_lm.snr_db
-                rec.bf_inr_db = bf_lm.inr_db
-                rec.bf_sinr_db = bf_lm.sinr_db
-                pos = [s for s in siso_lin if s > 0]
-                if pos:
-                    # clamped, not skipped: a beamformed power at or below the
-                    # noise floor is a (deep) attenuation, not missing data
-                    rec.gain_snr_db = metrics.to_db(max(bf_lin, 1e-9) / float(np.mean(pos)))
-            else:
-                rec.siso_snr_db = [float("nan")] * self.n
-                rec.siso_inr_db = [float("nan")] * self.n
-                rec.siso_sinr_db = [float("nan")] * self.n
-                rec.detection_stat = [float("nan")] * self.n
-                rec.cfo_est_hz = [float("nan")] * self.n
-            if result_c is not None:
-                ests_c, siso_lin_c, _, bf_lm_c, bf_lin_c, _, _ = result_c
-                est_entry["C"] = ests_c
-                rec.bf_snr_c_db = bf_lm_c.snr_db
-                pos = [s for s in siso_lin_c if s > 0]
-                if pos:
-                    rec.gain_c_db = metrics.to_db(max(bf_lin_c, 1e-9) / float(np.mean(pos)))
-
-            needed = {"B", "C"} if self.nulling else {"B"}
-            if needed.issubset(est_entry.keys()):
-                self.estimates[k] = est_entry
-            if weights is not None:
-                bf_obj = beamform.Beamformer(
-                    weights=np.vstack([np.atleast_1d(w) for w in weights]),
-                    method="TX_NULL" if self.nulling else "STMF",
-                    node_ids=tuple(f"n{i + 1}" for i in range(self.n)),
-                )
-                rec.beamformer_ref = _bf_ref(bf_obj)
-
-            rec.flags = ";".join(flags)
-            records.append(rec)
-
-            gap_tx = mesh.cycle_period_s - self.layout.total_length / self.fs
-            for node in self.nodes:
-                advance_clock(node, max(gap_tx, 0.0))
-            gap_rx = mesh.cycle_period_s - self.buf_len / self.fs
-            advance_clock(self.rx_b, max(gap_rx, 0.0))
-            if self.nulling:
-                advance_clock(self.rx_c, max(gap_rx, 0.0))
-        return records
+    def _measure(self, k, rec, flags, receptions):
+        est_entry = {}
+        for rx, h in zip(self.receivers, receptions):
+            if h is None:
+                continue
+            est_entry[rx.node_id], siso_lm, bf_lm, gain = self._link_budget(rx.node_id, *h)
+            if rx.node_id == "C":
+                rec.bf_snr_c_db = bf_lm.snr_db
+                if gain is not None:
+                    rec.gain_c_db = gain
+                continue
+            rec.siso_snr_db = [lm.snr_db for lm in siso_lm]
+            rec.siso_inr_db = [lm.inr_db for lm in siso_lm]
+            rec.siso_sinr_db = [lm.sinr_db for lm in siso_lm]
+            rec.detection_stat = [h[1].detection_stat] * self.n
+            rec.cfo_est_hz = [h[2]] * self.n
+            rec.bf_snr_db = bf_lm.snr_db
+            rec.bf_inr_db = bf_lm.inr_db
+            rec.bf_sinr_db = bf_lm.sinr_db
+            if gain is not None:
+                rec.gain_snr_db = gain
+        if "B" not in est_entry:
+            rec.siso_snr_db = [float("nan")] * self.n
+            rec.siso_inr_db = [float("nan")] * self.n
+            rec.siso_sinr_db = [float("nan")] * self.n
+            rec.detection_stat = [float("nan")] * self.n
+            rec.cfo_est_hz = [float("nan")] * self.n
+        if len(est_entry) == len(self.receivers):
+            self.estimates[k] = est_entry
 
 
 def run_rx_bf(cfg: ScenarioConfig) -> list[CycleRecord]:
     """Receive beamforming, with an interferer when experiment=RX_BF_INTERF."""
-    if cfg.experiment not in ("RX_BF", "RX_BF_INTERF"):
-        cfg = replace(cfg, experiment="RX_BF")
-    return _RxRunner(cfg).run()
+    return run_scenario(cfg if cfg.experiment in RX_EXPERIMENTS else replace(cfg, experiment="RX_BF"))
 
 
 def run_tx_bf(cfg: ScenarioConfig) -> list[CycleRecord]:
-    if cfg.experiment != "TX_BF":
-        cfg = replace(cfg, experiment="TX_BF")
-    return _TxRunner(cfg).run()
+    return run_scenario(replace(cfg, experiment="TX_BF"))
 
 
 def run_tx_null(cfg: ScenarioConfig) -> list[CycleRecord]:
-    if cfg.experiment != "TX_NULL":
-        cfg = replace(cfg, experiment="TX_NULL")
-    return _TxRunner(cfg).run()
+    return run_scenario(replace(cfg, experiment="TX_NULL"))
 
 
 def run_coherence(cfg: ScenarioConfig) -> list[CycleRecord]:
     """Transmit beamforming with feedback frozen after feedback_halt_time_s."""
-    if cfg.experiment != "COHERENCE":
-        cfg = replace(cfg, experiment="COHERENCE")
-    return _TxRunner(cfg).run()
+    return run_scenario(replace(cfg, experiment="COHERENCE"))
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[CycleRecord]:
-    cfg = validate_scenario(cfg)
-    if cfg.experiment in ("RX_BF", "RX_BF_INTERF"):
-        return _RxRunner(cfg).run()
-    return _TxRunner(cfg).run()
+    runner = _RxRunner if cfg.experiment in RX_EXPERIMENTS else _TxRunner
+    return runner(cfg).run()

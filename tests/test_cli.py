@@ -46,6 +46,20 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="unknown"):
             apply_overrides(cfg, ["nope.deep=1"])
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("mesh.seed=1", "mesh.seed"),
+            ("mesh.carrier_hz=6e10", "mesh.carrier_hz"),
+            ('channels={"A->n9": {"taps": [[1, 0]]}}', "channels.A->n9"),
+            ('channels={"A->n1": {"taps": [[1]]}}', "channels.A->n1"),
+        ],
+    )
+    def test_bad_override_exits_2_naming_field(self, tmp_path, capsys, override, field):
+        rc = main(["run", "--config", "rx_bf", "--out", str(tmp_path), "--override", override])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert rc == 2

@@ -72,14 +72,14 @@ class TestAcquire:
         rng = substream(4, "t", "acq")
         ref = _pn_ref(rng, 256)
         z = (rng.normal(size=512) + 1j * rng.normal(size=512))
-        res = acquire(_sig(z), ref, threshold=0.0)
+        res = acquire(_sig(z), ref, cfo_grid_hz=np.arange(-2000, 2001, 50.0), threshold=0.0)
         assert 0.0 <= res.detection_stat <= 1.0
 
     def test_reference_longer_than_signal(self):
         rng = substream(5, "t", "acq")
         ref = _pn_ref(rng, 64)
         with pytest.raises(ValueError, match="longer"):
-            acquire(_sig(np.zeros(32, complex)), ref)
+            acquire(_sig(np.zeros(32, complex)), ref, cfo_grid_hz=np.array([0.0]))
 
 
 class TestMlCfo:

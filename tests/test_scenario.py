@@ -1,14 +1,17 @@
 """Tests for the cycle-by-cycle experiment runners."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from dcbf.core import ConfigError, MeshConfig
 from dcbf.scenario import (
+    EXPERIMENTS,
     CycleRecord,
     ScenarioConfig,
+    _TxRunner,
     run_coherence,
     run_rx_bf,
     run_scenario,
@@ -28,6 +31,15 @@ def _lin_avg_db(vals):
 
 
 TX_MESH = MeshConfig(cycle_period_s=0.25)
+
+# Every per-cycle random process on at once: channel redraw and walk, OTS
+# jitter and the mesh clocks' phase walk.
+DYNAMICS = dict(
+    channel_redraw_every=1,
+    channel_walk_std_per_cycle=0.1,
+    ots_jitter_rad=0.2,
+    phase_walk_var_per_s=0.05,
+)
 
 
 class TestValidation:
@@ -51,14 +63,39 @@ class TestValidation:
         with pytest.raises(ConfigError, match="n_nodes"):
             validate_scenario(ScenarioConfig(mesh=MeshConfig(n_nodes=0)))
 
+    @pytest.mark.parametrize(
+        "experiment, label",
+        [("RX_BF", "A->n9"), ("RX_BF_INTERF", "n1->B"), ("TX_BF", "n1->X"), ("TX_NULL", "A->n1")],
+    )
+    def test_unknown_channel_label_rejected(self, experiment, label):
+        cfg = ScenarioConfig(experiment=experiment, channels={label: {"taps": [[1.0, 0.0]]}})
+        with pytest.raises(ConfigError, match=re.escape(f"channels.{label}")):
+            validate_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [[1.0, 0.0]],
+            {"tof": 0},
+            {"taps": [[1.0, 0.0]], "tofs": 2},
+            {"taps": [[1.0]]},
+            {"taps": []},
+            {"taps": [[0.0, 0.0]]},
+            {"taps": [[1.0, 0.0]], "tof": -1},
+        ],
+    )
+    def test_malformed_channel_rejected(self, spec):
+        with pytest.raises(ConfigError, match=re.escape("channels.A->n1")):
+            validate_scenario(ScenarioConfig(experiment="RX_BF", channels={"A->n1": spec}))
+
 
 class TestDeterminism:
-    def test_rx_rerun_identical(self):
-        cfg = ScenarioConfig(experiment="RX_BF", n_cycles=2, seed=9)
-        assert _records_equal(run_scenario(cfg), run_scenario(cfg))
-
-    def test_tx_rerun_identical(self):
-        cfg = ScenarioConfig(experiment="TX_BF", n_cycles=2, seed=9, mesh=TX_MESH)
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_rerun_identical(self, experiment):
+        mesh = MeshConfig() if experiment.startswith("RX") else TX_MESH
+        cfg = ScenarioConfig(
+            experiment=experiment, n_cycles=2, seed=9, mesh=mesh, interferer_power=1.78, **DYNAMICS
+        )
         assert _records_equal(run_scenario(cfg), run_scenario(cfg))
 
     def test_different_seed_differs(self):
@@ -152,6 +189,17 @@ class TestTxBeamforming:
         )
         assert "warmup" in recs[0].flags and "warmup" in recs[1].flags
         assert "warmup" not in recs[2].flags
+
+    def test_feedback_causality_enforced(self, monkeypatch):
+        # weights that claim to come from the cycle they are applied in must
+        # stop the run, also under python -O
+        def leaky_weights(self, k):
+            self.weights_from_cycle = k
+            return [np.ones(1, dtype=complex)] * self.n, ""
+
+        monkeypatch.setattr(_TxRunner, "_build_weights", leaky_weights)
+        with pytest.raises(RuntimeError, match="causality"):
+            run_tx_bf(ScenarioConfig(experiment="TX_BF", n_cycles=1, mesh=TX_MESH))
 
     def test_nulling_simultaneous_gain_and_null(self):
         recs = run_tx_null(
