@@ -30,7 +30,7 @@ from .impairments import ChannelModel, NoiseSpec
 from .scenario import CycleRecord, ScenarioConfig, run_scenario, validate_scenario
 
 CSV_SCHEMA = "cycles-v1"
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 log = logging.getLogger("dcbf")
 

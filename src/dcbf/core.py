@@ -57,10 +57,6 @@ class ComplexSignal:
             return 0.0
         return float(np.mean(np.abs(self.samples) ** 2))
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -112,12 +108,10 @@ class FrameLayout:
 @dataclass(frozen=True)
 class MeshConfig:
     """System-level mesh parameters. Defaults follow the experimental values
-    (2 MHz sampling, 1 MHz bandwidth, 8192-sample ambles, 256-sample guards,
-    three nodes)."""
+    (2 MHz sampling, 8192-sample ambles, 256-sample guards, three nodes)."""
 
     n_nodes: int = 3
     sample_rate_hz: float = 2e6
-    bandwidth_hz: float = 1e6
     cycle_period_s: float = 0.2
     amble_len: int = 8192
     payload_len: int = 8192
@@ -129,19 +123,14 @@ class MeshConfig:
 def validate_config(cfg: MeshConfig) -> MeshConfig:
     """Return cfg unchanged if all invariants hold, else raise ConfigError.
 
-    Checks: n_nodes >= 1, all lengths > 0, bandwidth <= sample rate,
-    non-negative diagonal loading.
+    Checks: n_nodes >= 1, rates, period and lengths > 0, non-negative
+    diagonal loading.
     """
     if cfg.n_nodes < 1:
         raise ConfigError("n_nodes", "must be ≥ 1")
-    for name in ("sample_rate_hz", "bandwidth_hz", "cycle_period_s"):
+    for name in ("sample_rate_hz", "cycle_period_s"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(name, "must be > 0")
-    if cfg.bandwidth_hz > cfg.sample_rate_hz:
-        raise ConfigError(
-            "bandwidth_hz",
-            f"must be ≤ sample_rate_hz ({cfg.bandwidth_hz} > {cfg.sample_rate_hz})",
-        )
     for name in ("amble_len", "payload_len", "est_integration_len", "guard_len"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(name, "must be > 0")

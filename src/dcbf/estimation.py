@@ -54,11 +54,35 @@ class ChannelEstimate:
     label: str = ""
 
 
-def cfo_reference_table(reference: ComplexSignal, cfo_grid_hz: np.ndarray) -> np.ndarray:
-    """Precompute conj(ref[t] * exp(i*2*pi*f*t/fs)) for every grid frequency.
+def _dtft(x: np.ndarray, w: np.ndarray, grid_hz: np.ndarray, fs: float) -> np.ndarray:
+    """sum_t x[..., t] * w[t] * exp(-i*2*pi*f*t/fs) for every f of grid_hz.
 
-    Shape (len(ref), len(grid)); reusable across acquire() calls with the
-    same reference and grid.
+    Returns shape x.shape[:-1] + (len(grid_hz),); keeps nothing between calls
+    and takes any grid. The phasor factors over t = a*n_b + b, n_b =
+    ceil(sqrt(n)), as exp(-i*2*pi*f*a*n_b/fs) * exp(-i*2*pi*f*b/fs), so a call
+    evaluates (n_a + n_b) exponentials per frequency instead of n and the sum
+    becomes one matmul against the b factor. A one-point grid is a single
+    inner product.
+    """
+    n = x.shape[-1]
+    if len(grid_hz) == 1:
+        return (x @ (w * np.exp(-2j * np.pi * (np.arange(n) / fs) * grid_hz[0])))[..., None]
+    n_b = int(np.ceil(np.sqrt(n)))
+    n_a = -(-n // n_b)
+    xw = np.zeros(x.shape[:-1] + (n_a * n_b,), dtype=np.complex128)
+    xw[..., :n] = x * w
+    phase = -2j * np.pi * grid_hz / fs
+    inner = xw.reshape(-1, n_b) @ np.exp(np.outer(np.arange(n_b), phase))
+    inner = inner.reshape(x.shape[:-1] + (n_a, len(grid_hz)))
+    return np.sum(inner * np.exp(np.outer(np.arange(n_a) * n_b, phase)), axis=-2)
+
+
+def cfo_reference_table(reference: ComplexSignal, cfo_grid_hz: np.ndarray) -> np.ndarray:
+    """Dense conj(ref[t] * exp(i*2*pi*f*t/fs)) for every grid frequency, shape
+    (len(ref), len(grid)).
+
+    Not used by acquire(); kept as the reference that tests compare its
+    statistic against (window @ table).
     """
     t = np.arange(len(reference.samples)) / reference.sample_rate_hz
     return np.conj(reference.samples)[:, None] * np.exp(-2j * np.pi * np.outer(t, cfo_grid_hz))
@@ -71,13 +95,14 @@ def acquire(
     *,
     cfo_grid_hz: np.ndarray,
     threshold: float = 0.1,
-    table: np.ndarray | None = None,
 ) -> AcquisitionResult:
     """Joint lag/CFO search with a normalized inner product detector.
 
     Maximizes |<z[lag:], ref * exp(i*2*pi*f*t/fs)>|^2 / (||z window||^2 *
     ||ref||^2) over lags in lag_range (half-open) and frequencies on the
-    grid. The statistic is scale invariant in z and bounded by 1.
+    grid (any spacing; a one-point grid is a lag-only search). The
+    statistic is scale invariant in z and bounded by 1. The inner products
+    of every lag and frequency come from one DTFT call per acquisition.
 
     Raises AcquisitionError when the best statistic falls below threshold.
     """
@@ -92,12 +117,8 @@ def acquire(
     if lag_lo < 0 or lag_lo >= lag_hi:
         raise ValueError(f"empty lag range [{lag_lo}, {lag_hi})")
 
-    if table is None:
-        table = cfo_reference_table(reference, cfo_grid_hz)
-    elif table.shape != (t_ref, len(cfo_grid_hz)):
-        raise ValueError(f"table shape {table.shape} does not match reference/grid")
     windows = sliding_window_view(zs, t_ref)[lag_lo:lag_hi]
-    inner = windows @ table  # (n_lags, n_freqs)
+    inner = _dtft(windows, np.conj(ref), cfo_grid_hz, reference.sample_rate_hz)  # (n_lags, n_freqs)
 
     ref_energy = float(np.sum(np.abs(ref) ** 2))
     win_energy = np.sum(np.abs(windows) ** 2, axis=1)
@@ -113,8 +134,11 @@ def acquire(
 
 
 def ml_cfo_table(grid_hz: np.ndarray, n_samples: int, fs: float) -> np.ndarray:
-    """Precompute exp(-i*2*pi*f*t/fs) rows for ml_cfo's metric; reusable
-    whenever the grid and reference length repeat."""
+    """Dense exp(-i*2*pi*f*t/fs) rows, shape (len(grid), n_samples).
+
+    Not used by ml_cfo(); kept as the reference that tests compare its
+    metric against (|table @ (window * conj(ref))|^2).
+    """
     t = np.arange(n_samples) / fs
     return np.exp(-2j * np.pi * np.outer(np.asarray(grid_hz, dtype=float), t))
 
@@ -125,25 +149,20 @@ def ml_cfo(
     tau_hat: int,
     grid_hz: np.ndarray,
     refine: bool = True,
-    table: np.ndarray | None = None,
 ) -> CfoEstimate:
     """Maximum-likelihood CFO on a grid: argmax_f |sum_t z[tau+t] s*[t] e^{-i2pift/fs}|^2.
 
-    After the grid argmax, the estimate is refined once by quadratic
-    interpolation of the metric through the peak and its two neighbors
-    (skipped, with at_boundary set, when the peak sits on the grid edge).
+    The metric on the whole grid (any spacing) is one DTFT call. After the
+    grid argmax, the estimate is refined once by quadratic interpolation of
+    the metric through the peak and its two neighbors (skipped, with
+    at_boundary set, when the peak sits on the grid edge).
     """
     grid_hz = np.atleast_1d(np.asarray(grid_hz, dtype=float))
     t_ref = len(s_ref.samples)
     window = z.samples[tau_hat : tau_hat + t_ref]
     if len(window) != t_ref:
         raise ValueError("window [tau_hat, tau_hat+T) not inside signal")
-    r = window * np.conj(s_ref.samples)
-    if table is None:
-        table = ml_cfo_table(grid_hz, t_ref, z.sample_rate_hz)
-    elif table.shape != (len(grid_hz), t_ref):
-        raise ValueError(f"table shape {table.shape} does not match grid/reference")
-    metric = np.abs(table @ r) ** 2
+    metric = np.abs(_dtft(window, np.conj(s_ref.samples), grid_hz, z.sample_rate_hz)) ** 2
 
     k = int(np.argmax(metric))
     f_hat = float(grid_hz[k])

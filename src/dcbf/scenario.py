@@ -238,11 +238,9 @@ class _Runner:
         self.coarse_grid = np.arange(
             -cfg.coarse_cfo_span_hz, cfg.coarse_cfo_span_hz + cfg.coarse_cfo_step_hz / 2, cfg.coarse_cfo_step_hz
         )
-        self.acq_tables = [estimation.cfo_reference_table(r, self.coarse_grid) for r in self.acq_refs]
         # fine grid relative to the coarse estimate: two coarse steps either side
         span = 2 * cfg.coarse_cfo_step_hz
         self.fine_grid = np.arange(-span, span + cfg.fine_cfo_step_hz / 2, cfg.fine_cfo_step_hz)
-        self.fine_table = estimation.ml_cfo_table(self.fine_grid, self.t_ref, self.fs)
 
         seed = cfg.seed
         self.links = self._draw_links(substream(seed, "scenario", "channels"))
@@ -313,7 +311,7 @@ class _Runner:
 
         sig_mf = ComplexSignal(z_mf, self.fs)
         acq = None
-        for ref, table in zip(self.acq_refs, self.acq_tables):
+        for ref in self.acq_refs:
             try:
                 cand = estimation.acquire(
                     sig_mf,
@@ -321,7 +319,6 @@ class _Runner:
                     lag_range=(0, self.lag_hi),
                     cfo_grid_hz=self.coarse_grid,
                     threshold=cfg.detection_threshold,
-                    table=table,
                 )
             except AcquisitionError:
                 continue
@@ -332,22 +329,18 @@ class _Runner:
 
         # fine CFO: derotate each known window by the coarse estimate, search
         # the fixed relative grid, and average over the windows
-        derot = self._phasor(acq.coarse_cfo_hz, self.t_ref)
-        fines = []
-        for offset, ref in self.cfo_windows:
-            start = acq.lag + offset
-            win = z_mf[start : start + self.t_ref] * derot
-            fine = estimation.ml_cfo(ComplexSignal(win, self.fs), ref, 0, self.fine_grid, table=self.fine_table)
-            fines.append(acq.coarse_cfo_hz + fine.f_hat_hz)
+        starts = [acq.lag + offset for offset, _ in self.cfo_windows]
+        wins = self._derotate(np.array([z_mf[s : s + self.t_ref] for s in starts]), acq.coarse_cfo_hz)
+        fines = [
+            acq.coarse_cfo_hz + estimation.ml_cfo(ComplexSignal(win, self.fs), ref, 0, self.fine_grid).f_hat_hz
+            for win, (_, ref) in zip(wins, self.cfo_windows)
+        ]
         return z_mf, acq, float(np.mean(fines))
 
-    def _phasor(self, f_hz: float, n: int | None = None) -> np.ndarray:
-        """exp(-i 2 pi f t) over the first n samples of a cycle buffer: derotates a CFO of f_hz.
-
-        Returned, not applied: numpy computes `z * self._phasor(f)` in the large temporary with
-        the operands swapped, which rounds the last bit differently from `z * derot`, and each
-        family keeps its own form."""
-        return np.exp(-2j * np.pi * f_hz * self.t_axis[:n])
+    def _derotate(self, z: np.ndarray, f_hz: float) -> np.ndarray:
+        """z times exp(-i 2 pi f t), t running from the start of a cycle buffer along z's last
+        axis: removes a CFO of f_hz from each row."""
+        return z * np.exp(-2j * np.pi * f_hz * self.t_axis[: z.shape[-1]])
 
     def run(self) -> list[CycleRecord]:
         period = self.mesh.cycle_period_s
@@ -476,8 +469,7 @@ class _RxRunner(_Runner):
         # differential rotation on every external signal), then per-node SISO
         # metrics through the identical single-node chain
         f_common = float(np.mean([receptions[i][2] for i in detected])) if detected else 0.0
-        derot = self._phasor(f_common)
-        z_corrected = {i: receptions[i][0] * derot for i in detected}
+        z_corrected = dict(zip(detected, self._derotate(np.array([receptions[i][0] for i in detected]), f_common)))
         lags = {i: receptions[i][1].lag for i in detected}
         warmup = rec.t_virtual_s < cfg.warmup_identity_s
         mats, cov_mats = [], []
@@ -630,7 +622,7 @@ class _TxRunner(_Runner):
         """CFO-correct one receiver's buffer and estimate its channels and powers: (per-link
         taps, SISO link metrics, beamformed link metrics, SNR gain in dB or None)."""
         cfg = self.cfg
-        zc = z_mf * self._phasor(f_hat)
+        zc = self._derotate(z_mf, f_hat)
         ests = estimation.estimate_channels_joint(
             ComplexSignal(zc, self.fs),
             self.pre_mf,

@@ -71,9 +71,6 @@ class Timestamp:
         df = self.frac_part - other.frac_part
         return di + Fraction(df, _TICKS)
 
-    def add_seconds(self, seconds: Fraction) -> "Timestamp":
-        return Timestamp.from_fraction(self.to_fraction() + Fraction(seconds))
-
 
 def estimate_offset(
     t_tx_n: Timestamp, t_rx_l: Timestamp, t_tx_l: Timestamp, t_rx_n: Timestamp

@@ -57,21 +57,6 @@ PRIMITIVE_TAPS: dict[int, tuple[tuple[int, ...], ...]] = {
 }
 
 
-def _sequence_period(m: int, taps: tuple[int, ...]) -> int:
-    """Period of the LFSR recurrence, found by running until the register repeats."""
-    state = [1] + [0] * (m - 1)
-    state0 = tuple(state)
-    for step in range(1, (1 << m) + 1):
-        b = 0
-        for t in taps:
-            b ^= state[-t]
-        state.append(b)
-        state.pop(0)
-        if tuple(state) == state0:
-            return step
-    return -1
-
-
 def gen_mls(m: int, taps: tuple[int, ...] | None = None, init_state: int = 1) -> np.ndarray:
     """Generate one period of a maximum length sequence, mapped to +/-1.
 
@@ -96,23 +81,25 @@ def gen_mls(m: int, taps: tuple[int, ...] | None = None, init_state: int = 1) ->
         raise ValueError(f"m={m} out of supported range [2, 20]")
     if taps[0] != m or taps[-1] < 1:
         raise ValueError(f"taps {taps} must have maximum exponent m={m} and minimum >= 1")
-    if _sequence_period(m, taps) != (1 << m) - 1:
-        raise ValueError(f"taps {taps} are not primitive for m={m}")
-
-    length = (1 << m) - 1
     init_state = int(init_state) % (1 << m)
     if init_state == 0:
         raise ValueError("init_state must be nonzero")
-    bits = np.zeros(length, dtype=np.int8)
-    state = [(init_state >> i) & 1 for i in range(m)]
+
+    # bit 0 of the register is the next chip; the feedback, the XOR of bits
+    # m - t, enters at bit m - 1. The taps are primitive exactly when the
+    # register first returns to its initial state after 2**m - 1 steps.
+    length = (1 << m) - 1
+    mask = sum(1 << (m - t) for t in taps)
+    state = init_state
+    bits = []
     for n in range(length):
-        bits[n] = state[0]
-        b = 0
-        for t in taps:
-            b ^= state[m - t]
-        state.append(b)
-        state.pop(0)
-    return (2 * bits - 1).astype(np.int8)
+        bits.append(state & 1)
+        state = (state >> 1) | (((state & mask).bit_count() & 1) << (m - 1))
+        if state == init_state:
+            break
+    if n != length - 1:
+        raise ValueError(f"taps {taps} are not primitive for m={m}")
+    return (2 * np.array(bits, dtype=np.int8) - 1).astype(np.int8)
 
 
 def _gray_decode4(g: np.ndarray) -> np.ndarray:

@@ -51,6 +51,7 @@ class TestConfigHandling:
         [
             ("mesh.seed=1", "mesh.seed"),
             ("mesh.carrier_hz=6e10", "mesh.carrier_hz"),
+            ("mesh.bandwidth_hz=1e6", "mesh.bandwidth_hz"),
             ('channels={"A->n9": {"taps": [[1, 0]]}}', "channels.A->n9"),
             ('channels={"A->n1": {"taps": [[1]]}}', "channels.A->n1"),
         ],

@@ -57,18 +57,12 @@ class TestFrameLayout:
 
 class TestValidateConfig:
     def test_default_table_values_accepted(self):
-        cfg = MeshConfig(
-            n_nodes=3, sample_rate_hz=2e6, bandwidth_hz=1e6, amble_len=8192, guard_len=256
-        )
+        cfg = MeshConfig(n_nodes=3, sample_rate_hz=2e6, amble_len=8192, guard_len=256)
         assert validate_config(cfg) is cfg
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ConfigError, match="n_nodes"):
             validate_config(MeshConfig(n_nodes=0))
-
-    def test_bandwidth_exceeding_rate_rejected(self):
-        with pytest.raises(ConfigError, match="bandwidth_hz"):
-            validate_config(MeshConfig(bandwidth_hz=3e6, sample_rate_hz=2e6))
 
     def test_nonpositive_lengths_rejected(self):
         with pytest.raises(ConfigError, match="amble_len"):

@@ -6,10 +6,13 @@ import pytest
 from dcbf.core import ComplexSignal, substream
 from dcbf.estimation import (
     AcquisitionError,
+    _dtft,
     acquire,
+    cfo_reference_table,
     estimate_channel,
     estimate_channels_joint,
     ml_cfo,
+    ml_cfo_table,
     remove_dc,
 )
 
@@ -133,6 +136,59 @@ class TestMlCfo:
             r = np.sum(z.samples * np.conj(ref.samples) * np.exp(-2j * np.pi * f * t))
             metrics.append(abs(r) ** 2)
         assert grid[int(np.argmax(metrics))] == f0
+
+
+# lengths for the DTFT kernel's sqrt(n) split: a square (no padding), powers of
+# two, and neither; grids: coarse, fine, one point, and unevenly spaced
+ORACLE_LENGTHS = (512, 1000, 1024, 8191, 8192)
+ORACLE_GRIDS = {
+    "coarse": np.arange(-2000, 2001, 50.0),
+    "fine": np.arange(-100, 100.5, 1.0),
+    "one_point": np.array([137.0]),
+    "uneven": np.sort(substream(19, "t", "grid").uniform(-3000, 3000, 23)),
+}
+ORACLE_RTOL = 1e-9
+
+
+def _close(a, b):
+    """Equal to ORACLE_RTOL relative to the largest magnitude of the dense result."""
+    return np.max(np.abs(a - b)) <= ORACLE_RTOL * np.max(np.abs(b))
+
+
+class TestDenseOracle:
+    """acquire's statistic and ml_cfo's metric against dense evaluation through
+    cfo_reference_table / ml_cfo_table, on random inputs."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    def test_acquire_statistic(self, n, grid):
+        rng = substream(20, "t", f"acq{n}")
+        ref = _pn_ref(rng, n)
+        z = _sig(rng.normal(size=n + 12) + 1j * rng.normal(size=n + 12))
+        windows = np.lib.stride_tricks.sliding_window_view(z.samples, n)[2:12]
+        dense = windows @ cfo_reference_table(ref, grid)
+        assert _close(_dtft(windows, np.conj(ref.samples), grid, FS), dense)
+
+        energies = np.sum(np.abs(windows) ** 2, axis=1)[:, None] * np.sum(np.abs(ref.samples) ** 2)
+        stats = np.abs(dense) ** 2 / energies
+        li, fi = np.unravel_index(np.argmax(stats), stats.shape)
+        res = acquire(z, ref, lag_range=(2, 12), cfo_grid_hz=grid, threshold=0.0)
+        assert (res.lag, res.coarse_cfo_hz) == (2 + li, grid[fi])
+        assert res.detection_stat == pytest.approx(stats[li, fi], rel=ORACLE_RTOL)
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    def test_ml_cfo_metric(self, n, grid):
+        rng = substream(21, "t", f"cfo{n}")
+        ref = _pn_ref(rng, n)
+        z = _pn_ref(rng, n + 3)
+        r = z.samples[3:] * np.conj(ref.samples)
+        dense = np.abs(ml_cfo_table(grid, n, FS) @ r) ** 2
+        assert _close(np.abs(_dtft(z.samples[3:], np.conj(ref.samples), grid, FS)) ** 2, dense)
+
+        res = ml_cfo(z, ref, 3, grid, refine=False)
+        assert res.f_hat_hz == grid[np.argmax(dense)]
+        assert res.peak_metric == pytest.approx(np.max(dense), rel=ORACLE_RTOL)
 
 
 class TestEstimateChannel:
