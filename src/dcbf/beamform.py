@@ -5,6 +5,15 @@ with diagonal loading (covariance from the training window or from
 interference-plus-noise-only data), a per-node transmit matched filter
 (time-reversed channel estimate at unit norm), and narrowband transmit
 nulling weights via a regularized rank-one-update solve.
+
+A receive cycle builds all of its beamformers from shared quantities:
+mmse_rx_beamformers forms one Gram matrix of the stacked node windows from
+their lagged cross-correlations and solves every single-node beamformer on a
+diagonal block of it and the all-node one on the whole, and rx_output_powers
+measures every beamformer's segment powers in one filtering pass per node,
+plus its white-noise gain as a quadratic form. The delay-matrix functions
+(build_delay_matrix, mmse_rx_beamformer, apply_rx_beamformer) are the
+direct forms of the same computations.
 """
 
 from __future__ import annotations
@@ -15,14 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import ComplexSignal
+from .core import ComplexSignal, Segment
 
 __all__ = [
     "DelayMatrix",
     "Beamformer",
     "build_delay_matrix",
     "mmse_rx_beamformer",
+    "mmse_rx_beamformers",
     "apply_rx_beamformer",
+    "rx_output_powers",
     "stmf_beamformer",
     "tx_null_beamformer",
 ]
@@ -156,13 +167,6 @@ def mmse_rx_beamformer(
     else:
         raise ValueError(f"unknown cov_source {cov_source!r}")
 
-    cov = c_src @ c_src.conj().T
-    dim = cov.shape[0]
-    if delta is None:
-        delta = eps * float(np.trace(cov).real) / dim
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-
     strain = s_train.samples if isinstance(s_train, ComplexSignal) else np.asarray(s_train)
     s_bar = _pad_training_row(strain, t_w)
     if len(s_bar) != z.shape[1]:
@@ -170,8 +174,26 @@ def mmse_rx_beamformer(
             f"training row length {len(strain)} inconsistent with window length "
             f"{z.shape[1] - t_w + 1}"
         )
-    b = z @ np.conj(s_bar)
+    w, delta, resid = _mmse_solve(c_src @ c_src.conj().T, z @ np.conj(s_bar), delta, eps)
+    return Beamformer(
+        weights=w.reshape(len(delay_mats), t_w),
+        method="MMSE_RX",
+        delta=delta,
+        node_ids=tuple(dm.node_id for dm in delay_mats),
+        output_delay=t_w // 2,
+        solve_residual=resid,
+    )
 
+
+def _mmse_solve(cov: np.ndarray, b: np.ndarray, delta: float | None, eps: float):
+    """Solve (cov + delta*I) w = b: Cholesky factorization and one step of
+    iterative refinement, never explicit inversion. delta defaults to
+    eps * trace(cov) / dim. Returns (w, delta, achieved relative residual)."""
+    dim = cov.shape[0]
+    if delta is None:
+        delta = eps * float(np.trace(cov).real) / dim
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     a = cov + delta * np.eye(dim)
     try:
         factor = cho_factor(a)
@@ -183,16 +205,78 @@ def mmse_rx_beamformer(
     w = w + cho_solve(factor, b - a @ w)  # one refinement step
     b_norm = np.linalg.norm(b)
     resid = float(np.linalg.norm(a @ w - b) / b_norm) if b_norm > 0 else 0.0
+    return w, float(delta), resid
 
-    n_nodes = len(delay_mats)
-    return Beamformer(
-        weights=w.reshape(n_nodes, t_w),
-        method="MMSE_RX",
-        delta=float(delta),
-        node_ids=tuple(dm.node_id for dm in delay_mats),
-        output_delay=t_w // 2,
-        solve_residual=resid,
-    )
+
+def _windows(z: np.ndarray, taus: np.ndarray, offset: int, length: int) -> np.ndarray:
+    """Row i is z[i, taus[i] + offset : taus[i] + offset + length]."""
+    starts = taus + offset
+    if np.any(starts < 0) or np.any(starts + length > z.shape[1]):
+        raise ValueError(f"window [{offset}, {offset + length}) past a lag not inside the signals")
+    return np.array([row[s : s + length] for row, s in zip(z, starts)])
+
+
+def _lagged_products(a: np.ndarray, b: np.ndarray, lags) -> np.ndarray:
+    """out[k, i, j] = sum_t a[i, t] * conj(b[j, t + lags[k]]) over the t where
+    both rows hold samples (rows of equal length)."""
+    n = a.shape[1]
+    out = np.empty((len(lags), len(a), len(b)), dtype=np.complex128)
+    for k, m in enumerate(lags):
+        for i, ai in enumerate(a[:, max(0, -m) : n - max(0, m)]):
+            for j, bj in enumerate(b[:, max(0, m) : n - max(0, -m)]):
+                out[k, i, j] = np.vdot(bj, ai)
+    return out
+
+
+def mmse_rx_beamformers(
+    z: np.ndarray,
+    taus,
+    node_ids: tuple[str, ...],
+    s_train: np.ndarray,
+    t_w: int,
+    cov_window: tuple[int, int] | None = None,
+    eps: float = 1e-3,
+) -> list[Beamformer]:
+    """Every node's single-node MMSE receive beamformer, then the all-node one.
+
+    Row i of z is node node_ids[i]. Its training window is
+    z[i, taus[i] : taus[i] + len(s_train)] and its covariance window starts
+    cov_window = (offset, length) after taus[i], or is the training window
+    when cov_window is None. Each result equals mmse_rx_beamformer on the
+    delay matrices of those windows (cov_source "interference_only", or
+    "full" when cov_window is None) with the default delta, but no delay
+    matrix is built: the stacked covariance Z Z^H is block-Toeplitz, entry
+    ((i, r), (j, s)) being the cross-correlation of windows i and j at lag
+    r - s, and the cross-vector Z s_bar^H holds the training windows'
+    correlations with the training row. The single-node systems are the
+    diagonal blocks of the all-node one.
+    """
+    z = np.atleast_2d(z)
+    taus = np.asarray(taus, dtype=np.int64)
+    n = z.shape[0]
+    if t_w < 1:
+        raise ValueError("t_w must be >= 1")
+    if len(taus) != n or len(node_ids) != n:
+        raise ValueError("need one lag and node id per signal")
+    s = np.asarray(s_train, dtype=np.complex128)
+    train = _windows(z, taus, 0, len(s))
+    cov_src = train if cov_window is None else _windows(z, taus, *cov_window)
+
+    r = _lagged_products(cov_src, cov_src, range(t_w))
+    r = np.concatenate([r[:0:-1].conj().transpose(0, 2, 1), r])  # lags 1 - t_w .. t_w - 1: R[-m] = R[m]^H
+    lag = np.subtract.outer(np.arange(t_w), np.arange(t_w)) + t_w - 1
+    cov = r[lag].transpose(2, 0, 3, 1).reshape(n * t_w, n * t_w)  # [(i, r), (j, s)] = R[r - s][i, j]
+    # s_bar puts the training row t_w // 2 samples into the padded window
+    b = _lagged_products(train, s[None, :], np.arange(t_w) - t_w // 2)[:, :, 0].T.ravel()
+
+    out = []
+    for i, node in enumerate(node_ids):
+        block = slice(i * t_w, (i + 1) * t_w)
+        w, delta, resid = _mmse_solve(cov[block, block], b[block], None, eps)
+        out.append(Beamformer(w[None, :], "MMSE_RX", delta, (node,), t_w // 2, resid))
+    w, delta, resid = _mmse_solve(cov, b, None, eps)
+    out.append(Beamformer(w.reshape(n, t_w), "MMSE_RX", delta, tuple(node_ids), t_w // 2, resid))
+    return out
 
 
 def apply_rx_beamformer(
@@ -225,6 +309,70 @@ def apply_rx_beamformer(
         seg = arr[tau : tau + length]
         out[: len(seg)] += np.convolve(seg, np.conj(bf.node_weights(i)), mode="full")[:length]
     return ComplexSignal(out, fs or 1.0)
+
+
+# Output samples per block of the segment-power pass: long enough to amortize
+# the per-block calls, short enough that a block's outputs stay in cache.
+_POWER_BLOCK = 4096
+
+
+def rx_output_powers(
+    bfs: list[Beamformer],
+    z: np.ndarray,
+    taus,
+    node_ids: tuple[str, ...],
+    segments: tuple[Segment, ...],
+    noise_gram: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Segment powers and white-noise gains of several receive beamformers over
+    the same node signals (row i of z is node node_ids[i], aligned at taus[i]).
+
+    powers[b, k] is what metrics.segment_power reads from
+    apply_rx_beamformer(bfs[b], its nodes' rows, their taus) over segments[k]
+    shifted by the beamformers' common output_delay, samples before a
+    node's tau counting as zero. All the weights form one
+    (n_bf, n_nodes * t_w) matrix, zero where a beamformer leaves a node out,
+    and each node's contribution to every output is one product with a
+    strided (t_w, samples) view of its signal over the segments only,
+    accumulated in blocks. gains[b] is sum_n w_n^H P w_n for the
+    (t_w, t_w) noise_gram P: with P = G^H G for G the convolution matrix
+    of the receive pulse, it is the output power of unit white antenna noise.
+    """
+    z = np.atleast_2d(z)
+    n, n_samples = z.shape
+    if len(taus) != n or len(node_ids) != n:
+        raise ValueError("need one lag and node id per signal")
+    t_w = np.atleast_2d(bfs[0].weights).shape[1]
+    shift = bfs[0].output_delay
+    row = {node: i for i, node in enumerate(node_ids)}
+    weights = np.zeros((len(bfs), n, t_w), dtype=np.complex128)
+    for k, bf in enumerate(bfs):
+        if bf.method != "MMSE_RX" or bf.output_delay != shift:
+            raise ValueError("need MMSE_RX beamformers sharing one output_delay")
+        for node, w in zip(bf.node_ids, np.atleast_2d(bf.weights)):
+            weights[k, row[node]] = w
+    gains = np.einsum("bnk,kl,bnl->b", weights.conj(), noise_gram, weights).real
+    # row m of a node's view at output sample c holds z[tau + c - (t_w - 1) + m],
+    # the sample that tap t_w - 1 - m weighs
+    taps = weights.conj()[:, :, ::-1]
+
+    powers = np.zeros((len(bfs), len(segments)))
+    for k, seg in enumerate(segments):
+        start, stop = seg.offset + shift, seg.offset + shift + seg.length
+        if start < 0 or max(taus) + stop > n_samples:
+            raise ValueError(f"segment {seg.name!r} [{start}, {stop}) outside the signals")
+        views = []
+        for i, tau in enumerate(taus):
+            lo = tau + start - (t_w - 1)
+            x = z[i, max(lo, tau) : tau + stop]
+            if lo < tau:  # the filter reaches back before tau: zero fill
+                x = np.concatenate([np.zeros(tau - lo, dtype=z.dtype), x])
+            views.append(np.lib.stride_tricks.sliding_window_view(x, t_w).T)
+        for c in range(0, seg.length, _POWER_BLOCK):
+            y = sum(taps[:, i] @ v[:, c : c + _POWER_BLOCK] for i, v in enumerate(views))
+            powers[:, k] += np.sum(y.real**2 + y.imag**2, axis=1)
+        powers[:, k] /= seg.length
+    return powers, gains
 
 
 def stmf_beamformer(h_est: np.ndarray) -> np.ndarray:

@@ -100,8 +100,14 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("cov_source", "must be 'full' or 'interference_only'")
     if cfg.feedback_latency_cycles < 1:
         raise ConfigError("feedback_latency_cycles", "must be ≥ 1")
+    if cfg.interferer_power > 0 and cfg.experiment != "RX_BF_INTERF":
+        raise ConfigError("interferer_power", f"must be 0: {cfg.experiment} has no interferer")
     if cfg.channel_kind not in ("random_phase", "rayleigh"):
         raise ConfigError("channel_kind", "must be 'random_phase' or 'rayleigh'")
+    if cfg.channel_taps < 1:
+        raise ConfigError("channel_taps", "must be ≥ 1")
+    if cfg.channel_kind == "random_phase" and cfg.channel_taps != 1:
+        raise ConfigError("channel_taps", "must be 1: a random_phase channel has one tap")
     if cfg.phase_walk_var_per_s < 0:
         raise ConfigError("phase_walk_var_per_s", "must be ≥ 0")
     if cfg.ots_jitter_rad < 0:
@@ -195,17 +201,6 @@ def _identity_beamformer(n_nodes: int, t_w: int, node_ids: tuple[str, ...]) -> b
     return beamform.Beamformer(
         weights=w, method="MMSE_RX", delta=0.0, node_ids=node_ids, output_delay=t_w // 2
     )
-
-
-def _noise_gain(pulse: np.ndarray, bf: beamform.Beamformer) -> float:
-    """Sum over nodes of ||pulse * w_n||^2: white antenna noise power scale
-    at the beamformer output (matched filter then node filter, independent
-    noise across nodes)."""
-    total = 0.0
-    w2d = np.atleast_2d(bf.weights)
-    for row in w2d:
-        total += float(np.sum(np.abs(np.convolve(pulse, row)) ** 2))
-    return total
 
 
 class _Runner:
@@ -382,52 +377,20 @@ class _RxRunner(_Runner):
         super().__init__(cfg, waveform.rx_source_layout, n_preambles=1, heard_families=2)
         self.look_seg = self.layout.segment("look_through")
         self.pay_seg = self.layout.segment("payload")
-        self.with_interf = cfg.experiment == "RX_BF_INTERF" and cfg.interferer_power > 0
+        self.cov_window = None
+        if cfg.cov_source == "interference_only":
+            self.cov_window = (self.look_seg.offset, min(self.look_seg.length, COV_MAX_LEN))
+        # white antenna noise through the matched filter and a node's taps w
+        # has power w^H P w, P = G^H G for G the pulse's convolution matrix
+        conv = np.zeros((len(self.pulse) + cfg.t_w - 1, cfg.t_w))
+        for k in range(cfg.t_w):
+            conv[k : k + len(self.pulse), k] = self.pulse
+        self.noise_gram = conv.T @ conv
+        self.with_interf = cfg.interferer_power > 0  # only RX_BF_INTERF may set it
         self.source = self._radio("A", cfg.source_cfo_hz)
         self.interferer = self._radio("J", cfg.interferer_cfo_hz)
         self._set_receivers(self.nodes)
         self.cfo_windows = [(0, self.pre_mf[0])]
-
-    def _bf_link_metrics(self, bf: beamform.Beamformer, zs: list[np.ndarray], ts: list[int]):
-        """Apply a receive beamformer and measure payload/look-through powers.
-
-        Returns (LinkMetrics, (snr, inr, sinr) linear). The noise reference
-        is exact by construction: white antenna noise through the matched
-        filter and the beamformer taps.
-        """
-        x = beamform.apply_rx_beamformer(bf, zs, ts, length=self.layout.total_length)
-        p_pay = metrics.segment_power(x, self.pay_seg, shift=bf.output_delay)
-        p_lt = metrics.segment_power(x, self.look_seg, shift=bf.output_delay)
-        p_n = self.cfg.noise_power * _noise_gain(self.pulse, bf)
-        lm = metrics.link_metrics(p_pay, p_lt, p_n)
-        lin = (
-            (p_pay - p_lt) / p_n,
-            (p_lt - p_n) / p_n,
-            (p_pay - p_lt) / p_lt if p_lt > 0 else 0.0,
-        )
-        return lm, lin
-
-    def _node_mats(self, zc: np.ndarray, lag: int, node_id: str):
-        """Training-window and covariance-window delay matrices for one node."""
-        cfg, mesh = self.cfg, self.mesh
-        train = beamform.build_delay_matrix(zc, lag, mesh.amble_len, cfg.t_w, node_id)
-        cov = None
-        if cfg.cov_source == "interference_only":
-            cov_len = min(self.look_seg.length, COV_MAX_LEN)
-            cov = beamform.build_delay_matrix(
-                zc, lag + self.look_seg.offset, cov_len, cfg.t_w, node_id
-            )
-        return train, cov
-
-    def _mmse(self, mats, cov_mats):
-        # cov_mats holds Nones, and is not read, when cov_source is "full"
-        return beamform.mmse_rx_beamformer(
-            mats,
-            self.pre_mf[0].samples,
-            cov_source=self.cfg.cov_source,
-            cov_mats=cov_mats,
-            eps=self.mesh.diag_loading_eps,
-        )
 
     def _transmit(self, k, rec, flags):
         cfg, mesh = self.cfg, self.mesh
@@ -464,52 +427,52 @@ class _RxRunner(_Runner):
         rec.detection_stat = [h[1].detection_stat if h else nan for h in receptions]
         rec.cfo_est_hz = [h[2] if h else nan for h in receptions]
 
-        # one common CFO correction for the whole mesh (the nodes share a
-        # frequency reference, so per-node corrections would put spurious
-        # differential rotation on every external signal), then per-node SISO
-        # metrics through the identical single-node chain
-        f_common = float(np.mean([receptions[i][2] for i in detected])) if detected else 0.0
-        z_corrected = dict(zip(detected, self._derotate(np.array([receptions[i][0] for i in detected]), f_common)))
-        lags = {i: receptions[i][1].lag for i in detected}
-        warmup = rec.t_virtual_s < cfg.warmup_identity_s
-        mats, cov_mats = [], []
-        siso_lin: list[tuple[float, float, float]] = []  # (snr, inr, sinr) linear
-        for i in range(self.n):
-            if i not in z_corrected:
-                rec.siso_snr_db.append(nan)
-                rec.siso_inr_db.append(nan)
-                rec.siso_sinr_db.append(nan)
-                continue
-            zc = z_corrected[i]
-            node_id = f"n{i + 1}"
-            # SISO figures come from the identical single-node processing
-            # chain, so the beamformed/SISO ratio isolates the array gain
-            if warmup:
-                bf1 = _identity_beamformer(1, cfg.t_w, (node_id,))
-            else:
-                train, cov = self._node_mats(zc, lags[i], node_id)
-                mats.append(train)
-                cov_mats.append(cov)
-                bf1 = self._mmse([train], [cov])
-            lm1, lin1 = self._bf_link_metrics(bf1, [zc], [lags[i]])
-            rec.siso_snr_db.append(lm1.snr_db)
-            rec.siso_inr_db.append(lm1.inr_db)
-            rec.siso_sinr_db.append(lm1.sinr_db)
-            siso_lin.append(lin1)
         if not detected:
+            rec.siso_snr_db = [nan] * self.n
+            rec.siso_inr_db = [nan] * self.n
+            rec.siso_sinr_db = [nan] * self.n
             flags.append("no_detection")
             return
+        # one common CFO correction for the whole mesh (the nodes share a
+        # frequency reference, so per-node corrections would put spurious
+        # differential rotation on every external signal); every node's SISO
+        # beamformer and the mesh beamformer then read the same buffers, so
+        # the beamformed/SISO ratio isolates the array gain
+        f_common = float(np.mean([receptions[i][2] for i in detected]))
+        z_corrected = self._derotate(np.array([receptions[i][0] for i in detected]), f_common)
+        lags = [receptions[i][1].lag for i in detected]
         ids = tuple(f"n{i + 1}" for i in detected)
-        if warmup:
-            bf = _identity_beamformer(len(detected), cfg.t_w, ids)
+        if rec.t_virtual_s < cfg.warmup_identity_s:
+            bfs = [_identity_beamformer(1, cfg.t_w, (node,)) for node in ids]
+            bfs.append(_identity_beamformer(len(ids), cfg.t_w, ids))
             flags.append("warmup")
         else:
-            bf = self._mmse(mats, cov_mats)
-        lm_bf, lin_bf = self._bf_link_metrics(bf, list(z_corrected.values()), list(lags.values()))
-        rec.bf_snr_db = lm_bf.snr_db
-        rec.bf_inr_db = lm_bf.inr_db
-        rec.bf_sinr_db = lm_bf.sinr_db
-        rec.beamformer_ref = _bf_ref(bf)
+            bfs = beamform.mmse_rx_beamformers(
+                z_corrected,
+                lags,
+                ids,
+                self.pre_mf[0].samples,
+                cfg.t_w,
+                cov_window=self.cov_window,
+                eps=self.mesh.diag_loading_eps,
+            )
+        powers, gains = beamform.rx_output_powers(
+            bfs, z_corrected, lags, ids, (self.pay_seg, self.look_seg), self.noise_gram
+        )
+        lms, lins = [], []  # per beamformer: LinkMetrics, (snr, inr, sinr) linear
+        for (p_pay, p_lt), gain in zip(powers.tolist(), gains.tolist()):
+            p_n = cfg.noise_power * gain
+            lms.append(metrics.link_metrics(p_pay, p_lt, p_n))
+            lins.append(((p_pay - p_lt) / p_n, (p_lt - p_n) / p_n, (p_pay - p_lt) / p_lt if p_lt > 0 else 0.0))
+        siso = dict(zip(detected, lms))
+        rec.siso_snr_db = [siso[i].snr_db if i in siso else nan for i in range(self.n)]
+        rec.siso_inr_db = [siso[i].inr_db if i in siso else nan for i in range(self.n)]
+        rec.siso_sinr_db = [siso[i].sinr_db if i in siso else nan for i in range(self.n)]
+        siso_lin, lin_bf = lins[:-1], lins[-1]
+        rec.bf_snr_db = lms[-1].snr_db
+        rec.bf_inr_db = lms[-1].inr_db
+        rec.bf_sinr_db = lms[-1].sinr_db
+        rec.beamformer_ref = _bf_ref(bfs[-1])
         snrs = [s[0] for s in siso_lin if s[0] > 0]
         if snrs and lin_bf[0] > 0:
             rec.gain_snr_db = metrics.snr_gain(lin_bf[0], snrs)

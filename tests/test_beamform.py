@@ -8,10 +8,14 @@ from dcbf.beamform import (
     apply_rx_beamformer,
     build_delay_matrix,
     mmse_rx_beamformer,
+    mmse_rx_beamformers,
+    rx_output_powers,
     stmf_beamformer,
     tx_null_beamformer,
 )
-from dcbf.core import ComplexSignal, substream
+from dcbf.core import ComplexSignal, Segment, substream
+from dcbf.metrics import segment_power
+from dcbf.scenario import ScenarioConfig, _RxRunner
 
 FS = 2e6
 
@@ -210,6 +214,94 @@ class TestApplyRx:
         bf = Beamformer(weights=np.ones((2, 1), dtype=complex), method="MMSE_RX")
         out = apply_rx_beamformer(bf, [_sig(a), _sig(b)], [3, 7], length=64)
         assert np.allclose(out.samples, 2 * z)
+
+
+class TestCycleKernelOracle:
+    """mmse_rx_beamformers and rx_output_powers against the delay-matrix path:
+    build_delay_matrix -> mmse_rx_beamformer -> apply_rx_beamformer ->
+    segment_power, and the noise gain as sum_n ||pulse * w_n||^2."""
+
+    N_SAMPLES, LENGTH, T_Z = 900, 820, 128
+    COV_WINDOW = (400, 300)  # (offset, length) after each node's lag
+    # "head" starts within t_w of the lag, where apply_rx_beamformer zero-fills
+    SEGMENTS = (Segment("head", 0, 60), Segment("payload", 200, 150), Segment("look_through", 400, 350))
+    # (mesh size, nodes lost to an acquisition failure)
+    MESHES = [(1, ()), (2, ()), (3, ()), (4, ()), (4, (2,))]
+    RTOL = 1e-9
+
+    def _case(self, n, lost, seed):
+        """Detected nodes' buffers, distinct lags, node ids and training row."""
+        rng = substream(seed, "t", "cycle_kernel")
+        keep = [i for i in range(n) if i not in lost]
+        z = np.array([_rand(rng, self.N_SAMPLES) for _ in keep])
+        taus = [int(t) for t in rng.permutation(self.N_SAMPLES - self.LENGTH)[: len(keep)]]
+        ids = tuple(f"n{i + 1}" for i in keep)
+        return z, taus, ids, _rand(rng, self.T_Z)
+
+    def _oracle_bfs(self, z, taus, ids, s, t_w, cov_source, eps):
+        train = [build_delay_matrix(zi, tau, self.T_Z, t_w, node) for zi, tau, node in zip(z, taus, ids)]
+        off, length = self.COV_WINDOW
+        cov = [build_delay_matrix(zi, tau + off, length, t_w, node) for zi, tau, node in zip(z, taus, ids)]
+        siso = [
+            mmse_rx_beamformer([train[i]], s, cov_source=cov_source, cov_mats=[cov[i]], eps=eps)
+            for i in range(len(ids))
+        ]
+        return siso + [mmse_rx_beamformer(train, s, cov_source=cov_source, cov_mats=cov, eps=eps)]
+
+    def _oracle_powers(self, bf, z, taus, ids):
+        rows = [ids.index(node) for node in bf.node_ids]
+        x = apply_rx_beamformer(bf, [z[r] for r in rows], [taus[r] for r in rows], length=self.LENGTH)
+        return [segment_power(x, seg, shift=bf.output_delay) for seg in self.SEGMENTS]
+
+    def _check_powers(self, bfs, z, taus, ids, t_w):
+        runner = _RxRunner(ScenarioConfig(t_w=t_w))
+        powers, gains = rx_output_powers(bfs, z, taus, ids, self.SEGMENTS, runner.noise_gram)
+        assert powers.shape == (len(bfs), len(self.SEGMENTS))
+        for bf, p, g in zip(bfs, powers, gains):
+            np.testing.assert_allclose(p, self._oracle_powers(bf, z, taus, ids), rtol=self.RTOL)
+            conv_gain = sum(np.sum(np.abs(np.convolve(runner.pulse, w)) ** 2) for w in bf.weights)
+            assert g == pytest.approx(conv_gain, rel=self.RTOL)
+
+    @pytest.mark.parametrize("cov_source", ["full", "interference_only"])
+    @pytest.mark.parametrize("t_w", [1, 2, 7, 8])
+    @pytest.mark.parametrize("n, lost", MESHES)
+    def test_mmse_beamformers_and_powers(self, n, lost, t_w, cov_source):
+        z, taus, ids, s = self._case(n, lost, seed=10 * n + t_w)
+        eps = 1e-2
+        cov_window = self.COV_WINDOW if cov_source == "interference_only" else None
+        bfs = mmse_rx_beamformers(z, taus, ids, s, t_w, cov_window=cov_window, eps=eps)
+        expect = self._oracle_bfs(z, taus, ids, s, t_w, cov_source, eps)
+        assert len(bfs) == len(ids) + 1
+        for bf, ref in zip(bfs, expect):
+            assert bf.method == ref.method and bf.node_ids == ref.node_ids
+            assert bf.output_delay == ref.output_delay
+            assert bf.weights.shape == ref.weights.shape
+            scale = np.abs(ref.weights).max()
+            np.testing.assert_allclose(bf.weights, ref.weights, rtol=self.RTOL, atol=self.RTOL * scale)
+            assert bf.delta == pytest.approx(ref.delta, rel=self.RTOL)
+            # both refined solves end at rounding level
+            assert bf.solve_residual <= self.RTOL and ref.solve_residual <= self.RTOL
+        self._check_powers(bfs, z, taus, ids, t_w)
+
+    @pytest.mark.parametrize("t_w", [1, 2, 7, 8])
+    @pytest.mark.parametrize("n, lost", MESHES)
+    def test_identity_weights_powers(self, n, lost, t_w):
+        # the warm-up beamformers: one tap at the centre, every node summed
+        z, taus, ids, _ = self._case(n, lost, seed=100 + 10 * n + t_w)
+        w = np.zeros((len(ids), t_w), dtype=complex)
+        w[:, t_w // 2] = 1.0
+        groups = [[i] for i in range(len(ids))] + [list(range(len(ids)))]
+        bfs = [
+            Beamformer(w[g], "MMSE_RX", node_ids=tuple(ids[i] for i in g), output_delay=t_w // 2) for g in groups
+        ]
+        self._check_powers(bfs, z, taus, ids, t_w)
+
+    def test_segment_outside_signals_rejected(self):
+        z, taus, ids, s = self._case(2, (), seed=7)
+        bfs = mmse_rx_beamformers(z, taus, ids, s, 4)
+        late = (Segment("late", self.N_SAMPLES - min(taus), 10),)
+        with pytest.raises(ValueError, match="late"):
+            rx_output_powers(bfs, z, taus, ids, late, np.eye(4))
 
 
 class TestStmf:

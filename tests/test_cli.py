@@ -28,6 +28,10 @@ class TestConfigHandling:
         assert cfg.experiment == "RX_BF_INTERF"
         assert cfg.interferer_power > 0
 
+    @pytest.mark.parametrize("name", ["rx_bf", "rx_bf_interf", "tx_bf", "tx_null", "coherence"])
+    def test_bundled_configs_valid(self, name):
+        assert load_config(name).experiment == name.upper()
+
     def test_unknown_field_rejected_with_path(self):
         with pytest.raises(ConfigError, match="not_a_field"):
             scenario_from_dict({"not_a_field": 1})
@@ -54,6 +58,8 @@ class TestConfigHandling:
             ("mesh.bandwidth_hz=1e6", "mesh.bandwidth_hz"),
             ('channels={"A->n9": {"taps": [[1, 0]]}}', "channels.A->n9"),
             ('channels={"A->n1": {"taps": [[1]]}}', "channels.A->n1"),
+            ("interferer_power=1.0", "interferer_power"),
+            ("channel_taps=2", "channel_taps"),
         ],
     )
     def test_bad_override_exits_2_naming_field(self, tmp_path, capsys, override, field):

@@ -59,6 +59,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="interferer_power"):
             validate_scenario(ScenarioConfig(interferer_power=-1.0))
 
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "RX_BF_INTERF"])
+    def test_interferer_power_needs_an_interferer(self, experiment):
+        with pytest.raises(ConfigError, match="interferer_power"):
+            validate_scenario(ScenarioConfig(experiment=experiment, interferer_power=1.0))
+        validate_scenario(ScenarioConfig(experiment="RX_BF_INTERF", interferer_power=1.0))
+
+    @pytest.mark.parametrize("kind, taps", [("random_phase", 2), ("random_phase", 0), ("rayleigh", 0), ("rayleigh", -1)])
+    def test_channel_taps_rejected(self, kind, taps):
+        with pytest.raises(ConfigError, match="channel_taps"):
+            validate_scenario(ScenarioConfig(channel_kind=kind, channel_taps=taps))
+        validate_scenario(ScenarioConfig(channel_kind="rayleigh", channel_taps=2))
+
     def test_mesh_validated_too(self):
         with pytest.raises(ConfigError, match="n_nodes"):
             validate_scenario(ScenarioConfig(mesh=MeshConfig(n_nodes=0)))
@@ -93,8 +105,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_rerun_identical(self, experiment):
         mesh = MeshConfig() if experiment.startswith("RX") else TX_MESH
+        interferer_power = 1.78 if experiment == "RX_BF_INTERF" else 0.0
         cfg = ScenarioConfig(
-            experiment=experiment, n_cycles=2, seed=9, mesh=mesh, interferer_power=1.78, **DYNAMICS
+            experiment=experiment, n_cycles=2, seed=9, mesh=mesh, interferer_power=interferer_power, **DYNAMICS
         )
         assert _records_equal(run_scenario(cfg), run_scenario(cfg))
 
