@@ -2,7 +2,7 @@
 
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, Segment, substream, validate_config
 from .impairments import ChannelModel, NoiseSpec, add_noise, advance_clock, apply_channel, apply_node_imperfections
-from .scenario import CycleRecord, ScenarioConfig, run_coherence, run_rx_bf, run_scenario, run_tx_bf, run_tx_null
+from .scenario import CycleRecord, ScenarioConfig, run_scenario
 
 __version__ = "0.1.0"
 
@@ -24,9 +24,5 @@ __all__ = [
     "CycleRecord",
     "ScenarioConfig",
     "run_scenario",
-    "run_rx_bf",
-    "run_tx_bf",
-    "run_tx_null",
-    "run_coherence",
     "__version__",
 ]

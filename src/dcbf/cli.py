@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, timesync, waveform
-from .core import ConfigError, MeshConfig, NodeState, substream
+from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream
 from .impairments import ChannelModel, NoiseSpec
 from .scenario import CycleRecord, ScenarioConfig, run_scenario, validate_scenario
 
@@ -226,29 +226,31 @@ def _write_run_outputs(out_dir: Path, cfg: ScenarioConfig, records: list[CycleRe
     (out_dir / "manifest.json").write_text(json.dumps(manifest_obj, indent=2, sort_keys=True) + "\n")
 
 
+def _template_frames(kind: str, mesh: MeshConfig, seed: int) -> list[tuple[ComplexSignal, FrameLayout]]:
+    """The frames of one `dump-frame --kind` (every node's for tx-node), from
+    payload seed `seed`, assembled as the runners assemble theirs."""
+    if kind == "rx-source":
+        designs = [(waveform.rx_source_layout(mesh), waveform.source_frame(mesh, seed))]
+    elif kind == "rx-interferer":
+        total = waveform.RX_FRAME_TOTAL
+        designs = [(waveform.interferer_layout(total), waveform.interferer_frame(total, seed))]
+    else:
+        layout = waveform.tx_node_layout(mesh)
+        designs = [(layout, contents) for contents in waveform.node_frames(mesh, seed)]
+    return [(waveform.build_frame(layout, contents, mesh.sample_rate_hz), layout) for layout, contents in designs]
+
+
 def _dump_template_frames(out_dir: Path, cfg: ScenarioConfig) -> None:
     frames_dir = out_dir / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
-    mesh = cfg.mesh
     if cfg.experiment in ("RX_BF", "RX_BF_INTERF"):
-        sig, layout = waveform.build_frame(
-            waveform.FrameSpec(waveform.FrameKind.RX_BF_SOURCE, amble_seed=0, payload_seed=cfg.seed), mesh
-        )
-        waveform.write_frame_iq(frames_dir / "source.iq", sig, layout)
+        frames = {"source": _template_frames("rx-source", cfg.mesh, cfg.seed)[0]}
         if cfg.experiment == "RX_BF_INTERF":
-            sig, layout = waveform.build_frame(
-                waveform.FrameSpec(waveform.FrameKind.RX_BF_INTERFERER, payload_seed=cfg.seed), mesh
-            )
-            waveform.write_frame_iq(frames_dir / "interferer.iq", sig, layout)
+            frames["interferer"] = _template_frames("rx-interferer", cfg.mesh, cfg.seed)[0]
     else:
-        for i in range(1, mesh.n_nodes + 1):
-            sig, layout = waveform.build_frame(
-                waveform.FrameSpec(
-                    waveform.FrameKind.TX_BF_NODE, amble_seed=0, payload_seed=cfg.seed, node_id=i
-                ),
-                mesh,
-            )
-            waveform.write_frame_iq(frames_dir / f"node_{i}.iq", sig, layout)
+        frames = {f"node_{i + 1}": f for i, f in enumerate(_template_frames("tx-node", cfg.mesh, cfg.seed))}
+    for name, (sig, layout) in frames.items():
+        waveform.write_frame_iq(frames_dir / f"{name}.iq", sig, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +359,13 @@ def cmd_sync_demo(args: argparse.Namespace) -> int:
 
 def cmd_dump_frame(args: argparse.Namespace) -> int:
     mesh = MeshConfig()
-    kind = {
-        "rx-source": waveform.FrameKind.RX_BF_SOURCE,
-        "rx-interferer": waveform.FrameKind.RX_BF_INTERFERER,
-        "tx-node": waveform.FrameKind.TX_BF_NODE,
-    }[args.kind]
-    spec = waveform.FrameSpec(
-        kind,
-        amble_seed=0,
-        payload_seed=args.seed or 0,
-        node_id=args.node_id if kind is waveform.FrameKind.TX_BF_NODE else None,
-    )
-    sig, layout = waveform.build_frame(spec, mesh)
+    frames = _template_frames(args.kind, mesh, args.seed)
+    node = 1
+    if args.kind == "tx-node":
+        node = args.node_id
+        if not 1 <= node <= len(frames):
+            raise ConfigError("--node-id", f"must be in 1..{len(frames)}")
+    sig, layout = frames[node - 1]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     waveform.write_frame_iq(out, sig, layout)

@@ -12,7 +12,7 @@ emits one CycleRecord per cycle with SISO and beamformed metrics.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,6 @@ __all__ = [
     "ScenarioConfig",
     "CycleRecord",
     "validate_scenario",
-    "run_rx_bf",
-    "run_tx_bf",
-    "run_tx_null",
-    "run_coherence",
     "run_scenario",
     "EXPERIMENTS",
 ]
@@ -113,6 +109,14 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.ots_jitter_rad < 0:
         raise ConfigError("ots_jitter_rad", "must be ≥ 0")
     validate_config(cfg.mesh)
+    if cfg.experiment in RX_EXPERIMENTS:
+        waveform.rx_source_layout(cfg.mesh)
+    else:
+        waveform.tx_node_layout(cfg.mesh)
+        # joint LS of the N preambles (estimation.estimate_channels_joint)
+        need = 4 * cfg.t_h * cfg.mesh.n_nodes
+        if cfg.mesh.amble_len < need:
+            raise ConfigError("t_h", f"joint channel estimation needs mesh.amble_len ≥ 4·t_h·n_nodes = {need}")
     if cfg.channels is not None:
         _validate_channels(cfg)
     return cfg
@@ -206,7 +210,9 @@ def _identity_beamformer(n_nodes: int, t_w: int, node_ids: tuple[str, ...]) -> b
 class _Runner:
     """Mesh state, receive chain and cycle loop shared by the experiments.
 
-    An experiment family is a policy: _transmit sends a cycle's frames,
+    An experiment family is a policy: layout and ambles give the layout and
+    each transmitter's shaped ambles of its frame design in waveform (every
+    preamble is an acquisition reference), _transmit sends a cycle's frames,
     _arrivals routes them over the links (LINKS) to each receiver, whose CFO
     is refined on the known (offset, reference) cfo_windows, and _measure
     turns the receptions into the record and the feedback. heard_families:
@@ -215,18 +221,19 @@ class _Runner:
 
     LINKS: tuple[str, str]
 
-    def __init__(self, cfg: ScenarioConfig, layout, n_preambles: int, heard_families: int):
+    def __init__(self, cfg: ScenarioConfig, layout, ambles, heard_families: int):
         self.cfg = validate_scenario(cfg)
         mesh = cfg.mesh
         self.mesh = mesh
         self.n = mesh.n_nodes
         self.fs = mesh.sample_rate_hz
-        self.pulse = waveform.rrc_taps()
+        self.pulse = waveform.PULSE
         self.layout = layout(mesh)
+        self.ambles = ambles(mesh)
 
-        # acquisition correlates against every listed preamble and keeps the
-        # strongest detection (any one faded link must not blind the receiver)
-        self.pre_mf = [self._amble_mf(i, 1) for i in range(n_preambles)]
+        # acquisition correlates against every transmitter's preamble and keeps
+        # the strongest detection (any one faded link must not blind the receiver)
+        self.pre_mf = [self._matched(a["preamble"]) for a in self.ambles]
         self.t_ref = len(self.pre_mf[0].samples)
         acq_len = min(mesh.est_integration_len, self.t_ref)
         self.acq_refs = [ComplexSignal(p.samples[:acq_len], self.fs) for p in self.pre_mf]
@@ -259,10 +266,9 @@ class _Runner:
         self.buf_len = self.layout.total_length + self.lag_hi + 64
         self.t_axis = np.arange(self.buf_len) / self.fs
 
-    def _amble_mf(self, poly_index: int, init_state: int) -> ComplexSignal:
-        """A known amble, pulse-shaped and matched-filtered."""
-        wave = waveform.shape_symbols(waveform.amble_symbols(self.mesh, poly_index, init_state), 2, self.pulse)
-        return ComplexSignal(np.convolve(wave, self.pulse, mode="same"), self.fs)
+    def _matched(self, x: np.ndarray) -> ComplexSignal:
+        """x through the receive matched filter."""
+        return ComplexSignal(np.convolve(x, self.pulse, mode="same"), self.fs)
 
     def _radio(self, node_id: str, cfo_hz: float) -> NodeState:
         """An out-of-mesh radio: its own LO offset, no phase walk."""
@@ -302,9 +308,8 @@ class _Runner:
         z = apply_node_imperfections(ComplexSignal(buf, self.fs), self.receivers[r], sign=-1)
         z = add_noise(z, NoiseSpec(cfg.noise_power), self.noise_rng[r])
         z = estimation.remove_dc(z)
-        z_mf = np.convolve(z.samples, self.pulse, mode="same")
-
-        sig_mf = ComplexSignal(z_mf, self.fs)
+        sig_mf = self._matched(z.samples)
+        z_mf = sig_mf.samples
         acq = None
         for ref in self.acq_refs:
             try:
@@ -374,7 +379,9 @@ class _RxRunner(_Runner):
 
     def __init__(self, cfg: ScenarioConfig):
         # both families size the buffers, even when no interferer transmits
-        super().__init__(cfg, waveform.rx_source_layout, n_preambles=1, heard_families=2)
+        super().__init__(
+            cfg, waveform.rx_source_layout, lambda mesh: [waveform.source_ambles(mesh)], heard_families=2
+        )
         self.look_seg = self.layout.segment("look_through")
         self.pay_seg = self.layout.segment("payload")
         self.cov_window = None
@@ -389,29 +396,19 @@ class _RxRunner(_Runner):
         self.with_interf = cfg.interferer_power > 0  # only RX_BF_INTERF may set it
         self.source = self._radio("A", cfg.source_cfo_hz)
         self.interferer = self._radio("J", cfg.interferer_cfo_hz)
+        self.interferer_layout = waveform.interferer_layout(self.buf_len)
         self._set_receivers(self.nodes)
         self.cfo_windows = [(0, self.pre_mf[0])]
 
     def _transmit(self, k, rec, flags):
-        cfg, mesh = self.cfg, self.mesh
-        spec = waveform.FrameSpec(
-            waveform.FrameKind.RX_BF_SOURCE,
-            amble_seed=0,
-            payload_seed=derive_seed(cfg.seed, f"src_payload_{k}"),
-        )
-        frame, _ = waveform.build_frame(spec, mesh)
+        cfg = self.cfg
+        contents = waveform.source_frame(self.mesh, derive_seed(cfg.seed, f"src_payload_{k}"))
+        frame = waveform.build_frame(self.layout, contents, self.fs)
         src = ComplexSignal(frame.samples * np.sqrt(cfg.signal_power), self.fs)
         sent = [(self.source, apply_node_imperfections(src, self.source))]
         if self.with_interf:
-            ilayout = waveform.FrameLayout(
-                (waveform.Segment("interference", 0, self.buf_len),), self.buf_len
-            )
-            ispec = waveform.FrameSpec(
-                waveform.FrameKind.RX_BF_INTERFERER,
-                layout=ilayout,
-                payload_seed=derive_seed(cfg.seed, f"intf_payload_{k}"),
-            )
-            iframe, _ = waveform.build_frame(ispec, mesh)
+            contents = waveform.interferer_frame(self.buf_len, derive_seed(cfg.seed, f"intf_payload_{k}"))
+            iframe = waveform.build_frame(self.interferer_layout, contents, self.fs)
             intf = ComplexSignal(iframe.samples * np.sqrt(cfg.interferer_power), self.fs)
             sent.append((self.interferer, apply_node_imperfections(intf, self.interferer)))
         return sent
@@ -493,14 +490,15 @@ class _TxRunner(_Runner):
 
     def __init__(self, cfg: ScenarioConfig):
         nulling = cfg.experiment == "TX_NULL"
-        super().__init__(cfg, waveform.tx_node_layout, n_preambles=cfg.mesh.n_nodes, heard_families=1 + nulling)
+        super().__init__(cfg, waveform.tx_node_layout, waveform.node_ambles, heard_families=1 + nulling)
         self.nulling = nulling
         self.coherence = cfg.experiment == "COHERENCE"
         rx_b = self._radio("B", cfg.rx_b_cfo_hz)
         self._set_receivers([rx_b, self._radio("C", cfg.rx_c_cfo_hz)] if nulling else [rx_b])
         # the common CFO is refined on each node's TDMA postamble
         self.cfo_windows = [
-            (self.layout.segment(f"postamble_{i + 1}").offset, self._amble_mf(i, 2)) for i in range(self.n)
+            (self.layout.segment(f"postamble_{i + 1}").offset, self._matched(a[f"postamble_{i + 1}"]))
+            for i, a in enumerate(self.ambles)
         ]
 
         # feedback pipeline: estimates keyed by the cycle that produced them
@@ -537,7 +535,7 @@ class _TxRunner(_Runner):
         return weights, ""
 
     def _transmit(self, k, rec, flags):
-        cfg, mesh = self.cfg, self.mesh
+        cfg = self.cfg
         pay_seg = self.layout.segment("bf_payload")
         weights, wflag = self._build_weights(k)
         if wflag:
@@ -555,16 +553,9 @@ class _TxRunner(_Runner):
             rec.beamformer_ref = _bf_ref(bf_obj)
 
         sent = []
-        for i, node in enumerate(self.nodes):
-            spec = waveform.FrameSpec(
-                waveform.FrameKind.TX_BF_NODE,
-                amble_seed=0,
-                payload_seed=derive_seed(cfg.seed, f"tx_payload_{k}"),
-                node_id=i + 1,
-                n_nodes=self.n,
-            )
-            frame, _ = waveform.build_frame(spec, mesh)
-            samples = frame.samples * np.sqrt(cfg.signal_power)
+        frames = waveform.node_frames(self.mesh, derive_seed(cfg.seed, f"tx_payload_{k}"))
+        for i, (node, contents) in enumerate(zip(self.nodes, frames)):
+            samples = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(cfg.signal_power)
             if weights is not None:
                 raw = samples[pay_seg.offset : pay_seg.offset + pay_seg.length]
                 w = weights[i]
@@ -572,7 +563,6 @@ class _TxRunner(_Runner):
                     distorted = np.conj(w[0]) * raw
                 else:
                     distorted = np.convolve(raw, np.conj(w), mode="full")[: pay_seg.length]
-                samples = samples.copy()
                 samples[pay_seg.offset : pay_seg.offset + pay_seg.length] = distorted
             sent.append((node, apply_node_imperfections(ComplexSignal(samples, self.fs), node)))
         return sent
@@ -637,24 +627,6 @@ class _TxRunner(_Runner):
             rec.cfo_est_hz = [float("nan")] * self.n
         if len(est_entry) == len(self.receivers):
             self.estimates[k] = est_entry
-
-
-def run_rx_bf(cfg: ScenarioConfig) -> list[CycleRecord]:
-    """Receive beamforming, with an interferer when experiment=RX_BF_INTERF."""
-    return run_scenario(cfg if cfg.experiment in RX_EXPERIMENTS else replace(cfg, experiment="RX_BF"))
-
-
-def run_tx_bf(cfg: ScenarioConfig) -> list[CycleRecord]:
-    return run_scenario(replace(cfg, experiment="TX_BF"))
-
-
-def run_tx_null(cfg: ScenarioConfig) -> list[CycleRecord]:
-    return run_scenario(replace(cfg, experiment="TX_NULL"))
-
-
-def run_coherence(cfg: ScenarioConfig) -> list[CycleRecord]:
-    """Transmit beamforming with feedback frozen after feedback_halt_time_s."""
-    return run_scenario(replace(cfg, experiment="COHERENCE"))
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[CycleRecord]:

@@ -398,18 +398,22 @@ def decode_sync_message(bits: np.ndarray) -> tuple[SyncMessage, int]:
 # ---------------------------------------------------------------------------
 
 
+# np.resize repeats the 511 chips cyclically: one pad chip makes 512
+_PREAMBLE = np.resize(gen_mls(9), SYNC_PREAMBLE_LEN).astype(np.float64) * (1 + 1j) / np.sqrt(2.0)
+_PREAMBLE.setflags(write=False)
+
+
 def sync_preamble(fs: float) -> ComplexSignal:
     """512-sample acquisition preamble: a 511-chip MLS (m=9) plus one cyclic
-    pad chip, on both QPSK rails at one sample per chip."""
-    chips = gen_mls(9)
-    chips = np.concatenate([chips, chips[:1]]).astype(np.float64)
-    return ComplexSignal(chips * (1 + 1j) / np.sqrt(2.0), fs)
+    pad chip, on both QPSK rails at one sample per chip. Built once at
+    import; the samples are read-only."""
+    return ComplexSignal(_PREAMBLE, fs)
 
 
 def sync_wire_signal(msg: SyncMessage, fs: float) -> ComplexSignal:
     """Preamble followed by the QPSK-mapped coded bits, one sample/symbol."""
     bits = encode_sync_message(msg)
-    symbols = modulate(bits, "QPSK").symbols
+    symbols = modulate(bits, "QPSK")
     pre = sync_preamble(fs)
     return ComplexSignal(np.concatenate([pre.samples, symbols]), fs)
 
@@ -491,14 +495,9 @@ def run_sync_round(
         # timestamps are unsigned: start well past zero on both clocks
         t_start = Fraction(1_000_000) + 2 * abs(delta_true)
 
-    def leader_buffer(sig: ComplexSignal) -> tuple[ComplexSignal, Fraction]:
-        """Propagate follower->leader; returns buffer and its start (true time)."""
-        rx = apply_channel(sig, link_up)
-        buf = np.concatenate([np.zeros(pad, dtype=complex), rx.samples, np.zeros(pad, dtype=complex)])
-        return add_noise(ComplexSignal(buf, fs), noise, rng), -Fraction(pad, int(fs))
-
-    def follower_buffer(sig: ComplexSignal) -> tuple[ComplexSignal, Fraction]:
-        rx = apply_channel(sig, link_down)
+    def receive(sig: ComplexSignal, link: ChannelModel) -> tuple[ComplexSignal, Fraction]:
+        """Propagate over link; returns the noisy buffer and its start (true time)."""
+        rx = apply_channel(sig, link)
         buf = np.concatenate([np.zeros(pad, dtype=complex), rx.samples, np.zeros(pad, dtype=complex)])
         return add_noise(ComplexSignal(buf, fs), noise, rng), -Fraction(pad, int(fs))
 
@@ -519,7 +518,7 @@ def run_sync_round(
 
     wire = sync_wire_signal(probe, fs)
     try:
-        buf, buf_start = leader_buffer(wire)
+        buf, buf_start = receive(wire, link_up)
         decoded_probe, toa, corrected = detect_and_decode(buf, MessageKind.FOLLOWER_PROBE, use_index)
         corrected_total += corrected
     except (FecError, AcquisitionError, ValueError):
@@ -540,7 +539,7 @@ def run_sync_round(
     )
     wire = sync_wire_signal(reply, fs)
     try:
-        buf, buf_start = follower_buffer(wire)
+        buf, buf_start = receive(wire, link_down)
         decoded_reply, toa, corrected = detect_and_decode(buf, MessageKind.LEADER_REPLY, use_index)
         corrected_total += corrected
     except (FecError, AcquisitionError, ValueError):

@@ -1,33 +1,38 @@
 """Amble/payload synthesis and frame assembly.
 
 Builds maximum-length-sequence ambles, Gray-mapped QPSK / 256-QAM symbol
-streams, root-raised-cosine shaped waveforms, and the source / interferer /
-mesh-node frames used by the scenario runners.
+streams and root-raised-cosine shaped waveforms. This module alone knows the
+frame designs: the layouts of the source and mesh-node frames, which amble
+sits in which segment, and which segments carry the payload. The scenario
+runners, `dcbf dump-frame` and `dcbf run --iq-dump` all assemble frames with
+build_frame from the contents it returns.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .core import ComplexSignal, FrameLayout, MeshConfig, Segment, substream
+from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, Segment, substream
 
 __all__ = [
     "PRIMITIVE_TAPS",
-    "SymbolStream",
     "gen_mls",
     "modulate",
     "rrc_taps",
     "shape_symbols",
-    "FrameKind",
-    "FrameSpec",
+    "PULSE",
     "rx_source_layout",
     "tx_node_layout",
+    "interferer_layout",
+    "source_ambles",
+    "node_ambles",
+    "source_frame",
+    "node_frames",
+    "interferer_frame",
     "build_frame",
     "write_frame_iq",
     "read_frame_iq",
@@ -116,37 +121,7 @@ def _gray_decode4(g: np.ndarray) -> np.ndarray:
 QAM256_SCALE = 1.0 / np.sqrt(170.0)
 
 
-@dataclass(frozen=True)
-class SymbolStream:
-    """Complex constellation points plus the modulation they came from.
-
-    QPSK points are (+/-1 +/- 1j)/sqrt(2); 256-QAM points are odd-integer
-    lattice points scaled so a uniform stream has unit mean power.
-    """
-
-    symbols: np.ndarray
-    modulation: str
-
-    def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=np.complex128)
-        object.__setattr__(self, "symbols", symbols)
-        if self.modulation == "QPSK":
-            rails = symbols * np.sqrt(2.0)
-            ok = np.allclose(np.abs(rails.real), 1.0) and np.allclose(np.abs(rails.imag), 1.0)
-        elif self.modulation == "QAM256":
-            lattice = symbols / QAM256_SCALE
-            levels = np.concatenate([lattice.real, lattice.imag])
-            ok = np.allclose(np.abs(np.mod(levels, 2)), 1.0) and np.all(np.abs(levels) <= 15.0 + 1e-9)
-        else:
-            raise ValueError(f"unknown modulation {self.modulation!r}")
-        if not ok:
-            raise ValueError(f"symbols are not valid {self.modulation} constellation points")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-def modulate(bits: np.ndarray, modulation: str) -> SymbolStream:
+def modulate(bits: np.ndarray, modulation: str) -> np.ndarray:
     """Map a bit sequence onto Gray-coded constellation points at unit mean power.
 
     QPSK: bit pairs (i, q), 0 -> positive rail; points (+/-1 +/- 1j)/sqrt(2).
@@ -161,14 +136,14 @@ def modulate(bits: np.ndarray, modulation: str) -> SymbolStream:
         pairs = bits.reshape(-1, 2)
         i = 1 - 2 * pairs[:, 0]
         q = 1 - 2 * pairs[:, 1]
-        return SymbolStream((i + 1j * q) / np.sqrt(2.0), "QPSK")
+        return (i + 1j * q) / np.sqrt(2.0)
     if modulation == "QAM256":
         if len(bits) % 8:
             raise ValueError(f"QAM256 needs a multiple of 8 bits, got {len(bits)}")
         words = bits.reshape(-1, 8)
         i_lvl = 2 * _gray_decode4(words[:, :4]) - 15
         q_lvl = 2 * _gray_decode4(words[:, 4:]) - 15
-        return SymbolStream((i_lvl + 1j * q_lvl) * QAM256_SCALE, "QAM256")
+        return (i_lvl + 1j * q_lvl) * QAM256_SCALE
     raise ValueError(f"unknown modulation {modulation!r}")
 
 
@@ -193,55 +168,70 @@ def rrc_taps(sps: int = 2, rolloff: float = 0.35, span: int = 8) -> np.ndarray:
     return taps / np.linalg.norm(taps)
 
 
-def shape_symbols(symbols: "SymbolStream | np.ndarray", sps: int, taps: np.ndarray) -> np.ndarray:
+def shape_symbols(symbols: np.ndarray, sps: int, taps: np.ndarray) -> np.ndarray:
     """Upsample by sps and pulse-shape, keeping length len(symbols)*sps.
 
     Scaled by sqrt(sps) so a unit-power symbol stream yields a unit mean
     power waveform (the pulse has unit l2 norm). Centered convolution, so
     segment offsets are preserved.
     """
-    if isinstance(symbols, SymbolStream):
-        symbols = symbols.symbols
     up = np.zeros(len(symbols) * sps, dtype=np.complex128)
     up[::sps] = symbols
     return np.convolve(up, taps, mode="same") * np.sqrt(sps)
 
 
-class FrameKind(Enum):
-    RX_BF_SOURCE = "RX_BF_SOURCE"
-    RX_BF_INTERFERER = "RX_BF_INTERFERER"
-    TX_BF_NODE = "TX_BF_NODE"
+# Every frame carries QPSK or 256-QAM at SPS samples per symbol, shaped by PULSE.
+SPS = 2
+PULSE = rrc_taps(SPS)
+PULSE.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """What to synthesize: frame kind, optional explicit layout, and seeds.
+def _amble_mls_order(amble_len: int) -> int:
+    """Register length whose bit count fills amble_len samples of QPSK.
 
-    node_id (1-based) is required for TX_BF_NODE and selects the CDMA
-    polynomial; amble_seed selects the MLS phase; payload_seed drives the
-    random payload bits.
+    Picks the largest m with 2^m <= bit budget, so one full MLS period is
+    used and the shortfall (exactly 1 bit when the budget is a power of two)
+    is covered by cyclic extension.
     """
-
-    kind: FrameKind
-    layout: FrameLayout | None = None
-    amble_seed: int = 0
-    payload_seed: int = 0
-    node_id: int | None = None
-    n_nodes: int | None = None
+    return ((amble_len // SPS) * 2).bit_length() - 1
 
 
-def _interleave_guards(parts: list[tuple[str, int]], guard_len: int, total: int) -> FrameLayout:
-    """Lay out functional segments in order with one guard between neighbors."""
+def _check_frame(cfg: MeshConfig, n_polys: int) -> None:
+    """Both frame designs need even lengths (whole symbols), and n_polys
+    distinct shipped MLS polynomials of the order that fills an amble."""
+    for name in ("amble_len", "payload_len"):
+        if getattr(cfg, name) % SPS:
+            raise ConfigError(f"mesh.{name}", f"must be a multiple of {SPS} (samples per symbol)")
+    m = _amble_mls_order(cfg.amble_len)
+    if m not in PRIMITIVE_TAPS:
+        raise ConfigError(
+            "mesh.amble_len", f"needs an MLS of order {m}; orders {min(PRIMITIVE_TAPS)}..{max(PRIMITIVE_TAPS)} ship"
+        )
+    if n_polys > len(PRIMITIVE_TAPS[m]):
+        raise ConfigError(
+            "mesh.n_nodes",
+            f"need {n_polys} distinct MLS polynomials of order {m}, only {len(PRIMITIVE_TAPS[m])} shipped",
+        )
+
+
+def _interleave_guards(parts: list[tuple[str, int | None]], cfg: MeshConfig, total: int, fields: str) -> FrameLayout:
+    """Lay out functional segments in order with one guard between
+    neighbors; the look-through (length None) absorbs what the others leave
+    of total. fields names the config fields that size the frame."""
+    fixed = sum(length for _, length in parts if length is not None) + (len(parts) - 1) * cfg.guard_len
+    if fixed >= total:
+        raise ConfigError(
+            fields, f"layout overflow: segments need {fixed} of the {total}-sample frame, no look-through left"
+        )
     segments = []
     offset = 0
     for idx, (name, length) in enumerate(parts):
         if idx > 0:
-            segments.append(Segment(f"guard_{idx}", offset, guard_len))
-            offset += guard_len
+            segments.append(Segment(f"guard_{idx}", offset, cfg.guard_len))
+            offset += cfg.guard_len
+        length = total - fixed if length is None else length
         segments.append(Segment(name, offset, length))
         offset += length
-    if offset > total:
-        raise ValueError(f"layout overflow: segments need {offset} > total {total}")
     return FrameLayout(tuple(segments), total)
 
 
@@ -249,148 +239,115 @@ def rx_source_layout(cfg: MeshConfig, total: int = RX_FRAME_TOTAL) -> FrameLayou
     """Source frame: preamble | payload | look-through | postamble, guard-separated.
 
     The look-through length absorbs the remainder so the frame hits `total`.
+    Raises ConfigError naming the field when cfg cannot carry the frame.
     """
-    look = total - 3 * cfg.amble_len - 3 * cfg.guard_len
-    if look <= 0:
-        raise ValueError(f"layout overflow: no room for look-through in total {total}")
+    _check_frame(cfg, 1)
     parts = [
         ("preamble", cfg.amble_len),
         ("payload", cfg.payload_len),
-        ("look_through", look),
+        ("look_through", None),
         ("postamble", cfg.amble_len),
     ]
-    return _interleave_guards(parts, cfg.guard_len, total)
+    return _interleave_guards(parts, cfg, total, "mesh.amble_len, mesh.payload_len, mesh.guard_len")
 
 
-def tx_node_layout(cfg: MeshConfig, n_nodes: int | None = None, total: int = TX_FRAME_TOTAL) -> FrameLayout:
+def tx_node_layout(cfg: MeshConfig, total: int = TX_FRAME_TOTAL) -> FrameLayout:
     """Mesh-node frame: CDMA preamble | beamformed payload | look-through |
-    N TDMA monitor slots | N TDMA postamble slots, guard-separated.
+    N TDMA monitor slots (payload_len each) | N TDMA postamble slots,
+    guard-separated. Raises ConfigError naming the field when cfg cannot
+    carry the frame.
     """
-    n = cfg.n_nodes if n_nodes is None else n_nodes
-    fixed = (2 + 2 * n) * cfg.amble_len
-    n_guards = 2 + 2 * n
-    look = total - fixed - n_guards * cfg.guard_len
-    if look <= 0:
-        raise ValueError(f"layout overflow: no room for look-through in total {total}")
-    parts = [("preamble", cfg.amble_len), ("bf_payload", cfg.payload_len), ("look_through", look)]
-    parts += [(f"monitor_{k}", cfg.amble_len) for k in range(1, n + 1)]
+    n = cfg.n_nodes
+    _check_frame(cfg, n)
+    parts = [("preamble", cfg.amble_len), ("bf_payload", cfg.payload_len), ("look_through", None)]
+    parts += [(f"monitor_{k}", cfg.payload_len) for k in range(1, n + 1)]
     parts += [(f"postamble_{k}", cfg.amble_len) for k in range(1, n + 1)]
-    return _interleave_guards(parts, cfg.guard_len, total)
+    return _interleave_guards(parts, cfg, total, "mesh.n_nodes, mesh.amble_len, mesh.payload_len, mesh.guard_len")
 
 
-def _amble_mls_order(amble_len: int, sps: int = 2) -> int:
-    """Register length whose bit count fills amble_len samples of QPSK at sps.
-
-    Picks the largest m with 2^m <= bit budget, so one full MLS period is
-    used and the shortfall (exactly 1 bit when the budget is a power of two)
-    is covered by cyclic extension.
-    """
-    n_bits = (amble_len // sps) * 2
-    return int(np.floor(np.log2(n_bits)))
+def interferer_layout(length: int) -> FrameLayout:
+    """The interferer's frame: one segment of continuous interference."""
+    return FrameLayout((Segment("interference", 0, length),), length)
 
 
-def amble_symbols(cfg: MeshConfig, poly_index: int, init_state: int = 1) -> np.ndarray:
-    """QPSK symbols of one MLS-derived amble (amble_len / 2 symbols).
+@lru_cache(maxsize=256)
+def _shaped_amble(amble_len: int, poly_index: int, init_state: int) -> np.ndarray:
+    """One MLS-derived amble, QPSK-mapped and pulse-shaped: amble_len samples, read-only.
 
     The MLS bit stream (2^m - 1 bits, m chosen to fill the amble) is padded
     by repeating its first bits, then Gray-mapped pairwise. Distinct
     poly_index values use distinct primitive polynomials, which keeps
-    cross-correlation between concurrent CDMA preambles low.
+    cross-correlation between concurrent CDMA preambles low; init_state
+    selects the sequence phase.
 
-    Cached (read-only array) since scenario runners rebuild frames per cycle.
+    Cached for the whole process, not per runner: a sweep builds a fresh
+    runner for every seed, and one order-13 MLS costs milliseconds of Python.
     """
-    return _amble_symbols_cached(cfg.amble_len, poly_index, int(init_state))
-
-
-@lru_cache(maxsize=256)
-def _amble_symbols_cached(amble_len: int, poly_index: int, init_state: int) -> np.ndarray:
-    sps = 2
-    n_bits = (amble_len // sps) * 2
-    m = _amble_mls_order(amble_len, sps)
-    available = PRIMITIVE_TAPS.get(m)
-    if available is None:
-        raise ValueError(f"amble_len {amble_len} needs MLS order m={m}, not shipped")
-    if poly_index >= len(available):
-        raise ValueError(
-            f"need {poly_index + 1} distinct MLS polynomials of order {m}, "
-            f"only {len(available)} shipped"
-        )
-    init_state = (init_state - 1) % ((1 << m) - 1) + 1
-    chips = gen_mls(m, available[poly_index], init_state=init_state)
+    n_bits = (amble_len // SPS) * 2
+    m = _amble_mls_order(amble_len)
+    chips = gen_mls(m, PRIMITIVE_TAPS[m][poly_index], init_state=init_state)
     bits = ((chips + 1) // 2).astype(np.int64)
-    pad = n_bits - len(bits)
-    if pad < 0:
-        bits = bits[:n_bits]
-    elif pad > 0:
-        bits = np.concatenate([bits, bits[:pad]])
-    symbols = modulate(bits, "QPSK").symbols
-    symbols.setflags(write=False)
-    return symbols
+    bits = np.concatenate([bits, bits[: n_bits - len(bits)]])
+    wave = shape_symbols(modulate(bits, "QPSK"), SPS, PULSE)
+    wave.setflags(write=False)
+    return wave
 
 
-def _payload_symbols(cfg: MeshConfig, rng: np.random.Generator) -> np.ndarray:
-    bits = rng.integers(0, 2, size=(cfg.payload_len // 2) * 2)
-    return modulate(bits, "QPSK").symbols
+def source_ambles(cfg: MeshConfig) -> dict[str, np.ndarray]:
+    """The source frame's shaped ambles by segment: one MLS (polynomial 0)
+    at initial state 1 in the preamble and 2 in the postamble."""
+    return {"preamble": _shaped_amble(cfg.amble_len, 0, 1), "postamble": _shaped_amble(cfg.amble_len, 0, 2)}
 
 
-def build_frame(spec: FrameSpec, cfg: MeshConfig) -> tuple[ComplexSignal, FrameLayout]:
-    """Assemble one transmit frame of the requested kind.
+def node_ambles(cfg: MeshConfig) -> list[dict[str, np.ndarray]]:
+    """Every mesh node's shaped ambles by segment, node i at index i - 1:
+    its own MLS (polynomial i - 1, one per node for CDMA) at initial state 1
+    in the shared preamble and 2 in its TDMA postamble slot."""
+    return [
+        {"preamble": _shaped_amble(cfg.amble_len, i, 1), f"postamble_{i + 1}": _shaped_amble(cfg.amble_len, i, 2)}
+        for i in range(cfg.n_nodes)
+    ]
 
-    Guard and look-through samples are exactly zero. TX_BF_NODE frames carry
-    the node's MLS in its own TDMA monitor/postamble slots only; the
-    bf_payload slot holds the raw (not yet predistorted) payload.
-    """
-    sps = 2
-    pulse = rrc_taps(sps=sps)
-    if spec.kind is FrameKind.RX_BF_SOURCE:
-        layout = spec.layout or rx_source_layout(cfg)
-        samples = np.zeros(layout.total_length, dtype=np.complex128)
-        pre = shape_symbols(amble_symbols(cfg, 0, spec.amble_seed + 1), sps, pulse)
-        post = shape_symbols(amble_symbols(cfg, 0, spec.amble_seed + 2), sps, pulse)
-        rng = substream(spec.payload_seed, "source", "payload_bits")
-        pay = shape_symbols(_payload_symbols(cfg, rng), sps, pulse)
-        for name, content in (("preamble", pre), ("payload", pay), ("postamble", post)):
-            seg = layout.segment(name)
-            samples[seg.offset : seg.offset + seg.length] = content[: seg.length]
-        return ComplexSignal(samples, cfg.sample_rate_hz), layout
 
-    if spec.kind is FrameKind.RX_BF_INTERFERER:
-        layout = spec.layout or FrameLayout(
-            (Segment("interference", 0, RX_FRAME_TOTAL),), RX_FRAME_TOTAL
-        )
-        total = layout.total_length
-        rng = substream(spec.payload_seed, "interferer", "payload_bits")
-        n_sym = total // sps
-        bits = rng.integers(0, 2, size=n_sym * 8)
-        wave = shape_symbols(modulate(bits, "QAM256"), sps, pulse)
-        samples = np.zeros(total, dtype=np.complex128)
-        samples[: len(wave)] = wave
-        return ComplexSignal(samples, cfg.sample_rate_hz), layout
+def _qpsk_payload(cfg: MeshConfig, seed: int, entity: str) -> np.ndarray:
+    rng = substream(seed, entity, "payload_bits")
+    bits = rng.integers(0, 2, size=(cfg.payload_len // SPS) * 2)
+    return shape_symbols(modulate(bits, "QPSK"), SPS, PULSE)
 
-    if spec.kind is FrameKind.TX_BF_NODE:
-        if spec.node_id is None:
-            raise ValueError("TX_BF_NODE frames need node_id")
-        n = spec.n_nodes or cfg.n_nodes
-        if not (1 <= spec.node_id <= n):
-            raise ValueError(f"node_id {spec.node_id} outside 1..{n}")
-        layout = spec.layout or tx_node_layout(cfg, n)
-        samples = np.zeros(layout.total_length, dtype=np.complex128)
-        pre = shape_symbols(amble_symbols(cfg, spec.node_id - 1, spec.amble_seed + 1), sps, pulse)
-        post = shape_symbols(amble_symbols(cfg, spec.node_id - 1, spec.amble_seed + 2), sps, pulse)
-        rng = substream(spec.payload_seed, "mesh", "payload_bits")
-        pay = shape_symbols(_payload_symbols(cfg, rng), sps, pulse)
-        placements = {
-            "preamble": pre,
-            "bf_payload": pay,
-            f"monitor_{spec.node_id}": pay,
-            f"postamble_{spec.node_id}": post,
-        }
-        for name, content in placements.items():
-            seg = layout.segment(name)
-            samples[seg.offset : seg.offset + seg.length] = content[: seg.length]
-        return ComplexSignal(samples, cfg.sample_rate_hz), layout
 
-    raise ValueError(f"unknown frame kind {spec.kind}")
+def source_frame(cfg: MeshConfig, seed: int) -> dict[str, np.ndarray]:
+    """The source frame's contents by segment (rx_source_layout): its ambles
+    and a QPSK payload drawn from seed."""
+    return {**source_ambles(cfg), "payload": _qpsk_payload(cfg, seed, "source")}
+
+
+def node_frames(cfg: MeshConfig, seed: int) -> list[dict[str, np.ndarray]]:
+    """Every mesh node's frame contents by segment (tx_node_layout), node i
+    at index i - 1: its ambles, and one QPSK payload drawn from seed for all
+    nodes, in the beamformed payload segment and in the node's own TDMA
+    monitor slot. The payload is not yet predistorted."""
+    payload = _qpsk_payload(cfg, seed, "mesh")
+    return [{**ambles, "bf_payload": payload, f"monitor_{i + 1}": payload} for i, ambles in enumerate(node_ambles(cfg))]
+
+
+def interferer_frame(length: int, seed: int) -> dict[str, np.ndarray]:
+    """The interferer's frame contents (interferer_layout(length)): a
+    continuous 256-QAM stream drawn from seed."""
+    rng = substream(seed, "interferer", "payload_bits")
+    bits = rng.integers(0, 2, size=(length // SPS) * 8)
+    return {"interference": shape_symbols(modulate(bits, "QAM256"), SPS, PULSE)}
+
+
+def build_frame(layout: FrameLayout, contents: dict[str, np.ndarray], sample_rate_hz: float) -> ComplexSignal:
+    """Assemble one transmit frame: each named segment starts with its
+    content, cut to the segment; every other sample (guards, look-through,
+    other nodes' TDMA slots) is exactly zero."""
+    samples = np.zeros(layout.total_length, dtype=np.complex128)
+    for name, content in contents.items():
+        seg = layout.segment(name)
+        part = content[: seg.length]
+        samples[seg.offset : seg.offset + len(part)] = part
+    return ComplexSignal(samples, sample_rate_hz)
 
 
 def write_frame_iq(path: str | Path, signal: ComplexSignal, layout: FrameLayout) -> None:

@@ -50,21 +50,33 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="unknown"):
             apply_overrides(cfg, ["nope.deep=1"])
 
+    @staticmethod
+    def _case(overrides, field, config="rx_bf"):
+        overrides = (overrides,) if isinstance(overrides, str) else overrides
+        return pytest.param(config, overrides, field, id=f"{' '.join(overrides)}-{field}")
+
     @pytest.mark.parametrize(
-        "override, field",
+        "config, overrides, field",
         [
-            ("mesh.seed=1", "mesh.seed"),
-            ("mesh.carrier_hz=6e10", "mesh.carrier_hz"),
-            ("mesh.bandwidth_hz=1e6", "mesh.bandwidth_hz"),
-            ('channels={"A->n9": {"taps": [[1, 0]]}}', "channels.A->n9"),
-            ('channels={"A->n1": {"taps": [[1]]}}', "channels.A->n1"),
-            ("interferer_power=1.0", "interferer_power"),
-            ("channel_taps=2", "channel_taps"),
+            _case("mesh.seed=1", "mesh.seed"),
+            _case("mesh.carrier_hz=6e10", "mesh.carrier_hz"),
+            _case("mesh.bandwidth_hz=1e6", "mesh.bandwidth_hz"),
+            _case('channels={"A->n9": {"taps": [[1, 0]]}}', "channels.A->n9"),
+            _case('channels={"A->n1": {"taps": [[1]]}}', "channels.A->n1"),
+            _case("interferer_power=1.0", "interferer_power"),
+            _case("channel_taps=2", "channel_taps"),
+            _case("mesh.n_nodes=5", "mesh.n_nodes", config="tx_bf"),
+            _case(("mesh.n_nodes=7", "mesh.amble_len=1024", "mesh.payload_len=1024"), "mesh.n_nodes", config="tx_bf"),
+            _case("mesh.amble_len=16", "mesh.amble_len"),
+            _case("mesh.payload_len=70000", "mesh.payload_len"),
+            _case("t_h=1000", "t_h", config="tx_bf"),
         ],
     )
-    def test_bad_override_exits_2_naming_field(self, tmp_path, capsys, override, field):
-        rc = main(["run", "--config", "rx_bf", "--out", str(tmp_path), "--override", override])
-        assert rc == 2
+    def test_bad_override_exits_2_naming_field(self, tmp_path, capsys, config, overrides, field):
+        argv = ["run", "--config", config, "--out", str(tmp_path)]
+        for override in overrides:
+            argv += ["--override", override]
+        assert main(argv) == 2
         assert field in capsys.readouterr().err
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
@@ -213,3 +225,10 @@ class TestDumpFrame:
         assert main(["dump-frame", "--kind", "tx-node", "--node-id", "2", "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "n2.iq.json").read_text())
         assert meta["total_length"] == 91472
+
+    @pytest.mark.parametrize("node_id", ["0", "4"])
+    def test_node_id_outside_mesh_exits_2(self, tmp_path, capsys, node_id):
+        out = tmp_path / "n.iq"
+        assert main(["dump-frame", "--kind", "tx-node", "--node-id", node_id, "--out", str(out)]) == 2
+        assert "--node-id" in capsys.readouterr().err
+        assert not out.exists()

@@ -6,17 +6,15 @@ import re
 import numpy as np
 import pytest
 
+from dcbf import waveform
 from dcbf.core import ConfigError, MeshConfig
 from dcbf.scenario import (
     EXPERIMENTS,
     CycleRecord,
     ScenarioConfig,
+    _RxRunner,
     _TxRunner,
-    run_coherence,
-    run_rx_bf,
     run_scenario,
-    run_tx_bf,
-    run_tx_null,
     validate_scenario,
 )
 
@@ -76,6 +74,36 @@ class TestValidation:
             validate_scenario(ScenarioConfig(mesh=MeshConfig(n_nodes=0)))
 
     @pytest.mark.parametrize(
+        "experiment, mesh, t_h, field",
+        [
+            ("TX_BF", dict(n_nodes=5), 4, "mesh.n_nodes"),  # layout overflow
+            ("TX_NULL", dict(n_nodes=7, amble_len=1024, payload_len=1024), 4, "mesh.n_nodes"),  # 6 polynomials
+            ("RX_BF", dict(amble_len=16), 4, "mesh.amble_len"),  # no order-4 MLS ships
+            ("RX_BF", dict(payload_len=70000), 4, "mesh.payload_len"),  # layout overflow
+            ("RX_BF", dict(amble_len=8191), 4, "mesh.amble_len"),  # half a symbol
+            ("TX_BF", dict(), 1000, "t_h"),  # joint LS needs amble_len >= 4 t_h N
+            ("COHERENCE", dict(amble_len=1024, payload_len=1024), 86, "t_h"),
+        ],
+    )
+    def test_infeasible_frame_rejected(self, experiment, mesh, t_h, field):
+        cfg = ScenarioConfig(experiment=experiment, mesh=MeshConfig(**mesh), t_h=t_h)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            validate_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "experiment, mesh, t_h",
+        [
+            ("TX_BF", dict(n_nodes=4), 4),  # the most nodes the mesh-node frame holds
+            ("TX_BF", dict(amble_len=1024, payload_len=1024), 85),  # 4 * 85 * 3 = 1020
+            ("RX_BF", dict(n_nodes=7, amble_len=1024, payload_len=1024), 4),  # one polynomial
+            ("RX_BF", dict(amble_len=32), 4),  # order 5, the shortest shipped
+        ],
+    )
+    def test_feasible_edge_runs(self, experiment, mesh, t_h):
+        cfg = ScenarioConfig(experiment=experiment, n_cycles=1, mesh=MeshConfig(**mesh), t_h=t_h)
+        assert len(run_scenario(cfg)) == 1
+
+    @pytest.mark.parametrize(
         "experiment, label",
         [("RX_BF", "A->n9"), ("RX_BF_INTERF", "n1->B"), ("TX_BF", "n1->X"), ("TX_NULL", "A->n1")],
     )
@@ -119,7 +147,7 @@ class TestDeterminism:
 
 class TestRxBeamforming:
     def test_gain_near_bound_without_interference(self):
-        recs = run_rx_bf(ScenarioConfig(experiment="RX_BF", n_cycles=5, seed=21))
+        recs = run_scenario(ScenarioConfig(experiment="RX_BF", n_cycles=5, seed=21))
         gain = _lin_avg_db([r.gain_snr_db for r in recs])
         assert 4.3 <= gain <= 4.8
 
@@ -172,8 +200,6 @@ class TestRxBeamforming:
             assert 2.5 <= r.gain_snr_db <= 3.5  # ~10log10(2)
 
     def test_mesh_nodes_have_ideal_ots_clocks(self):
-        from dcbf.scenario import _RxRunner
-
         runner = _RxRunner(ScenarioConfig(experiment="RX_BF", n_cycles=1, seed=3))
         runner.run()
         for node in runner.nodes:
@@ -183,19 +209,19 @@ class TestRxBeamforming:
 
 class TestTxBeamforming:
     def test_steady_state_gain_near_n_squared(self):
-        recs = run_tx_bf(ScenarioConfig(experiment="TX_BF", n_cycles=4, seed=31, mesh=TX_MESH))
+        recs = run_scenario(ScenarioConfig(experiment="TX_BF", n_cycles=4, seed=31, mesh=TX_MESH))
         steady = [r for r in recs if "warmup" not in r.flags]
         assert steady
         gain = _lin_avg_db([r.gain_snr_db for r in steady])
         assert abs(gain - 9.542) <= 0.5
 
     def test_first_cycle_flagged_warmup(self):
-        recs = run_tx_bf(ScenarioConfig(experiment="TX_BF", n_cycles=2, seed=31, mesh=TX_MESH))
+        recs = run_scenario(ScenarioConfig(experiment="TX_BF", n_cycles=2, seed=31, mesh=TX_MESH))
         assert "warmup" in recs[0].flags
         assert "warmup" not in recs[1].flags
 
     def test_feedback_latency_two_cycles(self):
-        recs = run_tx_bf(
+        recs = run_scenario(
             ScenarioConfig(
                 experiment="TX_BF", n_cycles=4, seed=31, mesh=TX_MESH, feedback_latency_cycles=2
             )
@@ -212,10 +238,10 @@ class TestTxBeamforming:
 
         monkeypatch.setattr(_TxRunner, "_build_weights", leaky_weights)
         with pytest.raises(RuntimeError, match="causality"):
-            run_tx_bf(ScenarioConfig(experiment="TX_BF", n_cycles=1, mesh=TX_MESH))
+            run_scenario(ScenarioConfig(experiment="TX_BF", n_cycles=1, mesh=TX_MESH))
 
     def test_nulling_simultaneous_gain_and_null(self):
-        recs = run_tx_null(
+        recs = run_scenario(
             ScenarioConfig(experiment="TX_NULL", n_cycles=4, seed=32, channel_kind="rayleigh",
                            mesh=TX_MESH)
         )
@@ -238,7 +264,7 @@ class TestTxBeamforming:
             experiment="TX_NULL", n_cycles=3, seed=33, noise_power=1e-8,
             channels=channels, mesh=dataclasses.replace(TX_MESH, n_nodes=2),
         )
-        recs = run_tx_null(cfg)
+        recs = run_scenario(cfg)
         steady = [r for r in recs if "warmup" not in r.flags]
         gain_b = _lin_avg_db([r.gain_snr_db for r in steady])
         gain_c = _lin_avg_db([r.gain_c_db for r in steady])
@@ -251,7 +277,7 @@ class TestCoherence:
             experiment="COHERENCE", n_cycles=14, seed=41, mesh=TX_MESH,
             phase_walk_var_per_s=0.0, feedback_halt_time_s=1.0,
         )
-        recs = run_coherence(cfg)
+        recs = run_scenario(cfg)
         halted = [r for r in recs if "halted" in r.flags]
         assert len(halted) >= 8
         gains = [r.gain_snr_db for r in halted]
@@ -264,7 +290,7 @@ class TestCoherence:
             experiment="COHERENCE", n_cycles=16, seed=42, mesh=TX_MESH,
             phase_walk_var_per_s=0.3, feedback_halt_time_s=1.0,
         )
-        recs = run_coherence(cfg)
+        recs = run_scenario(cfg)
         halted = [r for r in recs if "halted" in r.flags]
         early = _lin_avg_db([r.gain_snr_db for r in halted[:3]])
         late = _lin_avg_db([r.gain_snr_db for r in halted[-3:]])
@@ -274,7 +300,7 @@ class TestCoherence:
         cfg = ScenarioConfig(
             experiment="COHERENCE", n_cycles=8, seed=43, mesh=TX_MESH, feedback_halt_time_s=1.0
         )
-        recs = run_coherence(cfg)
+        recs = run_scenario(cfg)
         for r in recs:
             if r.t_virtual_s >= 1.0:
                 assert "halted" in r.flags
@@ -294,7 +320,7 @@ class TestJitterMonotonicity:
                     experiment="TX_BF", n_cycles=3, seed=100 + seed, mesh=TX_MESH,
                     ots_jitter_rad=jitter,
                 )
-                recs = run_tx_bf(cfg)
+                recs = run_scenario(cfg)
                 gains += [r.gain_snr_db for r in recs if "warmup" not in r.flags]
             averages.append(np.mean([10 ** (g / 10) for g in gains]))
         assert averages[0] > averages[1] > averages[2]
@@ -304,15 +330,15 @@ class TestChannelDynamics:
     def test_channel_walk_changes_metrics(self):
         base = ScenarioConfig(experiment="TX_BF", n_cycles=3, seed=51, mesh=TX_MESH)
         walk = dataclasses.replace(base, channel_walk_std_per_cycle=0.2)
-        a = run_tx_bf(base)
-        b = run_tx_bf(walk)
+        a = run_scenario(base)
+        b = run_scenario(walk)
         assert not _records_equal(a, b)
 
     def test_redraw_changes_channels(self):
         cfg = ScenarioConfig(
             experiment="TX_NULL", n_cycles=5, seed=52, channel_redraw_every=2, mesh=TX_MESH
         )
-        recs = run_tx_null(cfg)
+        recs = run_scenario(cfg)
         # a redraw invalidates the stale null on the following cycle
         assert len(recs) == 5
 
@@ -332,18 +358,14 @@ class TestPayloadReproduction:
         # all impairments zeroed, vanishing loading: the beamformed payload
         # equals the (matched-filtered) transmitted payload up to one complex
         # scalar, projection residual <= 1e-6
-        from dcbf import waveform
         from dcbf.beamform import apply_rx_beamformer, build_delay_matrix, mmse_rx_beamformer
         from dcbf.core import ComplexSignal, substream
 
         mesh = MeshConfig()
         pulse = waveform.rrc_taps()
-        frame, layout = waveform.build_frame(
-            waveform.FrameSpec(waveform.FrameKind.RX_BF_SOURCE, payload_seed=61), mesh
-        )
-        pre_mf = np.convolve(
-            waveform.shape_symbols(waveform.amble_symbols(mesh, 0, 1), 2, pulse), pulse, "same"
-        )
+        layout = waveform.rx_source_layout(mesh)
+        frame = waveform.build_frame(layout, waveform.source_frame(mesh, 61), mesh.sample_rate_hz)
+        pre_mf = np.convolve(waveform.source_ambles(mesh)["preamble"], pulse, "same")
         rng = substream(61, "t", "noise")
         zs = []
         for i in range(3):
@@ -361,3 +383,69 @@ class TestPayloadReproduction:
         s = np.convolve(layout.extract(frame.samples, "payload"), pulse, mode="same")
         proj = abs(np.vdot(s, y)) ** 2 / (np.sum(np.abs(s) ** 2) * np.sum(np.abs(y) ** 2))
         assert 1 - proj <= 1e-6
+
+
+class TestFrameDesign:
+    """The runners take their transmitted frames and their references from waveform."""
+
+    @staticmethod
+    def _mf(x):
+        return np.convolve(x, waveform.rrc_taps(), mode="same")
+
+    def test_rx_references_are_matched_source_preamble(self):
+        runner = _RxRunner(ScenarioConfig(experiment="RX_BF", n_cycles=1))
+        layout = waveform.rx_source_layout(runner.mesh)
+        assert runner.layout == layout
+        frame = waveform.build_frame(layout, waveform.source_frame(runner.mesh, 5), runner.fs)
+        assert len(runner.pre_mf) == 1
+        assert np.array_equal(runner.pre_mf[0].samples, self._mf(layout.extract(frame.samples, "preamble")))
+        assert [(o, ref.samples.tobytes()) for o, ref in runner.cfo_windows] == [
+            (0, runner.pre_mf[0].samples.tobytes())
+        ]
+
+    @pytest.mark.parametrize("n_nodes", [2, 3])
+    def test_tx_references_are_matched_node_ambles(self, n_nodes):
+        mesh = dataclasses.replace(TX_MESH, n_nodes=n_nodes)
+        runner = _TxRunner(ScenarioConfig(experiment="TX_BF", n_cycles=1, mesh=mesh))
+        layout = waveform.tx_node_layout(mesh)
+        assert runner.layout == layout
+        frames = waveform.node_frames(mesh, 5)
+        assert len(frames) == len(runner.pre_mf) == len(runner.cfo_windows) == n_nodes
+        for i, contents in enumerate(frames):
+            frame = waveform.build_frame(layout, contents, runner.fs).samples
+            post = layout.segment(f"postamble_{i + 1}")
+            assert np.array_equal(runner.pre_mf[i].samples, self._mf(layout.extract(frame, "preamble")))
+            offset, ref = runner.cfo_windows[i]
+            assert offset == post.offset
+            assert np.array_equal(ref.samples, self._mf(layout.extract(frame, post.name)))
+
+    def test_tx_cycle_shares_one_payload(self, monkeypatch):
+        # every node frame the runner builds in a cycle carries the same
+        # payload in bf_payload and in its own monitor slot, and nothing in
+        # the other nodes' slots
+        built = []
+        real = waveform.build_frame
+
+        def spy(layout, contents, fs):
+            frame = real(layout, contents, fs)
+            built.append((layout, frame.samples))
+            return frame
+
+        monkeypatch.setattr(waveform, "build_frame", spy)
+        run_scenario(ScenarioConfig(experiment="TX_BF", n_cycles=2, seed=7, mesh=TX_MESH))
+        n = TX_MESH.n_nodes
+        assert len(built) == 2 * n
+        for cycle in (built[:n], built[n:]):
+            payload = cycle[0][0].extract(cycle[0][1], "bf_payload")
+            assert np.mean(np.abs(payload) ** 2) > 0.5
+            for i, (layout, samples) in enumerate(cycle):
+                assert np.array_equal(layout.extract(samples, "bf_payload"), payload)
+                for k in range(1, n + 1):
+                    monitor = layout.extract(samples, f"monitor_{k}")
+                    if k == i + 1:
+                        assert np.array_equal(monitor, payload)
+                    else:
+                        assert not np.any(monitor)
+        # a fresh payload every cycle
+        assert not np.array_equal(built[0][0].extract(built[0][1], "bf_payload"),
+                                  built[n][0].extract(built[n][1], "bf_payload"))

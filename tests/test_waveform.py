@@ -3,22 +3,36 @@
 import numpy as np
 import pytest
 
-from dcbf.core import MeshConfig, substream
+from dcbf.core import ConfigError, MeshConfig, substream
 from dcbf.waveform import (
     PRIMITIVE_TAPS,
-    FrameKind,
-    FrameSpec,
-    amble_symbols,
+    RX_FRAME_TOTAL,
+    TX_FRAME_TOTAL,
     build_frame,
     gen_mls,
+    interferer_frame,
+    interferer_layout,
     modulate,
+    node_ambles,
+    node_frames,
     read_frame_iq,
     rrc_taps,
     rx_source_layout,
     shape_symbols,
+    source_frame,
     tx_node_layout,
     write_frame_iq,
 )
+
+
+def _source(cfg, seed=0):
+    layout = rx_source_layout(cfg)
+    return build_frame(layout, source_frame(cfg, seed), cfg.sample_rate_hz), layout
+
+
+def _node(cfg, node_id, seed=0):
+    layout = tx_node_layout(cfg)
+    return build_frame(layout, node_frames(cfg, seed)[node_id - 1], cfg.sample_rate_hz), layout
 
 
 class TestGenMls:
@@ -65,9 +79,7 @@ class TestGenMls:
 
 class TestModulate:
     def test_qpsk_constellation(self):
-        stream = modulate([0, 0, 0, 1, 1, 1, 1, 0], "QPSK")
-        assert stream.modulation == "QPSK"
-        syms = stream.symbols
+        syms = modulate([0, 0, 0, 1, 1, 1, 1, 0], "QPSK")
         assert len(set(np.round(syms, 12))) == 4
         assert np.allclose(np.abs(syms), 1.0)
         # pairwise phase differences are multiples of pi/2
@@ -77,29 +89,21 @@ class TestModulate:
                 assert abs(d - round(d)) < 1e-12
 
     def test_qam256_zero_word_is_corner(self):
-        sym = modulate([0] * 8, "QAM256").symbols
+        sym = modulate([0] * 8, "QAM256")
         assert sym[0] == pytest.approx((-15 - 15j) / np.sqrt(170))
         assert abs(sym[0]) == pytest.approx(15 * np.sqrt(2.0 / 170.0))
 
     def test_qam256_unit_mean_power_exact(self):
         # all 256 words: exact unit mean power by construction
         bits = np.array([[(w >> k) & 1 for k in range(7, -1, -1)] for w in range(256)]).ravel()
-        syms = modulate(bits, "QAM256").symbols
+        syms = modulate(bits, "QAM256")
         assert np.mean(np.abs(syms) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_qpsk_random_stream_power(self):
         rng = substream(3, "test", "bits")
         bits = rng.integers(0, 2, 20000)
-        syms = modulate(bits, "QPSK").symbols
+        syms = modulate(bits, "QPSK")
         assert np.mean(np.abs(syms) ** 2) == pytest.approx(1.0, rel=0.01)
-
-    def test_stream_rejects_off_constellation_points(self):
-        from dcbf.waveform import SymbolStream
-
-        with pytest.raises(ValueError, match="constellation"):
-            SymbolStream(np.array([0.5 + 0.5j]), "QPSK")
-        with pytest.raises(ValueError, match="constellation"):
-            SymbolStream(np.array([2.0 + 2.0j]) / np.sqrt(170), "QAM256")
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -142,14 +146,14 @@ class TestFrames:
         self.cfg = MeshConfig()
 
     def test_rx_source_frame_total_and_silence(self):
-        sig, layout = build_frame(FrameSpec(FrameKind.RX_BF_SOURCE), self.cfg)
+        sig, layout = _source(self.cfg)
         assert layout.total_length == 75560
         assert len(sig.samples) == 75560
         look = layout.segment("look_through")
         assert np.all(sig.samples[look.offset : look.offset + look.length] == 0)
 
     def test_guards_are_256_zero_samples(self):
-        sig, layout = build_frame(FrameSpec(FrameKind.RX_BF_SOURCE), self.cfg)
+        sig, layout = _source(self.cfg)
         guard_names = [n for n in layout.names() if n.startswith("guard")]
         assert guard_names
         for name in guard_names:
@@ -158,7 +162,7 @@ class TestFrames:
             assert np.all(sig.samples[seg.offset : seg.offset + seg.length] == 0)
 
     def test_tx_frame_total_and_tdma_slots(self):
-        sig, layout = build_frame(FrameSpec(FrameKind.TX_BF_NODE, node_id=2), self.cfg)
+        sig, layout = _node(self.cfg, 2)
         assert layout.total_length == 91472
         mon2 = layout.segment("monitor_2")
         assert np.any(sig.samples[mon2.offset : mon2.offset + mon2.length] != 0)
@@ -170,14 +174,15 @@ class TestFrames:
         assert np.any(sig.samples[layout.segment("postamble_2").offset :][:8192] != 0)
 
     def test_every_guard_and_lookthrough_zero_tx(self):
-        sig, layout = build_frame(FrameSpec(FrameKind.TX_BF_NODE, node_id=1), self.cfg)
+        sig, layout = _node(self.cfg, 1)
         for seg in layout.segments:
             if seg.name.startswith("guard") or seg.name == "look_through":
                 assert np.all(sig.samples[seg.offset : seg.offset + seg.length] == 0)
 
     def test_interferer_covers_frame(self):
-        sig, layout = build_frame(FrameSpec(FrameKind.RX_BF_INTERFERER), self.cfg)
-        assert layout.total_length == 75560
+        layout = interferer_layout(RX_FRAME_TOTAL)
+        sig = build_frame(layout, interferer_frame(RX_FRAME_TOTAL, 0), self.cfg.sample_rate_hz)
+        assert len(sig.samples) == 75560
         # continuous transmission: active over (nearly) the full duration
         power = np.abs(sig.samples) ** 2
         assert np.mean(power[: len(power) // 2]) > 0.5
@@ -186,8 +191,7 @@ class TestFrames:
     def test_cdma_preamble_cross_correlation(self):
         # normalized cross-correlation peak <= 0.2 between distinct nodes,
         # autocorrelation peak = 1 by construction
-        pulse = rrc_taps()
-        waves = [shape_symbols(amble_symbols(self.cfg, p, 1), 2, pulse) for p in range(3)]
+        waves = [ambles["preamble"] for ambles in node_ambles(self.cfg)]
         norms = [np.linalg.norm(w) for w in waves]
         n_fft = 1 << 18
         ffts = [np.fft.fft(w, n_fft) for w in waves]
@@ -200,37 +204,78 @@ class TestFrames:
                 assert peak <= 0.2
 
     def test_layout_roundtrip_bit_exact(self):
-        sig, layout = build_frame(
-            FrameSpec(FrameKind.RX_BF_SOURCE, amble_seed=5, payload_seed=9), self.cfg
-        )
+        sig, layout = _source(self.cfg, seed=9)
         rebuilt = np.zeros(layout.total_length, dtype=complex)
         for seg in layout.segments:
             rebuilt[seg.offset : seg.offset + seg.length] = layout.extract(sig.samples, seg.name)
         assert np.array_equal(rebuilt, sig.samples)
 
     def test_same_seeds_same_frame(self):
-        a, _ = build_frame(FrameSpec(FrameKind.RX_BF_SOURCE, payload_seed=3), self.cfg)
-        b, _ = build_frame(FrameSpec(FrameKind.RX_BF_SOURCE, payload_seed=3), self.cfg)
+        a, _ = _source(self.cfg, seed=3)
+        b, _ = _source(self.cfg, seed=3)
         assert np.array_equal(a.samples, b.samples)
-        c, _ = build_frame(FrameSpec(FrameKind.RX_BF_SOURCE, payload_seed=4), self.cfg)
+        c, _ = _source(self.cfg, seed=4)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_layout_overflow_rejected(self):
-        small = MeshConfig(amble_len=30000)
-        with pytest.raises(ValueError, match="overflow"):
-            rx_source_layout(small)
+        # two 8192-sample ambles, 768 guard samples: a 70000-sample payload overflows
+        with pytest.raises(ConfigError, match="overflow"):
+            rx_source_layout(MeshConfig(payload_len=70000))
+        with pytest.raises(ConfigError, match="overflow"):
+            tx_node_layout(MeshConfig(n_nodes=5))
+
+    @pytest.mark.parametrize("payload_len", [4096, 10000])
+    def test_payload_segments_sized_by_payload_len(self, payload_len):
+        cfg = MeshConfig(payload_len=payload_len)
+        guards = 256
+        rx = rx_source_layout(cfg)
+        assert rx.segment("payload").length == payload_len
+        assert rx.segment("look_through").length == RX_FRAME_TOTAL - 2 * 8192 - payload_len - 3 * guards
+        tx = tx_node_layout(cfg)
+        for name in ("bf_payload", "monitor_1", "monitor_2", "monitor_3"):
+            assert tx.segment(name).length == payload_len
+        for name in ("preamble", "postamble_1", "postamble_2", "postamble_3"):
+            assert tx.segment(name).length == 8192
+        assert tx.segment("look_through").length == TX_FRAME_TOTAL - 4 * 8192 - 4 * payload_len - 8 * guards
+        for layout in (rx, tx):
+            # segments tile the frame with no gap
+            ends = [s.offset + s.length for s in layout.segments]
+            assert [s.offset for s in layout.segments[1:]] == ends[:-1]
+            assert ends[-1] == layout.total_length
+        sig, _ = _source(cfg)
+        assert np.array_equal(rx.extract(sig.samples, "payload"), source_frame(cfg, 0)["payload"])
+        assert np.mean(np.abs(rx.extract(sig.samples, "payload")) ** 2) > 0.5
+        sig, _ = _node(cfg, 2)
+        assert np.array_equal(tx.extract(sig.samples, "monitor_2"), tx.extract(sig.samples, "bf_payload"))
+        assert np.mean(np.abs(tx.extract(sig.samples, "monitor_2")) ** 2) > 0.5
+
+    @pytest.mark.parametrize(
+        "mesh, field",
+        [
+            (MeshConfig(amble_len=16), "mesh.amble_len"),
+            (MeshConfig(amble_len=65536), "mesh.amble_len"),
+            (MeshConfig(amble_len=8191), "mesh.amble_len"),
+            (MeshConfig(payload_len=4097), "mesh.payload_len"),
+        ],
+    )
+    def test_infeasible_ambles_rejected(self, mesh, field):
+        for layout in (rx_source_layout, tx_node_layout):
+            with pytest.raises(ConfigError, match=field):
+                layout(mesh)
+
+    def test_polynomials_per_node(self):
+        # order 10 ships 6 polynomials: the CDMA preambles of 7 nodes cannot all differ
+        with pytest.raises(ConfigError, match="mesh.n_nodes"):
+            tx_node_layout(MeshConfig(n_nodes=7, amble_len=1024, payload_len=1024))
+        rx_source_layout(MeshConfig(n_nodes=7, amble_len=1024, payload_len=1024))
 
     def test_tx_layout_guard_count(self):
         layout = tx_node_layout(self.cfg)
         guards = [s for s in layout.segments if s.name.startswith("guard")]
         assert len(guards) == 2 + 2 * self.cfg.n_nodes
 
-    def test_node_id_required(self):
-        with pytest.raises(ValueError, match="node_id"):
-            build_frame(FrameSpec(FrameKind.TX_BF_NODE), self.cfg)
-
     def test_iq_export_roundtrip(self, tmp_path):
-        sig, layout = build_frame(FrameSpec(FrameKind.RX_BF_SOURCE), self.cfg)
+        sig, layout = _source(self.cfg)
         path = tmp_path / "frame.iq"
         write_frame_iq(path, sig, layout)
         sig2, layout2 = read_frame_iq(path)
