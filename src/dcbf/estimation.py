@@ -256,4 +256,10 @@ def estimate_channels_joint(
 
 def remove_dc(x: ComplexSignal) -> ComplexSignal:
     """Mean subtraction over the whole signal."""
-    return ComplexSignal(x.samples - np.mean(x.samples), x.sample_rate_hz)
+    return ComplexSignal(_remove_dc(x.samples.copy()), x.sample_rate_hz)
+
+
+def _remove_dc(x: np.ndarray) -> np.ndarray:
+    """Array kernel of remove_dc: subtracts the mean of x in place; returns x."""
+    x -= np.mean(x)
+    return x

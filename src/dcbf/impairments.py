@@ -3,6 +3,12 @@
 The receive chain applies the channel first, then the receiving node's LO
 effects (CFO rotation, phase random walk), then additive noise. Transmit-side
 LO effects are applied to the waveform before it enters the channel.
+
+The public functions take and return ComplexSignal. Each wraps a private
+array kernel (_add_channel, _impress_lo, _add_noise) that works in place on
+an array its caller owns; the scenario runner chains the kernels, so a
+received buffer is checked for non-finite samples once, after the matched
+filter, rather than at every stage.
 """
 
 from __future__ import annotations
@@ -62,9 +68,17 @@ def apply_channel(x: ComplexSignal, ch: ChannelModel) -> ComplexSignal:
 
     Output length is len(x) + n_taps - 1 + tof_delay.
     """
-    conv = np.convolve(x.samples, ch.taps, mode="full")
-    out = np.concatenate([np.zeros(ch.tof_delay, dtype=np.complex128), conv])
-    return ComplexSignal(out, x.sample_rate_hz)
+    out = np.zeros(len(x.samples) + ch.n_taps - 1 + ch.tof_delay, dtype=np.complex128)
+    return ComplexSignal(_add_channel(out, x.samples, ch), x.sample_rate_hz)
+
+
+def _add_channel(out: np.ndarray, x: np.ndarray, ch: ChannelModel) -> np.ndarray:
+    """Array kernel of apply_channel: adds x through ch into out, in place,
+    from sample tof_delay on and cut at the end of out; returns out."""
+    conv = np.convolve(x, ch.taps, mode="full")
+    m = max(min(len(conv), len(out) - ch.tof_delay), 0)
+    out[ch.tof_delay : ch.tof_delay + m] += conv[:m]
+    return out
 
 
 def advance_clock(node: NodeState, dt_s: float) -> NodeState:
@@ -89,33 +103,96 @@ def apply_node_imperfections(x: ComplexSignal, node: NodeState, sign: int = 1) -
     sign=+1 models upconversion at a transmitter, sign=-1 downconversion
     at a receiver.
     """
-    n = len(x.samples)
-    if n == 0:
+    if len(x.samples) == 0:
         return x
-    fs = x.sample_rate_hz
+    return ComplexSignal(_impress_lo(x.samples.copy(), node, x.sample_rate_hz, sign), x.sample_rate_hz)
+
+
+# numpy evaluates `x * np.exp(...)` as `exp(...) * x`, in the temporary's own
+# buffer, when that temporary has the product's shape and holds at least
+# 256 KiB (temporary elision). Its SIMD complex multiply is not bitwise
+# commutative: `x * p` and `p * x` differ in the last bit on ~16% of samples.
+# The kernels keep the bits of those full-length formulas by multiplying from
+# the side numpy would have, judged by the full length even when they multiply
+# a slice: `x[lo:hi] * phasor` would differ from the old frame-length product.
+_ELIDE_BYTES = 256 * 1024
+
+
+def _phasor(phase: np.ndarray) -> np.ndarray:
+    """exp(1j * phase), with cos and sin written into the .real and .imag of
+    one buffer: the same bits as the complex exponential, at less cost."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _lo_product(x: np.ndarray, phasor: np.ndarray) -> np.ndarray:
+    """x * phasor (broadcast along x's last axis) with the bits of
+    `x * np.exp(...)`; reuses the phasor's buffer where numpy would."""
+    if phasor.shape == x.shape and phasor.nbytes >= _ELIDE_BYTES:
+        return np.multiply(phasor, x, out=phasor)
+    return x * phasor
+
+
+def _impress_lo(
+    x: np.ndarray, node: NodeState, fs: float, sign: int, spans: list[tuple[int, int]] | None = None
+) -> np.ndarray:
+    """Array kernel of apply_node_imperfections: rotates x in place and
+    advances the node's clock across len(x) > 0 samples; returns x.
+
+    spans, when given, are the (start, stop) sample ranges that hold every
+    nonzero sample of x: the LO phasor is evaluated there only, and the other
+    samples stay exact zeros. Every normal of the phase walk is still drawn,
+    so the node's RNG and phase end as after a rotation of all of x.
+    """
+    n = len(x)
+    spans = [(0, n)] if spans is None else spans
     if node.cfo_hz == 0 and node.phase_walk_var_per_s == 0:
         # ideal-frequency clock: one constant rotation
-        return ComplexSignal(x.samples * np.exp(1j * sign * node.phase_rad), fs)
-    t = np.arange(n) / fs
-    phase = node.phase_rad + 2 * np.pi * node.cfo_hz * t
+        rot = np.exp(1j * sign * node.phase_rad)
+        for lo, hi in spans:
+            x[lo:hi] *= rot
+        return x
+    walk = None
     if node.phase_walk_var_per_s > 0:
         steps = node.rng.normal(0.0, np.sqrt(node.phase_walk_var_per_s / fs), n - 1)
-        walk = np.concatenate([[0.0], np.cumsum(steps)])
-        phase = phase + walk
-    out = x.samples * np.exp(1j * sign * phase)
+        walk = np.empty(n)
+        walk[0] = 0.0
+        np.cumsum(steps, out=walk[1:])
+    slope = 2 * np.pi * node.cfo_hz
+    left = 16 * n >= _ELIDE_BYTES  # the side of the old frame-length product
+    for lo, hi in spans:
+        phase = node.phase_rad + slope * (np.arange(lo, hi) / fs)
+        if walk is not None:
+            phase += walk[lo:hi]
+        phasor = _phasor(sign * phase)
+        part = x[lo:hi]
+        if left:
+            np.multiply(phasor, part, out=part)
+        else:
+            part *= phasor
     # final state: one more sample step past the last emitted sample
-    node.phase_rad = float(phase[-1]) + 2 * np.pi * node.cfo_hz / fs
+    last = node.phase_rad + slope * ((n - 1) / fs)
+    if walk is not None:
+        last += walk[-1]
+    node.phase_rad = float(last) + slope / fs
     if node.phase_walk_var_per_s > 0:
         node.phase_rad += node.rng.normal(0.0, np.sqrt(node.phase_walk_var_per_s / fs))
-    return ComplexSignal(out, fs)
+    return x
 
 
 def add_noise(x: ComplexSignal, spec: NoiseSpec, rng: np.random.Generator) -> ComplexSignal:
     """Add i.i.d. circularly-symmetric complex Gaussian noise of the given power."""
-    p = spec.noise_power_per_sample
-    if p == 0:
+    if spec.noise_power_per_sample == 0:
         return x
-    n = len(x.samples)
-    sigma = np.sqrt(p / 2.0)
-    noise = rng.normal(0.0, sigma, n) + 1j * rng.normal(0.0, sigma, n)
-    return ComplexSignal(x.samples + noise, x.sample_rate_hz)
+    return ComplexSignal(_add_noise(x.samples.copy(), spec.noise_power_per_sample, rng), x.sample_rate_hz)
+
+
+def _add_noise(x: np.ndarray, power: float, rng: np.random.Generator) -> np.ndarray:
+    """Array kernel of add_noise for power > 0: adds the real, then the
+    imaginary draws into x in place; returns x."""
+    sigma = np.sqrt(power / 2.0)
+    x.real += rng.normal(0.0, sigma, len(x))
+    x.imag += rng.normal(0.0, sigma, len(x))
+    return x

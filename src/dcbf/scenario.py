@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beamform, estimation, metrics, waveform
-from .core import ComplexSignal, ConfigError, MeshConfig, NodeState, substream, validate_config
+from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream, validate_config
 from .estimation import AcquisitionError, AcquisitionResult
-from .impairments import ChannelModel, NoiseSpec, add_noise, advance_clock, apply_channel, apply_node_imperfections
+from .impairments import ChannelModel, _add_channel, _add_noise, _impress_lo, _lo_product, _phasor, advance_clock
 
 __all__ = [
     "ScenarioConfig",
@@ -42,6 +42,14 @@ TX_LINKS = ("n{}->B", "n{}->C")
 # Interference-only covariance windows are capped at this many look-through
 # samples; far beyond the sample-support needed for N*T_w degrees of freedom.
 COV_MAX_LEN = 16384
+
+# Most unknowns (n_nodes * t_w) of one mesh MMSE solve. COV_MAX_LEN samples
+# then give at least 16 per unknown, so the sample covariance costs under
+# 0.3 dB of output SINR (Reed, Mallett and Brennan 1974: expected factor
+# (L + 2 - D) / (L + 1) for L samples and D unknowns), and the D x D complex
+# Gram of the solve stays at 16 MiB. Beyond it the Gram grows as D^2
+# (74.5 GiB of float64 for the pulse's convolution matrix at t_w = 100000).
+MAX_MMSE_UNKNOWNS = COV_MAX_LEN // 16
 
 
 @dataclass(frozen=True)
@@ -109,17 +117,41 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.ots_jitter_rad < 0:
         raise ConfigError("ots_jitter_rad", "must be ≥ 0")
     validate_config(cfg.mesh)
+    unknowns = cfg.mesh.n_nodes * cfg.t_w
+    if unknowns > MAX_MMSE_UNKNOWNS:
+        raise ConfigError("t_w", f"n_nodes·t_w = {unknowns} exceeds {MAX_MMSE_UNKNOWNS} MMSE unknowns")
     if cfg.experiment in RX_EXPERIMENTS:
-        waveform.rx_source_layout(cfg.mesh)
+        layout = waveform.rx_source_layout(cfg.mesh)
     else:
-        waveform.tx_node_layout(cfg.mesh)
+        layout = waveform.tx_node_layout(cfg.mesh)
         # joint LS of the N preambles (estimation.estimate_channels_joint)
         need = 4 * cfg.t_h * cfg.mesh.n_nodes
         if cfg.mesh.amble_len < need:
             raise ConfigError("t_h", f"joint channel estimation needs mesh.amble_len ≥ 4·t_h·n_nodes = {need}")
     if cfg.channels is not None:
         _validate_channels(cfg)
+    buf_s = _receive_buffer(cfg, layout)[1] / cfg.mesh.sample_rate_hz
+    if cfg.mesh.cycle_period_s < buf_s:
+        raise ConfigError("mesh.cycle_period_s", f"must be ≥ the receive buffer, {buf_s:.6g} s: cycles would overlap")
     return cfg
+
+
+def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout) -> tuple[int, int]:
+    """(lag_hi, buf_len): acquisition searches lags [0, lag_hi), and every
+    receive buffer holds buf_len samples, room for the frame of layout over
+    the longest delay and tap spread of the link families that reach a
+    receiver (for receive experiments the interferer's too, even when it is
+    silent). Drawn links have no delay and channel_taps taps; explicit ones
+    their own. validate_scenario and the runner both size from here."""
+    families = RX_LINKS if cfg.experiment in RX_EXPERIMENTS else TX_LINKS[: 1 + (cfg.experiment == "TX_NULL")]
+    explicit = cfg.channels or {}
+    max_tof, max_taps = 0, 1
+    for label in (f.format(i + 1) for f in families for i in range(cfg.mesh.n_nodes)):
+        spec = explicit.get(label)
+        max_tof = max(max_tof, int(spec.get("tof", 0)) if spec else 0)
+        max_taps = max(max_taps, len(spec["taps"]) if spec else cfg.channel_taps)
+    lag_hi = max_tof + max_taps + 16
+    return lag_hi, layout.total_length + lag_hi + 64
 
 
 def _validate_channels(cfg: ScenarioConfig) -> None:
@@ -215,13 +247,12 @@ class _Runner:
     preamble is an acquisition reference), _transmit sends a cycle's frames,
     _arrivals routes them over the links (LINKS) to each receiver, whose CFO
     is refined on the known (offset, reference) cfo_windows, and _measure
-    turns the receptions into the record and the feedback. heard_families:
-    how many link families reach a receive buffer, sized for their taps and delays.
+    turns the receptions into the record and the feedback.
     """
 
     LINKS: tuple[str, str]
 
-    def __init__(self, cfg: ScenarioConfig, layout, ambles, heard_families: int):
+    def __init__(self, cfg: ScenarioConfig, layout, ambles):
         self.cfg = validate_scenario(cfg)
         mesh = cfg.mesh
         self.mesh = mesh
@@ -259,16 +290,17 @@ class _Runner:
         self.jitter_rng = [substream(seed, f"n{i + 1}", "ots_jitter") for i in range(self.n)]
         self._jitter_now = [0.0] * self.n
 
-        heard = [c for chans in self.links[:heard_families] for c in chans]
-        max_tof = max([c.tof_delay for c in heard], default=0)
-        max_taps = max([c.n_taps for c in heard], default=1)
-        self.lag_hi = max_tof + max_taps + 16
-        self.buf_len = self.layout.total_length + self.lag_hi + 64
+        self.lag_hi, self.buf_len = _receive_buffer(cfg, self.layout)
         self.t_axis = np.arange(self.buf_len) / self.fs
 
     def _matched(self, x: np.ndarray) -> ComplexSignal:
         """x through the receive matched filter."""
         return ComplexSignal(np.convolve(x, self.pulse, mode="same"), self.fs)
+
+    def _spans(self, contents: dict[str, np.ndarray]) -> list[tuple[int, int]]:
+        """(start, stop) of the layout segments that contents fill: where
+        build_frame puts every nonzero sample of the frame."""
+        return [(seg.offset, seg.offset + seg.length) for seg in map(self.layout.segment, contents)]
 
     def _radio(self, node_id: str, cfo_hz: float) -> NodeState:
         """An out-of-mesh radio: its own LO offset, no phase walk."""
@@ -297,20 +329,25 @@ class _Runner:
                 node.phase_rad += jit - self._jitter_now[i]
                 self._jitter_now[i] = jit
 
-    def _receive(self, r: int, arrivals: list[tuple[ComplexSignal, ChannelModel]]):
+    def _receive(self, r: int, arrivals: list[tuple[np.ndarray, ChannelModel]]):
         """Receiver r's cycle: (matched-filtered buffer, acquisition, CFO
-        estimate); raises AcquisitionError when no preamble clears the threshold."""
+        estimate); raises AcquisitionError, with the best statistic of any
+        preamble, when none clears the threshold.
+
+        The buffer passes through the array kernels in place; the matched
+        filter's output is the one ComplexSignal, so a non-finite sample
+        anywhere upstream still raises here."""
         cfg = self.cfg
         buf = np.zeros(self.buf_len, dtype=np.complex128)
         for sig, ch in arrivals:
-            x = apply_channel(sig, ch).samples[: self.buf_len]
-            buf[: len(x)] += x
-        z = apply_node_imperfections(ComplexSignal(buf, self.fs), self.receivers[r], sign=-1)
-        z = add_noise(z, NoiseSpec(cfg.noise_power), self.noise_rng[r])
-        z = estimation.remove_dc(z)
-        sig_mf = self._matched(z.samples)
+            _add_channel(buf, sig, ch)
+        _impress_lo(buf, self.receivers[r], self.fs, sign=-1)
+        _add_noise(buf, cfg.noise_power, self.noise_rng[r])
+        estimation._remove_dc(buf)
+        sig_mf = self._matched(buf)
         z_mf = sig_mf.samples
         acq = None
+        best_stat = 0.0
         for ref in self.acq_refs:
             try:
                 cand = estimation.acquire(
@@ -320,12 +357,13 @@ class _Runner:
                     cfo_grid_hz=self.coarse_grid,
                     threshold=cfg.detection_threshold,
                 )
-            except AcquisitionError:
+            except AcquisitionError as exc:
+                best_stat = max(best_stat, exc.best_stat)
                 continue
             if acq is None or cand.detection_stat > acq.detection_stat:
                 acq = cand
         if acq is None:
-            raise AcquisitionError(0.0, cfg.detection_threshold)
+            raise AcquisitionError(best_stat, cfg.detection_threshold)
 
         # fine CFO: derotate each known window by the coarse estimate, search
         # the fixed relative grid, and average over the windows
@@ -340,7 +378,7 @@ class _Runner:
     def _derotate(self, z: np.ndarray, f_hz: float) -> np.ndarray:
         """z times exp(-i 2 pi f t), t running from the start of a cycle buffer along z's last
         axis: removes a CFO of f_hz from each row."""
-        return z * np.exp(-2j * np.pi * f_hz * self.t_axis[: z.shape[-1]])
+        return _lo_product(z, _phasor((-2 * np.pi * f_hz) * self.t_axis[: z.shape[-1]]))
 
     def run(self) -> list[CycleRecord]:
         period = self.mesh.cycle_period_s
@@ -365,9 +403,9 @@ class _Runner:
             # clocks run on to the next cycle: transmitters from the end of
             # what they sent, receivers from the end of their buffers
             for node, sig in sent:
-                advance_clock(node, max(period - len(sig.samples) / self.fs, 0.0))
+                advance_clock(node, period - len(sig) / self.fs)
             for node in self.receivers:
-                advance_clock(node, max(period - self.buf_len / self.fs, 0.0))
+                advance_clock(node, period - self.buf_len / self.fs)
         return records
 
 
@@ -378,10 +416,7 @@ class _RxRunner(_Runner):
     LINKS = RX_LINKS
 
     def __init__(self, cfg: ScenarioConfig):
-        # both families size the buffers, even when no interferer transmits
-        super().__init__(
-            cfg, waveform.rx_source_layout, lambda mesh: [waveform.source_ambles(mesh)], heard_families=2
-        )
+        super().__init__(cfg, waveform.rx_source_layout, lambda mesh: [waveform.source_ambles(mesh)])
         self.look_seg = self.layout.segment("look_through")
         self.pay_seg = self.layout.segment("payload")
         self.cov_window = None
@@ -403,14 +438,13 @@ class _RxRunner(_Runner):
     def _transmit(self, k, rec, flags):
         cfg = self.cfg
         contents = waveform.source_frame(self.mesh, derive_seed(cfg.seed, f"src_payload_{k}"))
-        frame = waveform.build_frame(self.layout, contents, self.fs)
-        src = ComplexSignal(frame.samples * np.sqrt(cfg.signal_power), self.fs)
-        sent = [(self.source, apply_node_imperfections(src, self.source))]
+        src = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(cfg.signal_power)
+        sent = [(self.source, _impress_lo(src, self.source, self.fs, 1, self._spans(contents)))]
         if self.with_interf:
             contents = waveform.interferer_frame(self.buf_len, derive_seed(cfg.seed, f"intf_payload_{k}"))
             iframe = waveform.build_frame(self.interferer_layout, contents, self.fs)
-            intf = ComplexSignal(iframe.samples * np.sqrt(cfg.interferer_power), self.fs)
-            sent.append((self.interferer, apply_node_imperfections(intf, self.interferer)))
+            intf = iframe.samples * np.sqrt(cfg.interferer_power)
+            sent.append((self.interferer, _impress_lo(intf, self.interferer, self.fs, 1)))
         return sent
 
     def _arrivals(self, sent, r):
@@ -490,7 +524,7 @@ class _TxRunner(_Runner):
 
     def __init__(self, cfg: ScenarioConfig):
         nulling = cfg.experiment == "TX_NULL"
-        super().__init__(cfg, waveform.tx_node_layout, waveform.node_ambles, heard_families=1 + nulling)
+        super().__init__(cfg, waveform.tx_node_layout, waveform.node_ambles)
         self.nulling = nulling
         self.coherence = cfg.experiment == "COHERENCE"
         rx_b = self._radio("B", cfg.rx_b_cfo_hz)
@@ -564,7 +598,7 @@ class _TxRunner(_Runner):
                 else:
                     distorted = np.convolve(raw, np.conj(w), mode="full")[: pay_seg.length]
                 samples[pay_seg.offset : pay_seg.offset + pay_seg.length] = distorted
-            sent.append((node, apply_node_imperfections(ComplexSignal(samples, self.fs), node)))
+            sent.append((node, _impress_lo(samples, node, self.fs, 1, self._spans(contents))))
         return sent
 
     def _arrivals(self, sent, r):

@@ -70,6 +70,8 @@ class TestConfigHandling:
             _case("mesh.amble_len=16", "mesh.amble_len"),
             _case("mesh.payload_len=70000", "mesh.payload_len"),
             _case("t_h=1000", "t_h", config="tx_bf"),
+            _case("mesh.cycle_period_s=0.01", "mesh.cycle_period_s", config="tx_bf"),
+            _case("t_w=100000", "t_w"),
         ],
     )
     def test_bad_override_exits_2_naming_field(self, tmp_path, capsys, config, overrides, field):

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from dcbf.core import ComplexSignal, NodeState, substream
+from dcbf import impairments, scenario, waveform
+from dcbf.core import ComplexSignal, MeshConfig, NodeState, substream
 from dcbf.impairments import (
     ChannelModel,
     NoiseSpec,
+    _impress_lo,
+    _lo_product,
+    _phasor,
     add_noise,
     advance_clock,
     apply_channel,
     apply_node_imperfections,
 )
+from dcbf.scenario import CycleRecord, ScenarioConfig, _RxRunner, _TxRunner
 
 FS = 2e6
 
@@ -192,3 +197,124 @@ class TestAddNoise:
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
             NoiseSpec(-0.1)
+
+
+# The array kernels behind the public functions, against the formulas they
+# replaced, written out here. Equal means bitwise: numpy's complex multiply
+# is not commutative in the last bit, so an operand order that differs from
+# the old code's shows up as a mismatch on ~16% of samples.
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _old_node_imperfections(x, node, sign):
+    n = len(x)
+    if node.cfo_hz == 0 and node.phase_walk_var_per_s == 0:
+        return x * np.exp(1j * sign * node.phase_rad)
+    t = np.arange(n) / FS
+    phase = node.phase_rad + 2 * np.pi * node.cfo_hz * t
+    if node.phase_walk_var_per_s > 0:
+        steps = node.rng.normal(0.0, np.sqrt(node.phase_walk_var_per_s / FS), n - 1)
+        walk = np.concatenate([[0.0], np.cumsum(steps)])
+        phase = phase + walk
+    out = x * np.exp(1j * sign * phase)
+    node.phase_rad = float(phase[-1]) + 2 * np.pi * node.cfo_hz / FS
+    if node.phase_walk_var_per_s > 0:
+        node.phase_rad += node.rng.normal(0.0, np.sqrt(node.phase_walk_var_per_s / FS))
+    return out
+
+
+def _twin_nodes(cfo_hz, walk):
+    """Two nodes in the same state with the same RNG stream."""
+    return [
+        NodeState("n", cfo_hz=cfo_hz, phase_rad=1234.5, phase_walk_var_per_s=walk, rng=substream(9, "n", "walk"))
+        for _ in range(2)
+    ]
+
+
+def _same_state(a, b):
+    return a.phase_rad == b.phase_rad and a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+CLOCKS = [(0.0, 0.0), (437.0, 0.0), (0.0, 0.3), (-613.0, 0.05)]  # (cfo_hz, phase walk per s)
+
+
+class TestArrayKernels:
+    # 1,000 samples sit below numpy's 256 KiB temporary elision, 91,472 (a
+    # mesh-node frame) above it
+    @pytest.mark.parametrize("n", [1000, 91472])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("cfo_hz, walk", CLOCKS)
+    def test_node_imperfections_match_old_formula(self, n, sign, cfo_hz, walk):
+        rng = substream(n, "test", "lo")
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        new, old = _twin_nodes(cfo_hz, walk)
+        y = apply_node_imperfections(_sig(x), new, sign=sign).samples
+        assert np.array_equal(_bits(y), _bits(_old_node_imperfections(x, old, sign)))
+        assert _same_state(new, old)
+
+    @pytest.mark.parametrize("n", [1000, 91472])
+    def test_add_noise_matches_old_formula(self, n):
+        rng = substream(n, "test", "noise")
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        new, old = substream(3, "t", "n"), substream(3, "t", "n")
+        y = add_noise(_sig(x), NoiseSpec(0.3), new).samples
+        sigma = np.sqrt(0.3 / 2.0)
+        expect = x + (old.normal(0.0, sigma, n) + 1j * old.normal(0.0, sigma, n))
+        assert np.array_equal(_bits(y), _bits(expect))
+        assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(1000,), (91472,), (3, 8192), (3, 75641)])
+    def test_lo_product_matches_exp_product(self, shape):
+        rng = substream(1, "test", "derotate")
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        phase = (-2 * np.pi * 437.3) * (np.arange(shape[-1]) / FS)
+        expect = z * np.exp(-2j * np.pi * 437.3 * (np.arange(shape[-1]) / FS))
+        assert np.array_equal(_bits(_lo_product(z, _phasor(phase))), _bits(expect))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "experiment, cfo_hz, walk",
+        [("COHERENCE", 0.0, 0.3), ("COHERENCE", 300.0, 0.3), ("TX_BF", 0.0, 0.0), ("RX_BF", 437.0, 0.0)],
+    )
+    def test_occupied_segments_match_full_frame(self, sign, experiment, cfo_hz, walk):
+        # the runner's spans of a frame: the segments its contents fill
+        if experiment == "RX_BF":
+            runner = _RxRunner(ScenarioConfig(experiment=experiment))
+            frames = [waveform.source_frame(runner.mesh, 5)]
+        else:
+            runner = _TxRunner(ScenarioConfig(experiment=experiment, mesh=MeshConfig(cycle_period_s=0.25)))
+            frames = waveform.node_frames(runner.mesh, 5)
+        for contents in frames:
+            x = waveform.build_frame(runner.layout, contents, FS).samples
+            spans = runner._spans(contents)
+            new, old = _twin_nodes(cfo_hz, walk)
+            y = _impress_lo(x.copy(), new, FS, sign, spans)
+            expect = _old_node_imperfections(x, old, sign)
+            assert np.array_equal(y, expect)  # outside the spans: zeros, of either sign in the old
+            inside = np.zeros(len(x), dtype=bool)
+            for lo, hi in spans:
+                inside[lo:hi] = True
+            assert np.array_equal(_bits(y[inside]), _bits(expect[inside]))
+            assert not np.any(x[~inside]) and not np.any(y[~inside])
+            assert _same_state(new, old)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stage", ["frame", "noise"])
+    def test_non_finite_received_sample_raises(self, monkeypatch, bad, stage):
+        runner = _TxRunner(ScenarioConfig(experiment="TX_BF", mesh=MeshConfig(cycle_period_s=0.25)))
+        sent = runner._transmit(0, CycleRecord(cycle=0, t_virtual_s=0.0), [])
+        if stage == "frame":
+            sent[1][1][20000] = bad
+        else:
+            real = impairments._add_noise
+
+            def add_then_spoil(x, power, rng):
+                real(x, power, rng)[777] = bad
+                return x
+
+            monkeypatch.setattr(scenario, "_add_noise", add_then_spoil)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+            runner._receive(0, runner._arrivals(sent, 0))

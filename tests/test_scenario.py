@@ -8,8 +8,10 @@ import pytest
 
 from dcbf import waveform
 from dcbf.core import ConfigError, MeshConfig
+from dcbf.estimation import AcquisitionError
 from dcbf.scenario import (
     EXPERIMENTS,
+    MAX_MMSE_UNKNOWNS,
     CycleRecord,
     ScenarioConfig,
     _RxRunner,
@@ -128,6 +130,40 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape("channels.A->n1")):
             validate_scenario(ScenarioConfig(experiment="RX_BF", channels={"A->n1": spec}))
 
+    @pytest.mark.parametrize(
+        "experiment, channels",
+        [
+            ("TX_BF", None),
+            ("RX_BF", None),
+            ("TX_NULL", {"n2->C": {"taps": [[1.0, 0.0]] * 3, "tof": 40}}),  # C's link lengthens the buffer
+            ("RX_BF", {"J->n1": {"taps": [[1.0, 0.0]], "tof": 90}}),  # a silent interferer's link too
+        ],
+    )
+    def test_cycle_period_shorter_than_receive_buffer_rejected(self, experiment, channels):
+        cfg = ScenarioConfig(experiment=experiment, channels=channels, mesh=TX_MESH)
+        buf_len = _RxRunner(cfg).buf_len if experiment == "RX_BF" else _TxRunner(cfg).buf_len
+        fs = cfg.mesh.sample_rate_hz
+        validate_scenario(dataclasses.replace(cfg, mesh=MeshConfig(cycle_period_s=buf_len / fs)))
+        short = dataclasses.replace(cfg, mesh=MeshConfig(cycle_period_s=(buf_len - 1) / fs))
+        with pytest.raises(ConfigError, match=re.escape("mesh.cycle_period_s")):
+            validate_scenario(short)
+
+    def test_t_w_bounded_before_any_allocation(self):
+        import tracemalloc
+
+        validate_scenario(ScenarioConfig(t_w=8))  # bundled
+        validate_scenario(ScenarioConfig(t_w=MAX_MMSE_UNKNOWNS // 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="t_w"):
+                _RxRunner(ScenarioConfig(t_w=100000))
+            with pytest.raises(ConfigError, match="t_w"):
+                validate_scenario(ScenarioConfig(t_w=MAX_MMSE_UNKNOWNS // 3 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -198,6 +234,16 @@ class TestRxBeamforming:
             # two-node combining still happens
             assert np.isfinite(r.gain_snr_db)
             assert 2.5 <= r.gain_snr_db <= 3.5  # ~10log10(2)
+
+    def test_failed_acquisition_keeps_best_statistic(self):
+        channels = {"A->n3": {"taps": [[1e-6, 0.0]], "tof": 0}}
+        cfg = ScenarioConfig(experiment="RX_BF", n_cycles=1, seed=24, channels=channels)
+        runner = _RxRunner(cfg)
+        sent = runner._transmit(0, CycleRecord(cycle=0, t_virtual_s=0.0), [])
+        with pytest.raises(AcquisitionError) as err:
+            runner._receive(2, runner._arrivals(sent, 2))
+        assert 0.0 < err.value.best_stat < cfg.detection_threshold
+        assert err.value.threshold == cfg.detection_threshold
 
     def test_mesh_nodes_have_ideal_ots_clocks(self):
         runner = _RxRunner(ScenarioConfig(experiment="RX_BF", n_cycles=1, seed=3))
