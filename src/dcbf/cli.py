@@ -118,54 +118,48 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# cycles.csv columns between "flags" and "beamformer_ref": each per-node
+# CycleRecord list as (header stem, field), one column per node suffixed
+# _1.._N, then the mesh-wide fields under their own names.
+_NODE_FIELDS = (
+    ("siso_snr_db", "siso_snr_db"),
+    ("siso_inr_db", "siso_inr_db"),
+    ("siso_sinr_db", "siso_sinr_db"),
+    ("det_stat", "detection_stat"),
+    ("cfo_hz", "cfo_est_hz"),
+)
+_MESH_FIELDS = (
+    "bf_snr_db",
+    "bf_inr_db",
+    "bf_sinr_db",
+    "gain_snr_db",
+    "sinr_improvement_db",
+    "inr_reduction_db",
+    "bf_snr_c_db",
+    "gain_c_db",
+)
+
+
+def _node_value(values: list[float], i: int) -> float:
+    return values[i] if i < len(values) else float("nan")
+
+
 def cycle_csv_lines(records: list[CycleRecord], n_nodes: int, manifest: str) -> list[str]:
-    cols = ["cycle", "t_virtual_s", "flags"]
-    for i in range(1, n_nodes + 1):
-        cols += [
-            f"siso_snr_db_{i}",
-            f"siso_inr_db_{i}",
-            f"siso_sinr_db_{i}",
-            f"det_stat_{i}",
-            f"cfo_hz_{i}",
-        ]
-    cols += [
-        "bf_snr_db",
-        "bf_inr_db",
-        "bf_sinr_db",
-        "gain_snr_db",
-        "sinr_improvement_db",
-        "inr_reduction_db",
-        "bf_snr_c_db",
-        "gain_c_db",
-        "beamformer_ref",
+    # (header, cell of a record) per column; the header and every row read it
+    columns = [
+        ("cycle", lambda r: str(r.cycle)),
+        ("t_virtual_s", lambda r: _fmt(r.t_virtual_s)),
+        ("flags", lambda r: r.flags),
     ]
-    lines = [f"# schema={CSV_SCHEMA} manifest={manifest}", ",".join(cols)]
-
-    def node_val(lst: list[float], i: int) -> float:
-        return lst[i] if i < len(lst) else float("nan")
-
-    for r in records:
-        row = [str(r.cycle), _fmt(r.t_virtual_s), r.flags]
-        for i in range(n_nodes):
-            row += [
-                _fmt(node_val(r.siso_snr_db, i)),
-                _fmt(node_val(r.siso_inr_db, i)),
-                _fmt(node_val(r.siso_sinr_db, i)),
-                _fmt(node_val(r.detection_stat, i)),
-                _fmt(node_val(r.cfo_est_hz, i)),
-            ]
-        row += [
-            _fmt(r.bf_snr_db),
-            _fmt(r.bf_inr_db),
-            _fmt(r.bf_sinr_db),
-            _fmt(r.gain_snr_db),
-            _fmt(r.sinr_improvement_db),
-            _fmt(r.inr_reduction_db),
-            _fmt(r.bf_snr_c_db),
-            _fmt(r.gain_c_db),
-            r.beamformer_ref,
-        ]
-        lines.append(",".join(row))
+    columns += [
+        (f"{stem}_{i + 1}", lambda r, field=field, i=i: _fmt(_node_value(getattr(r, field), i)))
+        for i in range(n_nodes)
+        for stem, field in _NODE_FIELDS
+    ]
+    columns += [(field, lambda r, field=field: _fmt(getattr(r, field))) for field in _MESH_FIELDS]
+    columns.append(("beamformer_ref", lambda r: r.beamformer_ref))
+    lines = [f"# schema={CSV_SCHEMA} manifest={manifest}", ",".join(name for name, _ in columns)]
+    lines += [",".join(cell(r) for _, cell in columns) for r in records]
     return lines
 
 

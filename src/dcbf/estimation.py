@@ -208,16 +208,7 @@ def estimate_channel(
     Minimizes ||z_window - conv(s_ref, h)||^2 over h of length t_h via the
     normal equations. CFO must already be corrected on the window.
     """
-    ref = s_ref.samples
-    if len(ref) < 4 * t_h:
-        raise ValueError(f"reference length {len(ref)} < 4*t_h = {4 * t_h}")
-    rows = len(ref) + t_h - 1
-    y = z.samples[tau_hat : tau_hat + rows]
-    if len(y) != rows:
-        raise ValueError("observation window not inside signal")
-    design = _conv_design_matrix(ref, t_h)
-    h, resid = _ls_solve(design, y)
-    return ChannelEstimate(taps=h, residual_power=resid, label=label)
+    return estimate_channels_joint(z, [s_ref], tau_hat, t_h, [label])[0]
 
 
 def estimate_channels_joint(
@@ -240,7 +231,7 @@ def estimate_channels_joint(
         raise ValueError("references must share a length")
     (t_ref,) = lens
     if t_ref < 4 * t_h * len(refs):
-        raise ValueError("reference too short for joint estimation")
+        raise ValueError(f"reference length {t_ref} < 4*t_h*{len(refs)} = {4 * t_h * len(refs)}")
     rows = t_ref + t_h - 1
     y = z.samples[tau_hat : tau_hat + rows]
     if len(y) != rows:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -87,11 +88,14 @@ def estimate_offset(
 
 
 # ---------------------------------------------------------------------------
-# Extended Golay (24,12)
+# FEC: extended Golay (24,12) inner code, Hamming (7,4) outer code
 # ---------------------------------------------------------------------------
+# Both codes are systematic, generator [I | B]: a codeword is the data word
+# followed by the XOR of the B rows its data bits select (the data MSB selects
+# row 0), so a received word's syndrome is the parity its data bits imply XOR
+# the parity it carries. Every table below is derived from the B rows.
 
-# Characteristic matrix of the extended binary Golay code; generator is
-# [I | B], parity check transpose is [B ; I].
+# Characteristic matrix of the extended binary Golay code.
 _GOLAY_B_ROWS = (
     0b110111000101,
     0b101110001011,
@@ -106,55 +110,72 @@ _GOLAY_B_ROWS = (
     0b011011100011,
     0b111111111110,
 )
+# Hamming parity bits p = (d0^d1^d3, d0^d2^d3, d1^d2^d3), d0 the data MSB:
+# row i holds the parity bits that data bit d_i enters.
+_HAMMING_B_ROWS = (0b110, 0b101, 0b011, 0b111)
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def _to_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """The low `width` bits of each value, MSB first, concatenated (uint8)."""
+    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8).ravel()
 
 
-def _build_golay_tables():
-    # parity of a 12-bit data word: XOR of B rows selected by data bits
-    # (bit 11 of the word selects row 0)
-    enc = np.zeros(4096, dtype=np.uint32)
-    for data in range(4096):
-        parity = 0
-        for i in range(12):
-            if (data >> (11 - i)) & 1:
-                parity ^= _GOLAY_B_ROWS[i]
-        enc[data] = (data << 12) | parity
-    # syndrome of a single set bit at position p (bit 23 = first data bit)
-    col_synd = np.zeros(24, dtype=np.uint32)
-    for p in range(24):
-        if p >= 12:  # data region: syndrome = B row
-            col_synd[p] = _GOLAY_B_ROWS[23 - p]
-        else:  # parity region: syndrome = unit vector
-            col_synd[p] = 1 << p
-    # syndrome -> correctable error pattern (weight <= 3), else -1
-    err_table = np.full(4096, -1, dtype=np.int64)
-    err_table[0] = 0
-    positions = range(24)
-    for a in positions:
-        err_table[col_synd[a]] = 1 << a
-    for a in positions:
-        for b in range(a + 1, 24):
-            err_table[col_synd[a] ^ col_synd[b]] = (1 << a) | (1 << b)
-    for a in positions:
-        for b in range(a + 1, 24):
-            for c in range(b + 1, 24):
-                err_table[col_synd[a] ^ col_synd[b] ^ col_synd[c]] = (1 << a) | (1 << b) | (1 << c)
-    # byte-wise syndrome lookup: word = byte2|byte1|byte0 (bits 23..0)
-    synd_by_byte = np.zeros((3, 256), dtype=np.uint32)
-    for byte_idx in range(3):
-        for val in range(256):
-            s = 0
-            for bit in range(8):
-                if (val >> bit) & 1:
-                    s ^= int(col_synd[byte_idx * 8 + bit])
-            synd_by_byte[byte_idx, val] = s
-    return enc, err_table, synd_by_byte
+def _from_bits(bits: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of _to_bits: one integer per `width` bits, MSB first."""
+    return bits.reshape(-1, width) @ (1 << np.arange(width - 1, -1, -1))
 
 
-_GOLAY_ENC, _GOLAY_ERR, _GOLAY_SYND = _build_golay_tables()
+def _encoder_table(b_rows: tuple[int, ...], parity_bits: int) -> np.ndarray:
+    """Codeword of every data word under generator [I | B]."""
+    # from the last row (data LSB) up, each row adds the next higher data bit:
+    # the table so far is the words with that bit clear, XOR the row with it set
+    parity = np.zeros(1, dtype=np.int64)
+    for row in reversed(b_rows):
+        parity = np.append(parity, parity ^ row)
+    return (np.arange(len(parity)) << parity_bits) | parity
+
+
+def _error_patterns(n: int, max_weight: int) -> np.ndarray:
+    """Every n-bit error pattern with at most max_weight bits set."""
+    return np.array(
+        [sum(1 << p for p in bits) for w in range(max_weight + 1) for bits in combinations(range(n), w)]
+    )
+
+
+_GOLAY_ENC = _encoder_table(_GOLAY_B_ROWS, 12).astype(np.uint32)
+
+
+def _golay_syndrome(words: np.ndarray) -> np.ndarray:
+    return (_GOLAY_ENC[words >> 12] ^ words) & 0xFFF
+
+
+def _golay_error_table() -> np.ndarray:
+    """Syndrome -> correctable error pattern (weight <= 3), else -1. Distance
+    8 keeps the syndromes of the 2,325 correctable patterns distinct."""
+    patterns = _error_patterns(24, 3)
+    table = np.full(4096, -1, dtype=np.int64)
+    table[_golay_syndrome(patterns)] = patterns
+    return table
+
+
+_GOLAY_ERR = _golay_error_table()
+
+_HAMMING_ENC = _encoder_table(_HAMMING_B_ROWS, 3).astype(np.uint8)
+
+
+def _hamming_decode_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Word -> (data, corrected): the code is perfect, so every 7-bit word is
+    a codeword or one bit flip away from exactly one."""
+    flips = _error_patterns(7, 1)
+    received = _HAMMING_ENC[:, None] ^ flips
+    data = np.zeros(128, dtype=np.uint8)
+    corrected = np.zeros(128, dtype=np.uint8)
+    data[received] = np.arange(16)[:, None]
+    corrected[received] = flips != 0
+    return data, corrected
+
+
+_HAMMING_DATA, _HAMMING_CORR = _hamming_decode_tables()
 
 
 class FecError(ValueError):
@@ -169,13 +190,15 @@ def golay_encode(data: int) -> int:
     return int(_GOLAY_ENC[data])
 
 
-def _golay_syndrome_many(words: np.ndarray) -> np.ndarray:
-    words = words.astype(np.uint32)
-    return (
-        _GOLAY_SYND[0, words & 0xFF]
-        ^ _GOLAY_SYND[1, (words >> 8) & 0xFF]
-        ^ _GOLAY_SYND[2, (words >> 16) & 0xFF]
-    )
+def _golay_decode(words: np.ndarray) -> tuple[np.ndarray, int]:
+    """Decode 24-bit words; returns (data words, total corrected bits).
+
+    Raises FecError if any word carries a detectable heavier pattern."""
+    err = _GOLAY_ERR[_golay_syndrome(words)]
+    failed = int((err < 0).sum())
+    if failed:
+        raise FecError(f"Golay decode failure in {failed} block(s): >= 4 bit errors detected")
+    return (words ^ err) >> 12, int(_to_bits(err, 24).sum())
 
 
 def golay_decode(word: int) -> tuple[int, int]:
@@ -187,48 +210,8 @@ def golay_decode(word: int) -> tuple[int, int]:
     """
     if not (0 <= word < (1 << 24)):
         raise ValueError("word must be a 24-bit value")
-    synd = int(_golay_syndrome_many(np.array([word]))[0])
-    err = int(_GOLAY_ERR[synd])
-    if err < 0:
-        raise FecError("Golay decode failure: >= 4 bit errors detected")
-    corrected = word ^ err
-    return corrected >> 12, _popcount(err)
-
-
-def _golay_decode_many(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode: (data, corrected_count, failed_mask)."""
-    synd = _golay_syndrome_many(words)
-    err = _GOLAY_ERR[synd]
-    failed = err < 0
-    err_ok = np.where(failed, 0, err).astype(np.uint32)
-    corrected = (words.astype(np.uint32) ^ err_ok) >> 12
-    counts = np.array([_popcount(int(e)) for e in err_ok])
-    return corrected.astype(np.uint32), counts, failed
-
-
-# ---------------------------------------------------------------------------
-# Hamming (7,4)
-# ---------------------------------------------------------------------------
-
-# G = [I4 | P] with parity bits p = (d0^d1^d3, d0^d2^d3, d1^d2^d3)
-_HAMMING_ENC = np.zeros(16, dtype=np.uint8)
-for _d in range(16):
-    d0, d1, d2, d3 = (_d >> 3) & 1, (_d >> 2) & 1, (_d >> 1) & 1, _d & 1
-    p0 = d0 ^ d1 ^ d3
-    p1 = d0 ^ d2 ^ d3
-    p2 = d1 ^ d2 ^ d3
-    _HAMMING_ENC[_d] = (_d << 3) | (p0 << 2) | (p1 << 1) | p2
-
-_HAMMING_DATA = np.zeros(128, dtype=np.uint8)
-_HAMMING_CORR = np.zeros(128, dtype=np.uint8)
-for _w in range(128):
-    best = None
-    for _d in range(16):
-        dist = _popcount(_w ^ int(_HAMMING_ENC[_d]))
-        if best is None or dist < best[0]:
-            best = (dist, _d)
-    _HAMMING_DATA[_w] = best[1]
-    _HAMMING_CORR[_w] = 1 if best[0] else 0
+    data, corrected = _golay_decode(np.array([word]))
+    return int(data[0]), corrected
 
 
 def hamming_encode(data: int) -> int:
@@ -313,21 +296,20 @@ def _message_payload(msg: SyncMessage) -> bytes:
 
 
 def _parse_payload(raw: bytes) -> SyncMessage:
-    header = raw[0]
-    kind = MessageKind(header & 0xF)
-    indexed = bool((header >> 4) & _FLAG_INDEXED)
-    pos = 1
+    """Inverse of _message_payload; bytes past what the header promises are
+    block padding and are ignored."""
+    kind = MessageKind(raw[0] & 0xF)
+    indexed = bool((raw[0] >> 4) & _FLAG_INDEXED)
+    if len(raw) < _expected_payload_bytes(kind, indexed):
+        raise ValueError("payload shorter than header promises")
     if indexed:
-        ref_index, ref_ts = int(raw[pos]), None
-        pos += 1
+        ref_index, ref_ts, pos = raw[1], None, 2
     else:
-        ref_index, ref_ts = None, _timestamp_from_bytes(raw[pos : pos + 16])
-        pos += 16
+        ref_index, ref_ts, pos = None, _timestamp_from_bytes(raw[1:17]), 17
     t_tx_l = t_rx_l = None
     if kind == MessageKind.LEADER_REPLY:
         t_tx_l = _timestamp_from_bytes(raw[pos : pos + 16])
         t_rx_l = _timestamp_from_bytes(raw[pos + 16 : pos + 32])
-        pos += 32
     return SyncMessage(
         kind=kind,
         t_tx_follower=ref_ts,
@@ -338,59 +320,36 @@ def _parse_payload(raw: bytes) -> SyncMessage:
 
 
 def _expected_payload_bytes(kind: MessageKind, indexed: bool) -> int:
-    n = 1 + (1 if indexed else 16)
-    if kind == MessageKind.LEADER_REPLY:
-        n += 32
-    return n
+    return 1 + (1 if indexed else 16) + (32 if kind == MessageKind.LEADER_REPLY else 0)
 
 
 def encode_sync_message(msg: SyncMessage) -> np.ndarray:
     """Serialize, apply the outer Hamming(7,4) then inner Golay(24,12), and
     return the coded bit sequence (uint8, MSB-first within each field)."""
     data_bits = np.unpackbits(np.frombuffer(_message_payload(msg), dtype=np.uint8))
-    # outer code: 4 data bits -> 7
-    nibbles = data_bits.reshape(-1, 4)
-    nib_vals = (nibbles * [8, 4, 2, 1]).sum(axis=1)
-    ham = _HAMMING_ENC[nib_vals]
-    ham_bits = ((ham[:, None] >> np.arange(6, -1, -1)) & 1).astype(np.uint8).ravel()
-    # inner code: 12 coded bits -> 24; zero-pad to a block boundary
-    pad = (-len(ham_bits)) % 12
-    ham_bits = np.concatenate([ham_bits, np.zeros(pad, dtype=np.uint8)])
-    blocks = ham_bits.reshape(-1, 12)
-    words = (blocks * (1 << np.arange(11, -1, -1))).sum(axis=1)
-    code = _GOLAY_ENC[words]
-    out = ((code[:, None] >> np.arange(23, -1, -1)) & 1).astype(np.uint8).ravel()
-    return out
+    ham_bits = _to_bits(_HAMMING_ENC[_from_bits(data_bits, 4)], 7)
+    # inner code: zero-pad to a 12-bit block boundary
+    ham_bits = np.append(ham_bits, np.zeros(-len(ham_bits) % 12, dtype=np.uint8))
+    return _to_bits(_GOLAY_ENC[_from_bits(ham_bits, 12)], 24)
 
 
 def decode_sync_message(bits: np.ndarray) -> tuple[SyncMessage, int]:
     """Invert encode_sync_message; returns (message, corrected_bit_count).
 
     Raises FecError when any inner block fails, and ValueError on a
-    malformed (wrong-length or inconsistent) payload.
+    malformed (wrong-length, non-binary or inconsistent) input.
     """
     bits = np.asarray(bits).astype(np.uint8).ravel()
-    if len(bits) % 24:
-        raise ValueError(f"coded bit count {len(bits)} is not a multiple of 24")
-    words = (bits.reshape(-1, 24) * (1 << np.arange(23, -1, -1))).sum(axis=1)
-    data12, counts, failed = _golay_decode_many(words.astype(np.uint32))
-    if failed.any():
-        raise FecError(f"Golay decode failure in {int(failed.sum())} block(s)")
-    corrected = int(counts.sum())
-    ham_bits = ((data12[:, None] >> np.arange(11, -1, -1)) & 1).astype(np.uint8).ravel()
-    n_words = len(ham_bits) // 7
-    ham_words = (ham_bits[: n_words * 7].reshape(-1, 7) * (1 << np.arange(6, -1, -1))).sum(axis=1)
+    if len(bits) % 24 or not len(bits):
+        raise ValueError(f"coded bit count {len(bits)} is not a positive multiple of 24")
+    if bits.max() > 1:
+        raise ValueError("coded bits must be 0 or 1")
+    data12, corrected = _golay_decode(_from_bits(bits, 24))
+    ham_bits = _to_bits(data12, 12)
+    ham_words = _from_bits(ham_bits[: len(ham_bits) // 7 * 7], 7)
     corrected += int(_HAMMING_CORR[ham_words].sum())
-    nibbles = _HAMMING_DATA[ham_words]
-    data_bits = ((nibbles[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8).ravel()
-    payload = np.packbits(data_bits).tobytes()
-    header = payload[0]
-    kind = MessageKind(header & 0xF)
-    indexed = bool((header >> 4) & _FLAG_INDEXED)
-    need = _expected_payload_bytes(kind, indexed)
-    if len(payload) < need:
-        raise ValueError("payload shorter than header promises")
-    return _parse_payload(payload[:need]), corrected
+    payload = np.packbits(_to_bits(_HAMMING_DATA[ham_words], 4)).tobytes()
+    return _parse_payload(payload), corrected
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,22 @@ class TestBounds:
         assert rc == 2
 
 
+# sync-demo's LEADER_REPLY after Hamming(7,4) and Golay(24,12): 58 blocks of 24 bits
+SYNC_DEMO_WIRE = (
+    "004b71c0064e00000000000000000000000000000000000000391d600c9ce493a9800dc50000"
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000036e2000e82b5b0a4f000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000003600e20e4ef2e254b90000000000"
+    "00000000000000000000000000000000000000000000"
+)
+
+
 class TestSyncDemo:
+    def test_wire_format_pinned(self, capsys):
+        assert main(["sync-demo", "--rounds", "0"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"encoded LEADER_REPLY (1392 coded bits): {SYNC_DEMO_WIRE}"
+
     def test_prints_rounds_and_hexdump(self, capsys):
         rc = main(["sync-demo", "--rounds", "2", "--snr-db", "20"])
         assert rc == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcbf import timesync
 from dcbf.core import NodeState, substream
 from dcbf.impairments import ChannelModel, NoiseSpec
 from dcbf.timesync import (
@@ -109,6 +110,100 @@ class TestHamming:
                 assert bin(words[i] ^ words[j]).count("1") >= 3
 
 
+def _oracle_golay_tables():
+    """The Golay tables built bit by bit with Python loops: encoder, and
+    syndrome -> error pattern found by trying every pattern of weight <= 3."""
+    b_rows = timesync._GOLAY_B_ROWS
+    enc = np.zeros(4096, dtype=np.uint32)
+    for data in range(4096):
+        parity = 0
+        for i in range(12):
+            if (data >> (11 - i)) & 1:
+                parity ^= b_rows[i]
+        enc[data] = (data << 12) | parity
+    # syndrome of a single set bit at position p (bit 23 = first data bit)
+    col_synd = [b_rows[23 - p] if p >= 12 else 1 << p for p in range(24)]
+    err_table = np.full(4096, -1, dtype=np.int64)
+    err_table[0] = 0
+    for a in range(24):
+        err_table[col_synd[a]] = 1 << a
+    for a in range(24):
+        for b in range(a + 1, 24):
+            err_table[col_synd[a] ^ col_synd[b]] = (1 << a) | (1 << b)
+    for a in range(24):
+        for b in range(a + 1, 24):
+            for c in range(b + 1, 24):
+                err_table[col_synd[a] ^ col_synd[b] ^ col_synd[c]] = (1 << a) | (1 << b) | (1 << c)
+    return enc, err_table
+
+
+def _oracle_hamming_tables():
+    """The Hamming tables from the parity equations and a brute-force
+    nearest-codeword search over all 128 words."""
+    enc = np.zeros(16, dtype=np.uint8)
+    for d in range(16):
+        d0, d1, d2, d3 = (d >> 3) & 1, (d >> 2) & 1, (d >> 1) & 1, d & 1
+        p0 = d0 ^ d1 ^ d3
+        p1 = d0 ^ d2 ^ d3
+        p2 = d1 ^ d2 ^ d3
+        enc[d] = (d << 3) | (p0 << 2) | (p1 << 1) | p2
+    data = np.zeros(128, dtype=np.uint8)
+    corr = np.zeros(128, dtype=np.uint8)
+    for w in range(128):
+        best = None
+        for d in range(16):
+            dist = bin(w ^ int(enc[d])).count("1")
+            if best is None or dist < best[0]:
+                best = (dist, d)
+        data[w] = best[1]
+        corr[w] = 1 if best[0] else 0
+    return enc, data, corr
+
+
+class TestFecTablesOracle:
+    """The FEC tables derived from the codes' structure equal the tables the
+    loop-by-loop construction gives, dtype included."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_golay_tables(self):
+        enc, err = _oracle_golay_tables()
+        self._assert_same(timesync._GOLAY_ENC, enc)
+        self._assert_same(timesync._GOLAY_ERR, err)
+        assert int((err >= 0).sum()) == 2325  # 1 + 24 + 276 + 2024 patterns
+
+    def test_hamming_tables(self):
+        enc, data, corr = _oracle_hamming_tables()
+        self._assert_same(timesync._HAMMING_ENC, enc)
+        self._assert_same(timesync._HAMMING_DATA, data)
+        self._assert_same(timesync._HAMMING_CORR, corr)
+
+    def test_golay_decode_matches_table_oracle(self):
+        # codewords of 64 data words under 0..8 random flips: decoded data
+        # and count (miscorrections included) from the oracle tables,
+        # FecError where they have no pattern
+        enc, err = _oracle_golay_tables()
+        rng = substream(8, "test", "golay-oracle")
+        for data in rng.integers(0, 4096, 64):
+            for n_flips in range(9):
+                word = int(enc[data])
+                for p in rng.choice(24, size=n_flips, replace=False):
+                    word ^= 1 << int(p)
+                syndrome = 0
+                for p in range(24):
+                    if (word >> p) & 1:
+                        syndrome ^= timesync._GOLAY_B_ROWS[23 - p] if p >= 12 else 1 << p
+                e = int(err[syndrome])
+                if e < 0:
+                    with pytest.raises(FecError):
+                        golay_decode(word)
+                else:
+                    assert golay_decode(word) == ((word ^ e) >> 12, bin(e).count("1"))
+
+
 class TestMessageCodec:
     def _roundtrip(self, msg):
         decoded, corrected = decode_sync_message(encode_sync_message(msg))
@@ -155,6 +250,16 @@ class TestMessageCodec:
         bits = encode_sync_message(msg)
         bits[:10] ^= 1  # 10 errors in the first block
         with pytest.raises((FecError, ValueError)):
+            decode_sync_message(bits)
+
+    def test_malformed_bit_input_rejected(self):
+        bits = encode_sync_message(SyncMessage(MessageKind.FOLLOWER_PROBE, follower_index=3))
+        with pytest.raises(ValueError, match="multiple of 24"):
+            decode_sync_message(bits[:-1])
+        with pytest.raises(ValueError, match="multiple of 24"):
+            decode_sync_message(bits[:0])
+        bits[5] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
             decode_sync_message(bits)
 
     def test_message_validation(self):
