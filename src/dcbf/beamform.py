@@ -218,12 +218,14 @@ def _windows(z: np.ndarray, taus: np.ndarray, offset: int, length: int) -> np.nd
 
 def _lagged_products(a: np.ndarray, b: np.ndarray, lags) -> np.ndarray:
     """out[k, i, j] = sum_t a[i, t] * conj(b[j, t + lags[k]]) over the t where
-    both rows hold samples (rows of equal length)."""
+    both rows hold samples (rows of equal length): zero once |lags[k]| reaches
+    the row length."""
     n = a.shape[1]
     out = np.empty((len(lags), len(a), len(b)), dtype=np.complex128)
     for k, m in enumerate(lags):
-        for i, ai in enumerate(a[:, max(0, -m) : n - max(0, m)]):
-            for j, bj in enumerate(b[:, max(0, m) : n - max(0, -m)]):
+        overlap = max(n - abs(m), 0)
+        for i, ai in enumerate(a[:, max(0, -m) :][:, :overlap]):
+            for j, bj in enumerate(b[:, max(0, m) :][:, :overlap]):
                 out[k, i, j] = np.vdot(bj, ai)
     return out
 

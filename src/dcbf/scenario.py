@@ -295,7 +295,7 @@ class _Runner:
 
     def _matched(self, x: np.ndarray) -> ComplexSignal:
         """x through the receive matched filter."""
-        return ComplexSignal(np.convolve(x, self.pulse, mode="same"), self.fs)
+        return ComplexSignal(waveform._centered_convolve(x, self.pulse), self.fs)
 
     def _spans(self, contents: dict[str, np.ndarray]) -> list[tuple[int, int]]:
         """(start, stop) of the layout segments that contents fill: where
@@ -661,6 +661,8 @@ class _TxRunner(_Runner):
             rec.cfo_est_hz = [float("nan")] * self.n
         if len(est_entry) == len(self.receivers):
             self.estimates[k] = est_entry
+        # this cycle read the estimates of cycle k - feedback_latency_cycles; no later cycle reads them
+        self.estimates.pop(k - self.cfg.feedback_latency_cycles, None)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[CycleRecord]:

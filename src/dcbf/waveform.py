@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, Segment, substream
 
 __all__ = [
-    "PRIMITIVE_TAPS",
     "gen_mls",
     "modulate",
     "rrc_taps",
@@ -45,30 +45,13 @@ __all__ = [
 RX_FRAME_TOTAL = 75560
 TX_FRAME_TOTAL = 91472
 
-# Feedback tap sets (polynomial exponents, constant term implied) that yield
-# maximal-length sequences for the recurrence a[n] = xor(a[n-t] for t in taps).
-# Verified by exhaustive period check: each entry has period 2^m - 1.
-PRIMITIVE_TAPS: dict[int, tuple[tuple[int, ...], ...]] = {
-    5: ((5, 3), (5, 2), (5, 4, 3, 2), (5, 4, 3, 1), (5, 4, 2, 1), (5, 3, 2, 1)),
-    6: ((6, 5), (6, 1), (6, 5, 4, 1), (6, 5, 3, 2), (6, 5, 2, 1), (6, 4, 3, 1)),
-    7: ((7, 6), (7, 4), (7, 3), (7, 1), (7, 6, 5, 4), (7, 6, 5, 2)),
-    8: ((8, 7, 6, 1), (8, 7, 5, 3), (8, 7, 3, 2), (8, 7, 2, 1), (8, 6, 5, 4), (8, 6, 5, 3)),
-    9: ((9, 5), (9, 4), (9, 8, 7, 2), (9, 8, 6, 5), (9, 8, 5, 4), (9, 8, 5, 1)),
-    10: ((10, 7), (10, 3), (10, 9, 8, 5), (10, 9, 7, 6), (10, 9, 7, 3), (10, 9, 6, 1)),
-    11: ((11, 9), (11, 2), (11, 10, 9, 7), (11, 10, 9, 5), (11, 10, 9, 2), (11, 10, 8, 6)),
-    12: ((12, 11, 10, 4), (12, 11, 10, 2), (12, 11, 8, 6), (12, 11, 7, 4), (12, 10, 9, 3), (12, 10, 5, 4)),
-    13: ((13, 12, 11, 8), (13, 12, 11, 2), (13, 12, 11, 1), (13, 12, 10, 9), (13, 12, 10, 6), (13, 12, 10, 3)),
-    14: ((14, 13, 12, 2), (14, 13, 11, 9), (14, 13, 11, 4), (14, 13, 10, 8), (14, 13, 10, 6), (14, 13, 10, 3)),
-}
-
-
 def gen_mls(m: int, taps: tuple[int, ...] | None = None, init_state: int = 1) -> np.ndarray:
     """Generate one period of a maximum length sequence, mapped to +/-1.
 
     Args:
         m: register length; sequence length is 2**m - 1.
         taps: polynomial exponents (max must equal m). Defaults to the first
-            shipped tap set for m in [5, 14].
+            primitive tap set of order m (_primitive_taps).
         init_state: nonzero register seed; bit i (LSB first) seeds chip i.
             Selects the sequence phase only.
 
@@ -77,13 +60,11 @@ def gen_mls(m: int, taps: tuple[int, ...] | None = None, init_state: int = 1) ->
         to +1, so the sequence carries 2**(m-1) ones and 2**(m-1) - 1
         minus-ones.
     """
-    if taps is None:
-        if m not in PRIMITIVE_TAPS:
-            raise ValueError(f"no shipped tap set for m={m}; supply taps explicitly")
-        taps = PRIMITIVE_TAPS[m][0]
-    taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
     if m < 2 or m > 20:
         raise ValueError(f"m={m} out of supported range [2, 20]")
+    if taps is None:
+        taps = _primitive_taps(m, 1)[0]
+    taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
     if taps[0] != m or taps[-1] < 1:
         raise ValueError(f"taps {taps} must have maximum exponent m={m} and minimum >= 1")
     init_state = int(init_state) % (1 << m)
@@ -105,6 +86,24 @@ def gen_mls(m: int, taps: tuple[int, ...] | None = None, init_state: int = 1) ->
     if n != length - 1:
         raise ValueError(f"taps {taps} are not primitive for m={m}")
     return (2 * np.array(bits, dtype=np.int8) - 1).astype(np.int8)
+
+
+@lru_cache(maxsize=256)
+def _primitive_taps(m: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The first count primitive tap sets of order m, or the whole family
+    when it holds fewer: trinomials (m, a) for a = m - 1 .. 1, then
+    pentanomials (m, a, b, c) in descending lexicographic order, each kept
+    when gen_mls accepts it. Orders 2..8 hold 1, 2, 2, 6, 6, 14 and 12."""
+    found: list[tuple[int, ...]] = []
+    for rest in (r for k in (1, 3) for r in combinations(range(m - 1, 0, -1), k)):
+        if len(found) == count:
+            break
+        try:
+            gen_mls(m, (m, *rest))
+        except ValueError:
+            continue
+        found.append((m, *rest))
+    return tuple(found)
 
 
 def _gray_decode4(g: np.ndarray) -> np.ndarray:
@@ -168,6 +167,13 @@ def rrc_taps(sps: int = 2, rolloff: float = 0.35, span: int = 8) -> np.ndarray:
     return taps / np.linalg.norm(taps)
 
 
+def _centered_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """np.convolve(x, taps, "same") for any lengths: "same" centres on taps instead when they are the longer."""
+    if len(x) >= len(taps):
+        return np.convolve(x, taps, mode="same")  # a fresh array: the caller's arithmetic on it runs in place
+    return np.convolve(x, taps)[(len(taps) - 1) // 2 :][: len(x)]
+
+
 def shape_symbols(symbols: np.ndarray, sps: int, taps: np.ndarray) -> np.ndarray:
     """Upsample by sps and pulse-shape, keeping length len(symbols)*sps.
 
@@ -177,7 +183,7 @@ def shape_symbols(symbols: np.ndarray, sps: int, taps: np.ndarray) -> np.ndarray
     """
     up = np.zeros(len(symbols) * sps, dtype=np.complex128)
     up[::sps] = symbols
-    return np.convolve(up, taps, mode="same") * np.sqrt(sps)
+    return _centered_convolve(up, taps) * np.sqrt(sps)
 
 
 # Every frame carries QPSK or 256-QAM at SPS samples per symbol, shaped by PULSE.
@@ -196,33 +202,28 @@ def _amble_mls_order(amble_len: int) -> int:
     return ((amble_len // SPS) * 2).bit_length() - 1
 
 
-def _check_frame(cfg: MeshConfig, n_polys: int) -> None:
-    """Both frame designs need even lengths (whole symbols), and n_polys
-    distinct shipped MLS polynomials of the order that fills an amble."""
+def _frame_layout(
+    parts: list[tuple[str, int | None]], cfg: MeshConfig, total: int, fields: str, n_polys: int
+) -> FrameLayout:
+    """Lay out functional segments in order with one guard between
+    neighbors; the look-through (length None) absorbs what the others leave
+    of total. fields names the config fields that size the frame. The ambles
+    need whole symbols, an MLS of order >= 2 and, searched once the layout
+    fits, n_polys distinct primitive polynomials of that order."""
     for name in ("amble_len", "payload_len"):
         if getattr(cfg, name) % SPS:
             raise ConfigError(f"mesh.{name}", f"must be a multiple of {SPS} (samples per symbol)")
     m = _amble_mls_order(cfg.amble_len)
-    if m not in PRIMITIVE_TAPS:
-        raise ConfigError(
-            "mesh.amble_len", f"needs an MLS of order {m}; orders {min(PRIMITIVE_TAPS)}..{max(PRIMITIVE_TAPS)} ship"
-        )
-    if n_polys > len(PRIMITIVE_TAPS[m]):
-        raise ConfigError(
-            "mesh.n_nodes",
-            f"need {n_polys} distinct MLS polynomials of order {m}, only {len(PRIMITIVE_TAPS[m])} shipped",
-        )
-
-
-def _interleave_guards(parts: list[tuple[str, int | None]], cfg: MeshConfig, total: int, fields: str) -> FrameLayout:
-    """Lay out functional segments in order with one guard between
-    neighbors; the look-through (length None) absorbs what the others leave
-    of total. fields names the config fields that size the frame."""
+    if m < 2:
+        raise ConfigError("mesh.amble_len", f"must be ≥ {2 * SPS}: an amble carries an MLS of order ≥ 2")
     fixed = sum(length for _, length in parts if length is not None) + (len(parts) - 1) * cfg.guard_len
     if fixed >= total:
         raise ConfigError(
             fields, f"layout overflow: segments need {fixed} of the {total}-sample frame, no look-through left"
         )
+    held = len(_primitive_taps(m, n_polys))
+    if held < n_polys:
+        raise ConfigError("mesh.n_nodes", f"needs {n_polys} distinct MLS polynomials; order {m} has {held}")
     segments = []
     offset = 0
     for idx, (name, length) in enumerate(parts):
@@ -241,14 +242,13 @@ def rx_source_layout(cfg: MeshConfig, total: int = RX_FRAME_TOTAL) -> FrameLayou
     The look-through length absorbs the remainder so the frame hits `total`.
     Raises ConfigError naming the field when cfg cannot carry the frame.
     """
-    _check_frame(cfg, 1)
     parts = [
         ("preamble", cfg.amble_len),
         ("payload", cfg.payload_len),
         ("look_through", None),
         ("postamble", cfg.amble_len),
     ]
-    return _interleave_guards(parts, cfg, total, "mesh.amble_len, mesh.payload_len, mesh.guard_len")
+    return _frame_layout(parts, cfg, total, "mesh.amble_len, mesh.payload_len, mesh.guard_len", 1)
 
 
 def tx_node_layout(cfg: MeshConfig, total: int = TX_FRAME_TOTAL) -> FrameLayout:
@@ -258,11 +258,10 @@ def tx_node_layout(cfg: MeshConfig, total: int = TX_FRAME_TOTAL) -> FrameLayout:
     carry the frame.
     """
     n = cfg.n_nodes
-    _check_frame(cfg, n)
     parts = [("preamble", cfg.amble_len), ("bf_payload", cfg.payload_len), ("look_through", None)]
     parts += [(f"monitor_{k}", cfg.payload_len) for k in range(1, n + 1)]
     parts += [(f"postamble_{k}", cfg.amble_len) for k in range(1, n + 1)]
-    return _interleave_guards(parts, cfg, total, "mesh.n_nodes, mesh.amble_len, mesh.payload_len, mesh.guard_len")
+    return _frame_layout(parts, cfg, total, "mesh.n_nodes, mesh.amble_len, mesh.payload_len, mesh.guard_len", n)
 
 
 def interferer_layout(length: int) -> FrameLayout:
@@ -271,22 +270,18 @@ def interferer_layout(length: int) -> FrameLayout:
 
 
 @lru_cache(maxsize=256)
-def _shaped_amble(amble_len: int, poly_index: int, init_state: int) -> np.ndarray:
+def _shaped_amble(amble_len: int, taps: tuple[int, ...], init_state: int) -> np.ndarray:
     """One MLS-derived amble, QPSK-mapped and pulse-shaped: amble_len samples, read-only.
 
-    The MLS bit stream (2^m - 1 bits, m chosen to fill the amble) is padded
-    by repeating its first bits, then Gray-mapped pairwise. Distinct
-    poly_index values use distinct primitive polynomials, which keeps
-    cross-correlation between concurrent CDMA preambles low; init_state
-    selects the sequence phase.
+    The MLS bit stream of the primitive tap set taps (2^m - 1 bits, m chosen
+    to fill the amble) is padded by repeating its first bits, then
+    Gray-mapped pairwise; init_state selects the sequence phase.
 
     Cached for the whole process, not per runner: a sweep builds a fresh
     runner for every seed, and one order-13 MLS costs milliseconds of Python.
     """
     n_bits = (amble_len // SPS) * 2
-    m = _amble_mls_order(amble_len)
-    chips = gen_mls(m, PRIMITIVE_TAPS[m][poly_index], init_state=init_state)
-    bits = ((chips + 1) // 2).astype(np.int64)
+    bits = ((gen_mls(taps[0], taps, init_state=init_state) + 1) // 2).astype(np.int64)
     bits = np.concatenate([bits, bits[: n_bits - len(bits)]])
     wave = shape_symbols(modulate(bits, "QPSK"), SPS, PULSE)
     wave.setflags(write=False)
@@ -294,18 +289,21 @@ def _shaped_amble(amble_len: int, poly_index: int, init_state: int) -> np.ndarra
 
 
 def source_ambles(cfg: MeshConfig) -> dict[str, np.ndarray]:
-    """The source frame's shaped ambles by segment: one MLS (polynomial 0)
-    at initial state 1 in the preamble and 2 in the postamble."""
-    return {"preamble": _shaped_amble(cfg.amble_len, 0, 1), "postamble": _shaped_amble(cfg.amble_len, 0, 2)}
+    """The source frame's shaped ambles by segment: one MLS (the first
+    polynomial) at initial state 1 in the preamble and 2 in the postamble."""
+    (taps,) = _primitive_taps(_amble_mls_order(cfg.amble_len), 1)
+    return {"preamble": _shaped_amble(cfg.amble_len, taps, 1), "postamble": _shaped_amble(cfg.amble_len, taps, 2)}
 
 
 def node_ambles(cfg: MeshConfig) -> list[dict[str, np.ndarray]]:
     """Every mesh node's shaped ambles by segment, node i at index i - 1:
-    its own MLS (polynomial i - 1, one per node for CDMA) at initial state 1
-    in the shared preamble and 2 in its TDMA postamble slot."""
+    its own MLS (the i-th polynomial: distinct polynomials keep the
+    concurrent CDMA preambles' cross-correlation low) at initial state 1 in
+    the shared preamble and 2 in its TDMA postamble slot."""
+    n = cfg.amble_len
     return [
-        {"preamble": _shaped_amble(cfg.amble_len, i, 1), f"postamble_{i + 1}": _shaped_amble(cfg.amble_len, i, 2)}
-        for i in range(cfg.n_nodes)
+        {"preamble": _shaped_amble(n, taps, 1), f"postamble_{i + 1}": _shaped_amble(n, taps, 2)}
+        for i, taps in enumerate(_primitive_taps(_amble_mls_order(n), cfg.n_nodes))
     ]
 
 

@@ -262,8 +262,9 @@ class TestCycleKernelOracle:
             conv_gain = sum(np.sum(np.abs(np.convolve(runner.pulse, w)) ** 2) for w in bf.weights)
             assert g == pytest.approx(conv_gain, rel=self.RTOL)
 
+    # t_w = 130 outlasts the 128-sample training window: its outer lags overlap no samples
     @pytest.mark.parametrize("cov_source", ["full", "interference_only"])
-    @pytest.mark.parametrize("t_w", [1, 2, 7, 8])
+    @pytest.mark.parametrize("t_w", [1, 2, 7, 8, T_Z + 2])
     @pytest.mark.parametrize("n, lost", MESHES)
     def test_mmse_beamformers_and_powers(self, n, lost, t_w, cov_source):
         z, taus, ids, s = self._case(n, lost, seed=10 * n + t_w)

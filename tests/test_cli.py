@@ -66,8 +66,8 @@ class TestConfigHandling:
             _case("interferer_power=1.0", "interferer_power"),
             _case("channel_taps=2", "channel_taps"),
             _case("mesh.n_nodes=5", "mesh.n_nodes", config="tx_bf"),
-            _case(("mesh.n_nodes=7", "mesh.amble_len=1024", "mesh.payload_len=1024"), "mesh.n_nodes", config="tx_bf"),
-            _case("mesh.amble_len=16", "mesh.amble_len"),
+            _case(("mesh.n_nodes=7", "mesh.amble_len=112", "t_h=2"), "mesh.n_nodes", config="tx_bf"),
+            _case("mesh.amble_len=2", "mesh.amble_len"),
             _case("mesh.payload_len=70000", "mesh.payload_len"),
             _case("t_h=1000", "t_h", config="tx_bf"),
             _case("mesh.cycle_period_s=0.01", "mesh.cycle_period_s", config="tx_bf"),
@@ -104,6 +104,13 @@ class TestRun:
         assert summary["manifest"] == manifest["manifest_sha256"]
         assert manifest["seed"] == 5
         assert manifest["virtual_time_s"]["end"] == pytest.approx(3 * 0.2)
+
+    def test_filter_longer_than_training_window(self, tmp_path):
+        # a 32-sample amble trains a 70-tap filter: its lags reach past the window
+        argv = ["run", "--config", "rx_bf", "--out", str(tmp_path)]
+        for override in ("n_cycles=1", "mesh.amble_len=32", "t_w=70"):
+            argv += ["--override", override]
+        assert main(argv) == 0
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = _short_config(tmp_path)

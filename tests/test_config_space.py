@@ -1,0 +1,51 @@
+"""Property test of the frame configuration space.
+
+Every configuration is either rejected by validate_scenario with a
+ConfigError that names the offending field(s), or runs a cycle without
+raising. Finite metrics are not asserted: a frame whose ambles or SNR are
+too small to acquire yields flagged cycles with NaN figures.
+"""
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dcbf.core import ConfigError, MeshConfig
+from dcbf.scenario import EXPERIMENTS, ScenarioConfig, run_scenario, validate_scenario
+
+FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)} | {
+    f"mesh.{f.name}" for f in dataclasses.fields(MeshConfig)
+}
+EVEN_LEN = st.integers(1, 1024).map(lambda k: 2 * k)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    n_nodes=st.integers(1, 8),
+    amble_len=EVEN_LEN,
+    payload_len=EVEN_LEN,
+    guard_len=st.integers(1, 1024),
+    t_w=st.integers(1, 64),
+    t_h=st.integers(1, 4),
+    channel=st.sampled_from([("random_phase", 1), ("random_phase", 2), ("rayleigh", 1), ("rayleigh", 3)]),
+)
+def test_rejected_by_name_or_runs(experiment, n_nodes, amble_len, payload_len, guard_len, t_w, t_h, channel):
+    mesh = MeshConfig(n_nodes=n_nodes, amble_len=amble_len, payload_len=payload_len, guard_len=guard_len)
+    cfg = ScenarioConfig(
+        experiment=experiment,
+        n_cycles=1,
+        mesh=mesh,
+        interferer_power=1.78 if experiment == "RX_BF_INTERF" else 0.0,
+        t_w=t_w,
+        t_h=t_h,
+        channel_kind=channel[0],
+        channel_taps=channel[1],
+    )
+    try:
+        validate_scenario(cfg)
+    except ConfigError as exc:
+        assert set(exc.field_name.split(", ")) <= FIELDS, exc
+        return
+    assert len(run_scenario(cfg)) == 1

@@ -79,8 +79,8 @@ class TestValidation:
         "experiment, mesh, t_h, field",
         [
             ("TX_BF", dict(n_nodes=5), 4, "mesh.n_nodes"),  # layout overflow
-            ("TX_NULL", dict(n_nodes=7, amble_len=1024, payload_len=1024), 4, "mesh.n_nodes"),  # 6 polynomials
-            ("RX_BF", dict(amble_len=16), 4, "mesh.amble_len"),  # no order-4 MLS ships
+            ("TX_NULL", dict(n_nodes=7, amble_len=112), 4, "mesh.n_nodes"),  # order 6 has 6 polynomials
+            ("RX_BF", dict(amble_len=2), 4, "mesh.amble_len"),  # an order-1 MLS
             ("RX_BF", dict(payload_len=70000), 4, "mesh.payload_len"),  # layout overflow
             ("RX_BF", dict(amble_len=8191), 4, "mesh.amble_len"),  # half a symbol
             ("TX_BF", dict(), 1000, "t_h"),  # joint LS needs amble_len >= 4 t_h N
@@ -98,7 +98,9 @@ class TestValidation:
             ("TX_BF", dict(n_nodes=4), 4),  # the most nodes the mesh-node frame holds
             ("TX_BF", dict(amble_len=1024, payload_len=1024), 85),  # 4 * 85 * 3 = 1020
             ("RX_BF", dict(n_nodes=7, amble_len=1024, payload_len=1024), 4),  # one polynomial
-            ("RX_BF", dict(amble_len=32), 4),  # order 5, the shortest shipped
+            ("RX_BF", dict(amble_len=16), 4),  # order 4
+            ("TX_NULL", dict(n_nodes=7, amble_len=1024, payload_len=1024), 4),  # 7 of order 10's polynomials
+            ("RX_BF", dict(amble_len=4), 4),  # order 2, the shortest MLS
         ],
     )
     def test_feasible_edge_runs(self, experiment, mesh, t_h):
@@ -274,6 +276,27 @@ class TestTxBeamforming:
         )
         assert "warmup" in recs[0].flags and "warmup" in recs[1].flags
         assert "warmup" not in recs[2].flags
+
+    class _KeepAll(dict):
+        """A feedback history that never drops an entry."""
+
+        def pop(self, key, default=None):
+            return self.get(key, default)
+
+    @pytest.mark.parametrize("experiment, latency", [("TX_BF", 2), ("TX_BF", 1), ("COHERENCE", 1)])
+    def test_feedback_history_bounded(self, experiment, latency):
+        # feedback halts after cycle 2 of the coherence run; later estimates are never read
+        cfg = ScenarioConfig(
+            experiment=experiment, n_cycles=6, seed=31, mesh=TX_MESH,
+            feedback_latency_cycles=latency, feedback_halt_time_s=0.75,
+        )
+        runner = _TxRunner(cfg)
+        recs = runner.run()
+        assert sorted(runner.estimates) == list(range(cfg.n_cycles - latency, cfg.n_cycles))
+        keep_all = _TxRunner(cfg)
+        keep_all.estimates = self._KeepAll()
+        assert _records_equal(keep_all.run(), recs)
+        assert len(keep_all.estimates) == cfg.n_cycles
 
     def test_feedback_causality_enforced(self, monkeypatch):
         # weights that claim to come from the cycle they are applied in must

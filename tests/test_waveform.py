@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from dcbf import waveform
 from dcbf.core import ConfigError, MeshConfig, substream
 from dcbf.waveform import (
-    PRIMITIVE_TAPS,
     RX_FRAME_TOTAL,
     TX_FRAME_TOTAL,
     build_frame,
@@ -53,18 +53,48 @@ class TestGenMls:
         assert np.sum(seq == 1) == 2 ** (m - 1)
         assert np.sum(seq == -1) == 2 ** (m - 1) - 1
 
-    def test_all_shipped_taps_are_maximal(self):
-        for m, tap_sets in PRIMITIVE_TAPS.items():
-            for taps in tap_sets:
-                assert len(gen_mls(m, taps)) == 2**m - 1  # raises if non-primitive
+    # The primitive tap sets of orders 5..14 as once tabulated by hand: the
+    # first six of each order, trinomials (m, a) by descending a, then
+    # pentanomials (m, a, b, c) in descending lexicographic order.
+    TABULATED_TAPS = {
+        5: ((5, 3), (5, 2), (5, 4, 3, 2), (5, 4, 3, 1), (5, 4, 2, 1), (5, 3, 2, 1)),
+        6: ((6, 5), (6, 1), (6, 5, 4, 1), (6, 5, 3, 2), (6, 5, 2, 1), (6, 4, 3, 1)),
+        7: ((7, 6), (7, 4), (7, 3), (7, 1), (7, 6, 5, 4), (7, 6, 5, 2)),
+        8: ((8, 7, 6, 1), (8, 7, 5, 3), (8, 7, 3, 2), (8, 7, 2, 1), (8, 6, 5, 4), (8, 6, 5, 3)),
+        9: ((9, 5), (9, 4), (9, 8, 7, 2), (9, 8, 6, 5), (9, 8, 5, 4), (9, 8, 5, 1)),
+        10: ((10, 7), (10, 3), (10, 9, 8, 5), (10, 9, 7, 6), (10, 9, 7, 3), (10, 9, 6, 1)),
+        11: ((11, 9), (11, 2), (11, 10, 9, 7), (11, 10, 9, 5), (11, 10, 9, 2), (11, 10, 8, 6)),
+        12: ((12, 11, 10, 4), (12, 11, 10, 2), (12, 11, 8, 6), (12, 11, 7, 4), (12, 10, 9, 3), (12, 10, 5, 4)),
+        13: ((13, 12, 11, 8), (13, 12, 11, 2), (13, 12, 11, 1), (13, 12, 10, 9), (13, 12, 10, 6), (13, 12, 10, 3)),
+        14: ((14, 13, 12, 2), (14, 13, 11, 9), (14, 13, 11, 4), (14, 13, 10, 8), (14, 13, 10, 6), (14, 13, 10, 3)),
+    }
+
+    def test_derived_taps_match_table(self):
+        for m, table in self.TABULATED_TAPS.items():
+            taps = waveform._primitive_taps(m, 6)
+            assert taps == table
+            for t in taps:
+                assert len(gen_mls(m, t)) == 2**m - 1  # raises if non-primitive
+            assert np.array_equal(gen_mls(m), gen_mls(m, taps[0]))
+
+    @pytest.mark.parametrize("m, size", [(2, 1), (3, 2), (4, 2), (5, 6), (6, 6), (7, 14), (8, 12)])
+    def test_family_size_of_short_orders(self, m, size):
+        # trinomials and pentanomials only: order 7's 18 primitive polynomials include 4 of weight 7
+        assert len(waveform._primitive_taps(m, 100)) == size
 
     def test_non_primitive_taps_rejected(self):
         with pytest.raises(ValueError, match="not primitive"):
             gen_mls(4, (4, 2))  # x^4 + x^2 + 1 = (x^2+x+1)^2
 
     def test_unknown_m_without_taps_rejected(self):
-        with pytest.raises(ValueError, match="no shipped tap set"):
-            gen_mls(4)
+        for m in (1, 21):
+            with pytest.raises(ValueError, match="out of supported range"):
+                gen_mls(m)
+
+    def test_short_order_without_taps(self):
+        seq = gen_mls(4)  # x^4 + x^3 + 1
+        assert np.array_equal(seq, gen_mls(4, (4, 3)))
+        assert len(seq) == 15
 
     def test_zero_init_state_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -128,6 +158,14 @@ class TestPulse:
         wave = shape_symbols(stream, 2, rrc_taps())
         assert len(wave) == 2 * len(stream)
         assert np.mean(np.abs(wave) ** 2) == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.parametrize("n_symbols", [1, 2, 8, 9])
+    def test_short_stream_keeps_length_and_centre(self, n_symbols):
+        # streams shorter than the pulse: the first samples of the stream followed by silence
+        stream = modulate(substream(5, "test", "bits").integers(0, 2, 2 * n_symbols), "QPSK")
+        wave = shape_symbols(stream, 2, rrc_taps())
+        padded = shape_symbols(np.concatenate([stream, np.zeros(16)]), 2, rrc_taps())
+        np.testing.assert_allclose(wave, padded[: 2 * n_symbols], rtol=1e-12, atol=1e-15)
 
     def test_matched_cascade_is_nyquist(self):
         # rrc * rrc sampled at symbol spacing is ~delta (ISI-free)
@@ -252,7 +290,7 @@ class TestFrames:
     @pytest.mark.parametrize(
         "mesh, field",
         [
-            (MeshConfig(amble_len=16), "mesh.amble_len"),
+            (MeshConfig(amble_len=2), "mesh.amble_len"),  # one QPSK symbol: an order-1 MLS
             (MeshConfig(amble_len=65536), "mesh.amble_len"),
             (MeshConfig(amble_len=8191), "mesh.amble_len"),
             (MeshConfig(payload_len=4097), "mesh.payload_len"),
@@ -264,10 +302,34 @@ class TestFrames:
                 layout(mesh)
 
     def test_polynomials_per_node(self):
-        # order 10 ships 6 polynomials: the CDMA preambles of 7 nodes cannot all differ
+        # order 6 has 6 primitive trinomials and pentanomials: the CDMA
+        # preambles of 7 nodes cannot all differ
         with pytest.raises(ConfigError, match="mesh.n_nodes"):
-            tx_node_layout(MeshConfig(n_nodes=7, amble_len=1024, payload_len=1024))
-        rx_source_layout(MeshConfig(n_nodes=7, amble_len=1024, payload_len=1024))
+            tx_node_layout(MeshConfig(n_nodes=7, amble_len=112, payload_len=112))
+        rx_source_layout(MeshConfig(n_nodes=7, amble_len=112, payload_len=112))
+        # order 10 has enough
+        layout = tx_node_layout(MeshConfig(n_nodes=8, amble_len=1024, payload_len=1024))
+        assert layout.segment("postamble_8").length == 1024
+
+    @pytest.mark.parametrize("amble_len, n_nodes", [(4, 1), (8, 2), (16, 2), (32768, 1)])
+    def test_amble_orders_outside_the_old_table(self, amble_len, n_nodes):
+        # orders 2, 3, 4 and 15; ambles shorter than the pulse keep their length
+        mesh = MeshConfig(n_nodes=n_nodes, amble_len=amble_len, payload_len=1024, guard_len=8)
+        sig, layout = _source(mesh)
+        assert np.array_equal(layout.extract(sig.samples, "preamble"), source_frame(mesh, 0)["preamble"])
+        pre = [a["preamble"] for a in node_ambles(mesh)]
+        assert [len(p) for p in pre] == [amble_len] * n_nodes
+        assert np.array_equal(pre[0], source_frame(mesh, 0)["preamble"])
+        assert len({p.tobytes() for p in pre}) == n_nodes
+        tx_node_layout(mesh)
+
+    def test_overflow_reported_before_polynomial_search(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(waveform, "_primitive_taps", fail)
+        with pytest.raises(ConfigError, match="layout overflow"):
+            tx_node_layout(MeshConfig(n_nodes=50))
 
     def test_tx_layout_guard_count(self):
         layout = tx_node_layout(self.cfg)
