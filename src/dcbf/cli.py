@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics, timesync, waveform
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream
 from .impairments import ChannelModel, NoiseSpec
-from .scenario import CycleRecord, ScenarioConfig, run_scenario, validate_scenario
+from .scenario import PER_NODE_FIELDS, CycleRecord, ScenarioConfig, run_scenario, validate_scenario
 
 CSV_SCHEMA = "cycles-v1"
 ARTIFACT_VERSION = "0.3.0"
@@ -121,13 +121,7 @@ def _fmt(x: float) -> str:
 # cycles.csv columns between "flags" and "beamformer_ref": each per-node
 # CycleRecord list as (header stem, field), one column per node suffixed
 # _1.._N, then the mesh-wide fields under their own names.
-_NODE_FIELDS = (
-    ("siso_snr_db", "siso_snr_db"),
-    ("siso_inr_db", "siso_inr_db"),
-    ("siso_sinr_db", "siso_sinr_db"),
-    ("det_stat", "detection_stat"),
-    ("cfo_hz", "cfo_est_hz"),
-)
+_NODE_FIELDS = tuple(zip(("siso_snr_db", "siso_inr_db", "siso_sinr_db", "det_stat", "cfo_hz"), PER_NODE_FIELDS))
 _MESH_FIELDS = (
     "bf_snr_db",
     "bf_inr_db",
@@ -140,10 +134,6 @@ _MESH_FIELDS = (
 )
 
 
-def _node_value(values: list[float], i: int) -> float:
-    return values[i] if i < len(values) else float("nan")
-
-
 def cycle_csv_lines(records: list[CycleRecord], n_nodes: int, manifest: str) -> list[str]:
     # (header, cell of a record) per column; the header and every row read it
     columns = [
@@ -152,7 +142,7 @@ def cycle_csv_lines(records: list[CycleRecord], n_nodes: int, manifest: str) -> 
         ("flags", lambda r: r.flags),
     ]
     columns += [
-        (f"{stem}_{i + 1}", lambda r, field=field, i=i: _fmt(_node_value(getattr(r, field), i)))
+        (f"{stem}_{i + 1}", lambda r, field=field, i=i: _fmt(getattr(r, field)[i]))
         for i in range(n_nodes)
         for stem, field in _NODE_FIELDS
     ]

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,22 +123,42 @@ class MeshConfig:
     diag_loading_eps: float = 1e-3
 
 
-def validate_config(cfg: MeshConfig) -> MeshConfig:
-    """Return cfg unchanged if all invariants hold, else raise ConfigError.
+def _check_field_types(cfg, prefix: str = "") -> None:
+    """Raise ConfigError naming prefix + field unless each field of the config
+    dataclass cfg holds its default's type: an integer (not a bool) for int, a
+    finite real for float (numpy scalars count), else the type; None defaults pass."""
+    for f in dataclasses.fields(cfg):
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        value = getattr(cfg, f.name)
+        if isinstance(default, int):
+            ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            kind = "an integer"
+        elif isinstance(default, float):
+            ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            # NaN and inf fail, and so does a Python int beyond the float range
+            ok = ok and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
+            kind = "a finite real number"
+        else:
+            ok = default is None or isinstance(value, type(default))
+            kind = f"a {type(default).__name__}"
+        if not ok:
+            raise ConfigError(prefix + f.name, f"must be {kind}, got {value!r}")
 
-    Checks: n_nodes >= 1, rates, period and lengths > 0, non-negative
-    diagonal loading.
+
+def validate_config(cfg: MeshConfig) -> MeshConfig:
+    """Return cfg unchanged if all invariants hold, else raise ConfigError
+    naming the field as mesh.<field>.
+
+    Checks: field types; node count, rates, period and lengths > 0;
+    non-negative diagonal loading.
     """
-    if cfg.n_nodes < 1:
-        raise ConfigError("n_nodes", "must be ≥ 1")
-    for name in ("sample_rate_hz", "cycle_period_s"):
+    _check_field_types(cfg, "mesh.")
+    for name in ("n_nodes", "sample_rate_hz", "cycle_period_s", "amble_len", "payload_len", "est_integration_len",
+                 "guard_len"):
         if getattr(cfg, name) <= 0:
-            raise ConfigError(name, "must be > 0")
-    for name in ("amble_len", "payload_len", "est_integration_len", "guard_len"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(name, "must be > 0")
+            raise ConfigError(f"mesh.{name}", "must be > 0")
     if cfg.diag_loading_eps < 0:
-        raise ConfigError("diag_loading_eps", "must be ≥ 0")
+        raise ConfigError("mesh.diag_loading_eps", "must be ≥ 0")
     return cfg
 
 

@@ -32,12 +32,14 @@ def to_db(linear: float, floor_db: float = DB_FLOOR) -> float:
 
 @dataclass(frozen=True)
 class LinkMetrics:
+    """One link's SNR, INR and SINR: linear, and in dB clamped at DB_FLOOR."""
+
+    snr: float
+    inr: float
+    sinr: float
     snr_db: float
     inr_db: float
     sinr_db: float
-    p_sin: float  # signal + interference + noise power
-    p_in: float  # interference + noise power
-    p_n: float  # noise power
 
 
 def segment_power(x: ComplexSignal | np.ndarray, seg: Segment, shift: int = 0) -> float:
@@ -54,29 +56,27 @@ def segment_power(x: ComplexSignal | np.ndarray, seg: Segment, shift: int = 0) -
 
 def link_metrics(p_sin: float, p_in: float, p_n: float) -> LinkMetrics:
     """SNR = (P_sin - P_in)/P_n, INR = (P_in - P_n)/P_n, SINR = (P_sin - P_in)/P_in,
-    each clamped at the dB floor when the subtraction goes non-positive."""
+    computed once; the linear ratios keep their sign, and the dB values clamp
+    at the dB floor when the subtraction goes non-positive."""
     if p_n <= 0:
         raise ValueError("p_n must be > 0")
     snr = (p_sin - p_in) / p_n
     inr = (p_in - p_n) / p_n
     sinr = (p_sin - p_in) / p_in if p_in > 0 else 0.0
-    return LinkMetrics(
-        snr_db=to_db(snr),
-        inr_db=to_db(inr),
-        sinr_db=to_db(sinr),
-        p_sin=p_sin,
-        p_in=p_in,
-        p_n=p_n,
-    )
+    return LinkMetrics(snr, inr, sinr, to_db(snr), to_db(inr), to_db(sinr))
 
 
 def snr_gain(bf_snr: float, siso_snrs: list[float]) -> float:
-    """Beamformed SNR over the arithmetic mean of the SISO SNRs, in dB."""
+    """Beamformed SNR over the arithmetic mean of the SISO SNRs, in dB.
+
+    Every SISO estimate counts as measured, ≤ 0 too, so their noise averages
+    out rather than being truncated. A beamformed SNR ≤ 0 (a nulled receiver)
+    clamps at the dB floor; a mean ≤ 0 leaves no reference: the gain is NaN.
+    """
     if not siso_snrs:
         raise ValueError("need at least one SISO SNR")
-    if any(s <= 0 for s in siso_snrs):
-        raise ValueError("SISO SNRs must be > 0 (linear)")
-    return to_db(bf_snr / float(np.mean(siso_snrs)))
+    mean = float(np.mean(siso_snrs))
+    return to_db(bf_snr / mean) if mean > 0 else float("nan")
 
 
 def power_gain_bound(n: int, phi_var: float) -> float:

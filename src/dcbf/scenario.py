@@ -18,8 +18,10 @@ import numpy as np
 
 from . import beamform, estimation, metrics, waveform
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream, validate_config
+from .core import _check_field_types
 from .estimation import AcquisitionError, AcquisitionResult
 from .impairments import ChannelModel, _add_channel, _add_noise, _impress_lo, _lo_product, _phasor, advance_clock
+from .metrics import LinkMetrics
 
 __all__ = [
     "ScenarioConfig",
@@ -87,35 +89,28 @@ class ScenarioConfig:
 
 
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}")
-    if cfg.n_cycles < 1:
-        raise ConfigError("n_cycles", "must be ≥ 1")
-    for name in ("signal_power", "interferer_power", "noise_power"):
+    """Return cfg unchanged if it can run, else raise ConfigError naming the
+    field; nothing is synthesized before every check has passed."""
+    _check_field_types(cfg)
+    for name, allowed in (("experiment", EXPERIMENTS), ("cov_source", ("full", "interference_only")),
+                          ("channel_kind", ("random_phase", "rayleigh"))):
+        if getattr(cfg, name) not in allowed:
+            raise ConfigError(name, f"must be one of {allowed}")
+    # noise_power divides every SNR; the steps space the CFO grids
+    for name in ("n_cycles", "t_w", "t_h", "feedback_latency_cycles", "channel_taps", "noise_power",
+                 "coarse_cfo_step_hz", "fine_cfo_step_hz"):
+        if getattr(cfg, name) <= 0:
+            raise ConfigError(name, "must be > 0")
+    for name in ("signal_power", "interferer_power", "phase_walk_var_per_s", "ots_jitter_rad", "coarse_cfo_span_hz",
+                 "channel_walk_std_per_cycle", "channel_redraw_every", "feedback_halt_time_s", "warmup_identity_s"):
         if getattr(cfg, name) < 0:
             raise ConfigError(name, "must be ≥ 0")
-    if cfg.noise_power == 0:
-        raise ConfigError("noise_power", "must be > 0 (SNR metrics divide by it)")
-    if cfg.t_w < 1:
-        raise ConfigError("t_w", "must be ≥ 1")
-    if cfg.t_h < 1:
-        raise ConfigError("t_h", "must be ≥ 1")
-    if cfg.cov_source not in ("full", "interference_only"):
-        raise ConfigError("cov_source", "must be 'full' or 'interference_only'")
-    if cfg.feedback_latency_cycles < 1:
-        raise ConfigError("feedback_latency_cycles", "must be ≥ 1")
+    if not 0 <= cfg.detection_threshold <= 1:
+        raise ConfigError("detection_threshold", "must be in [0, 1]: the detection statistic is at most 1")
     if cfg.interferer_power > 0 and cfg.experiment != "RX_BF_INTERF":
         raise ConfigError("interferer_power", f"must be 0: {cfg.experiment} has no interferer")
-    if cfg.channel_kind not in ("random_phase", "rayleigh"):
-        raise ConfigError("channel_kind", "must be 'random_phase' or 'rayleigh'")
-    if cfg.channel_taps < 1:
-        raise ConfigError("channel_taps", "must be ≥ 1")
     if cfg.channel_kind == "random_phase" and cfg.channel_taps != 1:
         raise ConfigError("channel_taps", "must be 1: a random_phase channel has one tap")
-    if cfg.phase_walk_var_per_s < 0:
-        raise ConfigError("phase_walk_var_per_s", "must be ≥ 0")
-    if cfg.ots_jitter_rad < 0:
-        raise ConfigError("ots_jitter_rad", "must be ≥ 0")
     validate_config(cfg.mesh)
     unknowns = cfg.mesh.n_nodes * cfg.t_w
     if unknowns > MAX_MMSE_UNKNOWNS:
@@ -193,6 +188,10 @@ class CycleRecord:
     bf_snr_c_db: float = float("nan")
     gain_c_db: float = float("nan")
     beamformer_ref: str = ""
+
+
+# CycleRecord's per-node lists; the runner starts each with n_nodes NaNs.
+PER_NODE_FIELDS = ("siso_snr_db", "siso_inr_db", "siso_sinr_db", "detection_stat", "cfo_est_hz")
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -384,7 +383,7 @@ class _Runner:
         period = self.mesh.cycle_period_s
         records = []
         for k in range(self.cfg.n_cycles):
-            rec = CycleRecord(cycle=k, t_virtual_s=k * period)
+            rec = CycleRecord(cycle=k, t_virtual_s=k * period, **{f: [float("nan")] * self.n for f in PER_NODE_FIELDS})
             flags: list[str] = []
             self._evolve_channels(k)
             self._jitter_clocks()
@@ -407,6 +406,23 @@ class _Runner:
             for node in self.receivers:
                 advance_clock(node, period - self.buf_len / self.fs)
         return records
+
+    def _record_link_budget(self, rec, flags, rx_id: str, siso: dict[int, LinkMetrics], bf: LinkMetrics) -> None:
+        """Write receiver rx_id's link budget into rec: siso maps a mesh node's
+        index to its single-node LinkMetrics, bf is the beamformed one. The
+        gain is metrics.snr_gain over every SISO SNR; when their mean is not
+        positive the gain is NaN and the cycle is flagged siso_nonpos:<rx_id>.
+        The nulled receiver C records only its beamformed SNR and gain."""
+        gain = metrics.snr_gain(bf.snr, [lm.snr for lm in siso.values()])
+        if np.isnan(gain):
+            flags.append(f"siso_nonpos:{rx_id}")
+        if rx_id == "C":
+            rec.bf_snr_c_db, rec.gain_c_db = bf.snr_db, gain
+            return
+        for i, lm in siso.items():
+            rec.siso_snr_db[i], rec.siso_inr_db[i], rec.siso_sinr_db[i] = lm.snr_db, lm.inr_db, lm.sinr_db
+        rec.bf_snr_db, rec.bf_inr_db, rec.bf_sinr_db = bf.snr_db, bf.inr_db, bf.sinr_db
+        rec.gain_snr_db = gain
 
 
 class _RxRunner(_Runner):
@@ -453,15 +469,10 @@ class _RxRunner(_Runner):
 
     def _measure(self, k, rec, flags, receptions):
         cfg = self.cfg
-        nan = float("nan")
         detected = [i for i in range(self.n) if receptions[i] is not None]
-        rec.detection_stat = [h[1].detection_stat if h else nan for h in receptions]
-        rec.cfo_est_hz = [h[2] if h else nan for h in receptions]
-
+        for i in detected:
+            rec.detection_stat[i], rec.cfo_est_hz[i] = receptions[i][1].detection_stat, receptions[i][2]
         if not detected:
-            rec.siso_snr_db = [nan] * self.n
-            rec.siso_inr_db = [nan] * self.n
-            rec.siso_sinr_db = [nan] * self.n
             flags.append("no_detection")
             return
         # one common CFO correction for the whole mesh (the nodes share a
@@ -490,29 +501,18 @@ class _RxRunner(_Runner):
         powers, gains = beamform.rx_output_powers(
             bfs, z_corrected, lags, ids, (self.pay_seg, self.look_seg), self.noise_gram
         )
-        lms, lins = [], []  # per beamformer: LinkMetrics, (snr, inr, sinr) linear
-        for (p_pay, p_lt), gain in zip(powers.tolist(), gains.tolist()):
-            p_n = cfg.noise_power * gain
-            lms.append(metrics.link_metrics(p_pay, p_lt, p_n))
-            lins.append(((p_pay - p_lt) / p_n, (p_lt - p_n) / p_n, (p_pay - p_lt) / p_lt if p_lt > 0 else 0.0))
-        siso = dict(zip(detected, lms))
-        rec.siso_snr_db = [siso[i].snr_db if i in siso else nan for i in range(self.n)]
-        rec.siso_inr_db = [siso[i].inr_db if i in siso else nan for i in range(self.n)]
-        rec.siso_sinr_db = [siso[i].sinr_db if i in siso else nan for i in range(self.n)]
-        siso_lin, lin_bf = lins[:-1], lins[-1]
-        rec.bf_snr_db = lms[-1].snr_db
-        rec.bf_inr_db = lms[-1].inr_db
-        rec.bf_sinr_db = lms[-1].sinr_db
+        *siso, bf = [
+            metrics.link_metrics(p_pay, p_lt, cfg.noise_power * gain)
+            for (p_pay, p_lt), gain in zip(powers.tolist(), gains.tolist())
+        ]
+        self._record_link_budget(rec, flags, "mesh", dict(zip(detected, siso)), bf)
         rec.beamformer_ref = _bf_ref(bfs[-1])
-        snrs = [s[0] for s in siso_lin if s[0] > 0]
-        if snrs and lin_bf[0] > 0:
-            rec.gain_snr_db = metrics.snr_gain(lin_bf[0], snrs)
-        sinrs = [s[2] for s in siso_lin if s[2] > 0]
+        sinrs = [lm.sinr for lm in siso if lm.sinr > 0]
         if sinrs:
-            rec.sinr_improvement_db = rec.bf_sinr_db - metrics.to_db(float(np.mean(sinrs)))
-        inrs = [s[1] for s in siso_lin if s[1] > 0]
+            rec.sinr_improvement_db = bf.sinr_db - metrics.to_db(float(np.mean(sinrs)))
+        inrs = [lm.inr for lm in siso if lm.inr > 0]
         if inrs:
-            rec.inr_reduction_db = metrics.to_db(float(np.mean(inrs))) - rec.bf_inr_db
+            rec.inr_reduction_db = metrics.to_db(float(np.mean(inrs))) - bf.inr_db
 
 
 class _TxRunner(_Runner):
@@ -607,7 +607,7 @@ class _TxRunner(_Runner):
 
     def _link_budget(self, rx_id: str, z_mf: np.ndarray, acq: AcquisitionResult, f_hat: float):
         """CFO-correct one receiver's buffer and estimate its channels and powers: (per-link
-        taps, SISO link metrics, beamformed link metrics, SNR gain in dB or None)."""
+        taps, SISO link metrics, beamformed link metrics)."""
         cfg = self.cfg
         zc = self._derotate(z_mf, f_hat)
         ests = estimation.estimate_channels_joint(
@@ -617,48 +617,24 @@ class _TxRunner(_Runner):
             cfg.t_h,
             labels=[f"n{i + 1}->{rx_id}" for i in range(self.n)],
         )
-        p_lt = metrics.segment_power(zc, self.layout.segment("look_through"), shift=acq.lag)
-        siso_lin, siso_lm = [], []
-        for i in range(self.n):
-            p_mon = metrics.segment_power(zc, self.layout.segment(f"monitor_{i + 1}"), shift=acq.lag)
-            siso_lm.append(metrics.link_metrics(p_mon, p_lt, cfg.noise_power))
-            siso_lin.append((p_mon - p_lt) / cfg.noise_power)
-        p_bf = metrics.segment_power(zc, self.layout.segment("bf_payload"), shift=acq.lag)
-        bf_lm = metrics.link_metrics(p_bf, p_lt, cfg.noise_power)
-        bf_lin = (p_bf - p_lt) / cfg.noise_power
-        pos = [s for s in siso_lin if s > 0]
-        # clamped, not skipped: a beamformed power at or below the noise floor
-        # is a (deep) attenuation, not missing data
-        gain = metrics.to_db(max(bf_lin, 1e-9) / float(np.mean(pos))) if pos else None
-        return [e.taps for e in ests], siso_lm, bf_lm, gain
+
+        def power(segment: str) -> float:
+            return metrics.segment_power(zc, self.layout.segment(segment), shift=acq.lag)
+
+        p_lt = power("look_through")
+        siso = [metrics.link_metrics(power(f"monitor_{i + 1}"), p_lt, cfg.noise_power) for i in range(self.n)]
+        return [e.taps for e in ests], siso, metrics.link_metrics(power("bf_payload"), p_lt, cfg.noise_power)
 
     def _measure(self, k, rec, flags, receptions):
         est_entry = {}
         for rx, h in zip(self.receivers, receptions):
             if h is None:
                 continue
-            est_entry[rx.node_id], siso_lm, bf_lm, gain = self._link_budget(rx.node_id, *h)
-            if rx.node_id == "C":
-                rec.bf_snr_c_db = bf_lm.snr_db
-                if gain is not None:
-                    rec.gain_c_db = gain
-                continue
-            rec.siso_snr_db = [lm.snr_db for lm in siso_lm]
-            rec.siso_inr_db = [lm.inr_db for lm in siso_lm]
-            rec.siso_sinr_db = [lm.sinr_db for lm in siso_lm]
-            rec.detection_stat = [h[1].detection_stat] * self.n
-            rec.cfo_est_hz = [h[2]] * self.n
-            rec.bf_snr_db = bf_lm.snr_db
-            rec.bf_inr_db = bf_lm.inr_db
-            rec.bf_sinr_db = bf_lm.sinr_db
-            if gain is not None:
-                rec.gain_snr_db = gain
-        if "B" not in est_entry:
-            rec.siso_snr_db = [float("nan")] * self.n
-            rec.siso_inr_db = [float("nan")] * self.n
-            rec.siso_sinr_db = [float("nan")] * self.n
-            rec.detection_stat = [float("nan")] * self.n
-            rec.cfo_est_hz = [float("nan")] * self.n
+            est_entry[rx.node_id], siso, bf = self._link_budget(rx.node_id, *h)
+            self._record_link_budget(rec, flags, rx.node_id, dict(enumerate(siso)), bf)
+            if rx.node_id == "B":
+                rec.detection_stat = [h[1].detection_stat] * self.n
+                rec.cfo_est_hz = [h[2]] * self.n
         if len(est_entry) == len(self.receivers):
             self.estimates[k] = est_entry
         # this cycle read the estimates of cycle k - feedback_latency_cycles; no later cycle reads them

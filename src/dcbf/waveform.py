@@ -202,6 +202,16 @@ def _amble_mls_order(amble_len: int) -> int:
     return ((amble_len // SPS) * 2).bit_length() - 1
 
 
+def _amble_taps(amble_len: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The first count primitive tap sets of the MLS order that fills amble_len,
+    one per transmitter; ConfigError naming mesh.n_nodes when it holds fewer."""
+    m = _amble_mls_order(amble_len)
+    taps = _primitive_taps(m, count)
+    if len(taps) < count:
+        raise ConfigError("mesh.n_nodes", f"needs {count} distinct MLS polynomials; order {m} has {len(taps)}")
+    return taps
+
+
 def _frame_layout(
     parts: list[tuple[str, int | None]], cfg: MeshConfig, total: int, fields: str, n_polys: int
 ) -> FrameLayout:
@@ -221,9 +231,7 @@ def _frame_layout(
         raise ConfigError(
             fields, f"layout overflow: segments need {fixed} of the {total}-sample frame, no look-through left"
         )
-    held = len(_primitive_taps(m, n_polys))
-    if held < n_polys:
-        raise ConfigError("mesh.n_nodes", f"needs {n_polys} distinct MLS polynomials; order {m} has {held}")
+    _amble_taps(cfg.amble_len, n_polys)
     segments = []
     offset = 0
     for idx, (name, length) in enumerate(parts):
@@ -291,7 +299,7 @@ def _shaped_amble(amble_len: int, taps: tuple[int, ...], init_state: int) -> np.
 def source_ambles(cfg: MeshConfig) -> dict[str, np.ndarray]:
     """The source frame's shaped ambles by segment: one MLS (the first
     polynomial) at initial state 1 in the preamble and 2 in the postamble."""
-    (taps,) = _primitive_taps(_amble_mls_order(cfg.amble_len), 1)
+    (taps,) = _amble_taps(cfg.amble_len, 1)
     return {"preamble": _shaped_amble(cfg.amble_len, taps, 1), "postamble": _shaped_amble(cfg.amble_len, taps, 2)}
 
 
@@ -299,11 +307,13 @@ def node_ambles(cfg: MeshConfig) -> list[dict[str, np.ndarray]]:
     """Every mesh node's shaped ambles by segment, node i at index i - 1:
     its own MLS (the i-th polynomial: distinct polynomials keep the
     concurrent CDMA preambles' cross-correlation low) at initial state 1 in
-    the shared preamble and 2 in its TDMA postamble slot."""
+    the shared preamble and 2 in its TDMA postamble slot. Raises
+    ConfigError naming mesh.n_nodes when the amble's MLS order holds fewer
+    than n_nodes polynomials."""
     n = cfg.amble_len
     return [
         {"preamble": _shaped_amble(n, taps, 1), f"postamble_{i + 1}": _shaped_amble(n, taps, 2)}
-        for i, taps in enumerate(_primitive_taps(_amble_mls_order(n), cfg.n_nodes))
+        for i, taps in enumerate(_amble_taps(n, cfg.n_nodes))
     ]
 
 

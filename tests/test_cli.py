@@ -72,6 +72,31 @@ class TestConfigHandling:
             _case("t_h=1000", "t_h", config="tx_bf"),
             _case("mesh.cycle_period_s=0.01", "mesh.cycle_period_s", config="tx_bf"),
             _case("t_w=100000", "t_w"),
+            # wrong types and non-finite values
+            _case("n_cycles=abc", "n_cycles"),
+            _case("n_cycles=2.5", "n_cycles"),
+            _case("t_w=3.5", "t_w"),
+            _case("mesh.n_nodes=2.5", "mesh.n_nodes"),
+            _case("noise_power=NaN", "noise_power"),
+            _case("source_cfo_hz=NaN", "source_cfo_hz"),
+            _case("seed=1.5", "seed"),
+            _case("seed=true", "seed"),
+            _case("signal_power=Infinity", "signal_power"),
+            _case("mesh=3", "mesh"),
+            # CFO grids, detection threshold, dynamics and timing out of range
+            _case("coarse_cfo_step_hz=0", "coarse_cfo_step_hz"),
+            _case("fine_cfo_step_hz=0", "fine_cfo_step_hz"),
+            _case("coarse_cfo_span_hz=-100", "coarse_cfo_span_hz"),
+            _case("fine_cfo_step_hz=-1", "fine_cfo_step_hz"),
+            _case("detection_threshold=2", "detection_threshold"),
+            _case("channel_redraw_every=-3", "channel_redraw_every"),
+            _case("channel_walk_std_per_cycle=-1", "channel_walk_std_per_cycle"),
+            _case("warmup_identity_s=-1", "warmup_identity_s"),
+            _case("feedback_halt_time_s=-1", "feedback_halt_time_s", config="coherence"),
+            # mesh fields carry their prefix
+            _case("mesh.n_nodes=0", "mesh.n_nodes"),
+            _case("mesh.amble_len=0", "mesh.amble_len"),
+            _case("mesh.sample_rate_hz=0", "mesh.sample_rate_hz"),
         ],
     )
     def test_bad_override_exits_2_naming_field(self, tmp_path, capsys, config, overrides, field):
@@ -80,6 +105,7 @@ class TestConfigHandling:
             argv += ["--override", override]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "cycles.csv").exists()
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])

@@ -2,12 +2,15 @@
 
 Every configuration is either rejected by validate_scenario with a
 ConfigError that names the offending field(s), or runs a cycle without
-raising. Finite metrics are not asserted: a frame whose ambles or SNR are
-too small to acquire yields flagged cycles with NaN figures.
+raising. A cycle that runs reports finite figures, or says why it cannot:
+a frame whose ambles or SNR are too small to acquire yields cycles flagged
+acq_fail or no_detection, and SISO estimates whose mean is not positive
+leave the gain without a reference, flagged siso_nonpos.
 """
 
 import dataclasses
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)} | {
     f"mesh.{f.name}" for f in dataclasses.fields(MeshConfig)
 }
 EVEN_LEN = st.integers(1, 1024).map(lambda k: 2 * k)
+EXCUSES = ("acq_fail", "no_detection", "siso_nonpos")
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -48,4 +52,9 @@ def test_rejected_by_name_or_runs(experiment, n_nodes, amble_len, payload_len, g
     except ConfigError as exc:
         assert set(exc.field_name.split(", ")) <= FIELDS, exc
         return
-    assert len(run_scenario(cfg)) == 1
+    (rec,) = run_scenario(cfg)
+    if not any(excuse in rec.flags for excuse in EXCUSES):
+        figures = [rec.gain_snr_db, rec.bf_snr_db, *rec.siso_snr_db]
+        if experiment == "TX_NULL":
+            figures += [rec.gain_c_db, rec.bf_snr_c_db]
+        assert np.all(np.isfinite(figures)), (rec.flags, figures)

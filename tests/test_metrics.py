@@ -63,6 +63,12 @@ class TestLinkMetrics:
         sinr_lin = 10 ** (lm.sinr_db / 10)
         assert sinr_lin == pytest.approx(snr_lin * p_n / p_in, abs=1e-12)
 
+    def test_linear_ratios_keep_their_sign(self):
+        lm = link_metrics(4.0, 5.0, 2.0)
+        assert (lm.snr, lm.inr, lm.sinr) == (-0.5, 1.5, -0.2)
+        assert lm.snr_db == lm.sinr_db == DB_FLOOR
+        assert lm.inr_db == pytest.approx(10 * np.log10(1.5))
+
     def test_zero_noise_rejected(self):
         with pytest.raises(ValueError):
             link_metrics(1.0, 1.0, 0.0)
@@ -78,11 +84,22 @@ class TestSnrGain:
     def test_equal_is_zero_db(self):
         assert snr_gain(2.0, [1.0, 2.0, 3.0]) == pytest.approx(0.0)
 
-    def test_rejects_empty_or_nonpositive(self):
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
             snr_gain(1.0, [])
-        with pytest.raises(ValueError):
-            snr_gain(1.0, [1.0, 0.0])
+
+    def test_nonpositive_estimates_stay_in_the_mean(self):
+        # mean of [1, 0] is 0.5: 1 / 0.5 is 3.01 dB, where dropping the 0 would read 0 dB
+        assert snr_gain(1.0, [1.0, 0.0]) == pytest.approx(3.0103, abs=1e-4)
+        assert snr_gain(1.0, [1.5, -0.5]) == pytest.approx(3.0103, abs=1e-4)
+
+    def test_nonpositive_mean_is_nan(self):
+        assert np.isnan(snr_gain(1.0, [0.0, 0.0]))
+        assert np.isnan(snr_gain(1.0, [0.5, -0.75]))
+
+    def test_nonpositive_beamformed_snr_clamps(self):
+        assert snr_gain(0.0, [1.0, 1.0]) == DB_FLOOR
+        assert snr_gain(-0.3, [1.0, 1.0]) == DB_FLOOR
 
 
 class TestBounds:

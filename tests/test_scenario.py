@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dcbf import waveform
+from dcbf import beamform, metrics, waveform
 from dcbf.core import ConfigError, MeshConfig
 from dcbf.estimation import AcquisitionError
 from dcbf.scenario import (
@@ -70,6 +70,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="channel_taps"):
             validate_scenario(ScenarioConfig(channel_kind=kind, channel_taps=taps))
         validate_scenario(ScenarioConfig(channel_kind="rayleigh", channel_taps=2))
+
+    def test_field_types_numpy_scalars_count(self):
+        mesh = MeshConfig(n_nodes=np.int32(2), sample_rate_hz=np.int64(2_000_000))
+        validate_scenario(ScenarioConfig(n_cycles=np.int64(3), noise_power=np.float32(0.1), mesh=mesh))
+        with pytest.raises(ConfigError, match="n_cycles"):
+            validate_scenario(ScenarioConfig(n_cycles=True))
+        with pytest.raises(ConfigError, match="mesh.guard_len"):
+            validate_scenario(ScenarioConfig(mesh=MeshConfig(guard_len=np.float64(256.0))))
 
     def test_mesh_validated_too(self):
         with pytest.raises(ConfigError, match="n_nodes"):
@@ -247,6 +255,23 @@ class TestRxBeamforming:
         assert 0.0 < err.value.best_stat < cfg.detection_threshold
         assert err.value.threshold == cfg.detection_threshold
 
+    def test_nonpositive_siso_mean_flagged(self, monkeypatch):
+        # every node's SISO payload reads no power: each SISO SNR estimate is
+        # negative, so the gain has no reference; the beamformed SNR stands
+        rx_output_powers = beamform.rx_output_powers
+
+        def silent_siso(*args):
+            powers, gains = rx_output_powers(*args)
+            powers[:-1, 0] = 0.0
+            return powers, gains
+
+        monkeypatch.setattr(beamform, "rx_output_powers", silent_siso)
+        (rec,) = run_scenario(ScenarioConfig(experiment="RX_BF", n_cycles=1, seed=21))
+        assert rec.flags == "siso_nonpos:mesh"
+        assert rec.siso_snr_db == [metrics.DB_FLOOR] * 3
+        assert np.isnan(rec.gain_snr_db)
+        assert np.isfinite(rec.bf_snr_db) and rec.bf_snr_db > 0
+
     def test_mesh_nodes_have_ideal_ots_clocks(self):
         runner = _RxRunner(ScenarioConfig(experiment="RX_BF", n_cycles=1, seed=3))
         runner.run()
@@ -262,6 +287,37 @@ class TestTxBeamforming:
         assert steady
         gain = _lin_avg_db([r.gain_snr_db for r in steady])
         assert abs(gain - 9.542) <= 0.5
+
+    def test_weak_link_counts_in_the_siso_mean(self):
+        # the bundled tx_bf config with node 3's link to B at -50 dB: its SISO
+        # SNR estimate straddles zero, and the gain must not jump with its sign
+        cfg = ScenarioConfig(
+            experiment="TX_BF", n_cycles=10, seed=13, mesh=TX_MESH,
+            channels={"n3->B": {"taps": [[0.003, 0]], "tof": 0}},
+        )
+        ceiling = 10 * np.log10(3 * 2.003**2 / (2 + 0.003**2))  # 7.79 dB
+        steady = [r for r in run_scenario(cfg) if "warmup" not in r.flags]
+        assert len(steady) == 9
+        for r in steady:
+            assert r.flags == ""
+            assert abs(r.gain_snr_db - ceiling) <= 0.3
+
+    def test_nonpositive_siso_mean_flagged(self, monkeypatch):
+        # the TDMA monitor slots read no power at B or C: the gains are NaN and
+        # flagged per receiver, the beamformed SNRs are still reported
+        segment_power = metrics.segment_power
+
+        def silent_monitors(x, seg, shift=0):
+            return 0.0 if seg.name.startswith("monitor_") else segment_power(x, seg, shift)
+
+        monkeypatch.setattr(metrics, "segment_power", silent_monitors)
+        cfg = ScenarioConfig(experiment="TX_NULL", n_cycles=2, seed=32, channel_kind="rayleigh", mesh=TX_MESH)
+        recs = run_scenario(cfg)
+        assert [r.flags for r in recs] == ["warmup;siso_nonpos:B;siso_nonpos:C", "siso_nonpos:B;siso_nonpos:C"]
+        for r in recs:
+            assert r.siso_snr_db == [metrics.DB_FLOOR] * 3
+            assert np.isnan(r.gain_snr_db) and np.isnan(r.gain_c_db)
+            assert np.isfinite(r.bf_snr_db) and np.isfinite(r.bf_snr_c_db)
 
     def test_first_cycle_flagged_warmup(self):
         recs = run_scenario(ScenarioConfig(experiment="TX_BF", n_cycles=2, seed=31, mesh=TX_MESH))

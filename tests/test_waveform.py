@@ -311,6 +311,16 @@ class TestFrames:
         layout = tx_node_layout(MeshConfig(n_nodes=8, amble_len=1024, payload_len=1024))
         assert layout.segment("postamble_8").length == 1024
 
+    def test_amble_builders_reject_too_many_nodes(self):
+        # order 3 holds 2 polynomials; called without a layout, the builders
+        # must not hand back fewer ambles than nodes
+        mesh = MeshConfig(n_nodes=3, amble_len=8)
+        with pytest.raises(ConfigError, match="mesh.n_nodes"):
+            node_ambles(mesh)
+        with pytest.raises(ConfigError, match="mesh.n_nodes"):
+            node_frames(mesh, 0)
+        assert len(node_ambles(MeshConfig(n_nodes=2, amble_len=8))) == 2
+
     @pytest.mark.parametrize("amble_len, n_nodes", [(4, 1), (8, 2), (16, 2), (32768, 1)])
     def test_amble_orders_outside_the_old_table(self, amble_len, n_nodes):
         # orders 2, 3, 4 and 15; ambles shorter than the pulse keep their length
