@@ -2,7 +2,6 @@
 
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, Segment, substream, validate_config
 from .impairments import ChannelModel, NoiseSpec, add_noise, advance_clock, apply_channel, apply_node_imperfections
-from .scenario import CycleRecord, ScenarioConfig, run_scenario
 
 __version__ = "0.1.0"
 
@@ -21,8 +20,5 @@ __all__ = [
     "advance_clock",
     "apply_channel",
     "apply_node_imperfections",
-    "CycleRecord",
-    "ScenarioConfig",
-    "run_scenario",
     "__version__",
 ]

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import ComplexSignal, Segment
 
@@ -174,38 +173,80 @@ def mmse_rx_beamformer(
             f"training row length {len(strain)} inconsistent with window length "
             f"{z.shape[1] - t_w + 1}"
         )
-    w, delta, resid = _mmse_solve(c_src @ c_src.conj().T, z @ np.conj(s_bar), delta, eps)
+    w, deltas, resids = _mmse_solve((c_src @ c_src.conj().T)[None], (z @ np.conj(s_bar))[None], delta, eps)
     return Beamformer(
-        weights=w.reshape(len(delay_mats), t_w),
+        weights=w[0].reshape(len(delay_mats), t_w),
         method="MMSE_RX",
-        delta=delta,
+        delta=float(deltas[0]),
         node_ids=tuple(dm.node_id for dm in delay_mats),
         output_delay=t_w // 2,
-        solve_residual=resid,
+        solve_residual=float(resids[0]),
     )
 
 
 def _mmse_solve(cov: np.ndarray, b: np.ndarray, delta: float | None, eps: float):
-    """Solve (cov + delta*I) w = b: Cholesky factorization and one step of
-    iterative refinement, never explicit inversion. delta defaults to
-    eps * trace(cov) / dim. Returns (w, delta, achieved relative residual)."""
-    dim = cov.shape[0]
+    """Solve (cov[k] + delta_k*I) w[k] = b[k] for a stack of k systems of one
+    size: Cholesky factorization and one step of iterative refinement, never
+    explicit inversion. delta_k is delta, or eps * trace(cov[k]) / dim when
+    delta is None. Returns (w, the delta_k, each achieved relative residual)."""
+    if not (np.isfinite(cov).all() and np.isfinite(b).all()):
+        raise ValueError("the covariance and the cross-vector must be finite")
+    dim = cov.shape[-1]
     if delta is None:
-        delta = eps * float(np.trace(cov).real) / dim
-    if delta < 0:
+        deltas = eps * np.trace(cov, axis1=-2, axis2=-1).real / dim
+    else:
+        deltas = np.full(len(cov), float(delta))
+    if np.any(deltas < 0):
         raise ValueError("delta must be >= 0")
-    a = cov + delta * np.eye(dim)
+    a = cov.copy()
+    diag = np.arange(dim)
+    a[:, diag, diag] += deltas[:, None]
     try:
-        factor = cho_factor(a)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "covariance + delta*I is numerically singular; use delta > 0"
         ) from exc
-    w = cho_solve(factor, b)
-    w = w + cho_solve(factor, b - a @ w)  # one refinement step
-    b_norm = np.linalg.norm(b)
-    resid = float(np.linalg.norm(a @ w - b) / b_norm) if b_norm > 0 else 0.0
-    return w, float(delta), resid
+    upper = lower.conj().swapaxes(-1, -2)
+    w = _cho_solve(lower, upper, b)
+    w = w + _cho_solve(lower, upper, b - _matvec(a, w))  # one refinement step
+    b_norm = np.linalg.norm(b, axis=-1)
+    r_norm = np.linalg.norm(_matvec(a, w) - b, axis=-1)
+    resid = np.divide(r_norm, b_norm, out=np.zeros_like(r_norm), where=b_norm > 0)
+    return w, deltas, resid
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m[k] @ v[k] for every k."""
+    return (m @ v[..., None])[..., 0]
+
+
+# Unknowns per diagonal block of the triangular solves. numpy has no
+# triangular solve, so substitution runs by blocks: one general solve on each
+# triangular diagonal block and one matrix-vector product with the solved
+# part. 64 puts a whole solve of the bundled sizes (t_w and n_nodes * t_w
+# unknowns) in one block.
+_TRI_BLOCK = 64
+
+
+def _cho_solve(lower: np.ndarray, upper: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve lower[k] @ upper[k] @ x[k] = b[k] for the Cholesky factors lower
+    and their conjugate transposes upper: forward, then back substitution,
+    in one buffer."""
+    dim = b.shape[-1]
+    starts = range(0, dim, _TRI_BLOCK)
+    x = b.astype(np.result_type(lower, b))
+    for s in starts:
+        blk = slice(s, min(s + _TRI_BLOCK, dim))
+        if s:
+            x[:, blk] -= _matvec(lower[:, blk, :s], x[:, :s])
+        x[:, blk] = np.linalg.solve(lower[:, blk, blk], x[:, blk, None])[..., 0]
+    for s in reversed(starts):
+        blk = slice(s, min(s + _TRI_BLOCK, dim))
+        if blk.stop < dim:
+            x[:, blk] -= _matvec(upper[:, blk, blk.stop :], x[:, blk.stop :])
+        x[:, blk] = np.linalg.solve(upper[:, blk, blk], x[:, blk, None])[..., 0]
+    return x
 
 
 def _windows(z: np.ndarray, taus: np.ndarray, offset: int, length: int) -> np.ndarray:
@@ -271,13 +312,15 @@ def mmse_rx_beamformers(
     # s_bar puts the training row t_w // 2 samples into the padded window
     b = _lagged_products(train, s[None, :], np.arange(t_w) - t_w // 2)[:, :, 0].T.ravel()
 
-    out = []
-    for i, node in enumerate(node_ids):
-        block = slice(i * t_w, (i + 1) * t_w)
-        w, delta, resid = _mmse_solve(cov[block, block], b[block], None, eps)
-        out.append(Beamformer(w[None, :], "MMSE_RX", delta, (node,), t_w // 2, resid))
-    w, delta, resid = _mmse_solve(cov, b, None, eps)
-    out.append(Beamformer(w.reshape(n, t_w), "MMSE_RX", delta, tuple(node_ids), t_w // 2, resid))
+    # node i's system is diagonal block i of the mesh one; the n of them solve as one stack
+    nodes = np.arange(n)
+    w, deltas, resids = _mmse_solve(cov.reshape(n, t_w, n, t_w)[nodes, :, nodes], b.reshape(n, t_w), None, eps)
+    out = [
+        Beamformer(w[i : i + 1], "MMSE_RX", float(deltas[i]), (node,), t_w // 2, float(resids[i]))
+        for i, node in enumerate(node_ids)
+    ]
+    w, deltas, resids = _mmse_solve(cov[None], b[None], None, eps)
+    out.append(Beamformer(w.reshape(n, t_w), "MMSE_RX", float(deltas[0]), tuple(node_ids), t_w // 2, float(resids[0])))
     return out
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics, timesync, waveform
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream
 from .impairments import ChannelModel, NoiseSpec
-from .scenario import PER_NODE_FIELDS, CycleRecord, ScenarioConfig, run_scenario, validate_scenario
+from .scenario import PER_NODE_FIELDS, CycleRecord, ScenarioConfig, run_scenario
 
 CSV_SCHEMA = "cycles-v1"
 ARTIFACT_VERSION = "0.3.0"
@@ -49,6 +49,8 @@ def _mesh_from_dict(obj: dict) -> MeshConfig:
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
+    """Build a config from its JSON object, rejecting unknown fields only: the
+    runner validates the config it is given before synthesizing anything."""
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     for key in obj:
         if key not in known:
@@ -56,7 +58,7 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     obj = dict(obj)
     if "mesh" in obj and isinstance(obj["mesh"], dict):
         obj["mesh"] = _mesh_from_dict(obj["mesh"])
-    return validate_scenario(ScenarioConfig(**obj))
+    return ScenarioConfig(**obj)
 
 
 def load_config(path_or_name: str) -> ScenarioConfig:
@@ -249,7 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides.append(f"seed={args.seed}")
     if overrides:
         cfg = apply_overrides(cfg, overrides)
-    log.info("running %s for %d cycles (seed %d)", cfg.experiment, cfg.n_cycles, cfg.seed)
+    log.info("running %s for %s cycles (seed %s)", cfg.experiment, cfg.n_cycles, cfg.seed)
     records = run_scenario(cfg)
     out_dir = Path(args.out)
     _write_run_outputs(out_dir, cfg, records)

@@ -53,6 +53,13 @@ COV_MAX_LEN = 16384
 # (74.5 GiB of float64 for the pulse's convolution matrix at t_w = 100000).
 MAX_MMSE_UNKNOWNS = COV_MAX_LEN // 16
 
+# Most points of either CFO grid. Every grid point is a column of a DTFT
+# product (estimation._dtft): an acquisition holds (lags * ceil(sqrt(n))) x
+# points complex values for n integrated samples, 17 * 45 x 4096 (50 MB) at
+# the bundled 17 lags and 2048 samples, where a 1e-6 Hz coarse step would ask
+# for 4e9 points.
+MAX_CFO_GRID_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -105,6 +112,13 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
                  "channel_walk_std_per_cycle", "channel_redraw_every", "feedback_halt_time_s", "warmup_identity_s"):
         if getattr(cfg, name) < 0:
             raise ConfigError(name, "must be ≥ 0")
+    # the coarse grid spans ±coarse_cfo_span_hz, the fine one two coarse steps either side
+    for name, points, rule in (
+        ("coarse_cfo_step_hz", 2 * cfg.coarse_cfo_span_hz / cfg.coarse_cfo_step_hz + 1, "2·coarse_cfo_span_hz"),
+        ("fine_cfo_step_hz", 4 * cfg.coarse_cfo_step_hz / cfg.fine_cfo_step_hz + 1, "4·coarse_cfo_step_hz"),
+    ):
+        if points > MAX_CFO_GRID_POINTS:
+            raise ConfigError(name, f"{rule}/{name} + 1 = {points:.6g} grid points exceeds {MAX_CFO_GRID_POINTS}")
     if not 0 <= cfg.detection_threshold <= 1:
         raise ConfigError("detection_threshold", "must be in [0, 1]: the detection statistic is at most 1")
     if cfg.interferer_power > 0 and cfg.experiment != "RX_BF_INTERF":

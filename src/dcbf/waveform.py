@@ -119,6 +119,13 @@ def _gray_decode4(g: np.ndarray) -> np.ndarray:
 # so the unit-power scale is 1/sqrt(170).
 QAM256_SCALE = 1.0 / np.sqrt(170.0)
 
+# Every constellation point, indexed by its symbol's bits read as an unsigned
+# integer MSB first (what np.packbits makes of a 256-QAM word): row v of
+# _WORDS holds the eight bits of v.
+_WORDS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int64)
+_QPSK_POINTS = ((1 - 2 * _WORDS[:4, 6]) + 1j * (1 - 2 * _WORDS[:4, 7])) / np.sqrt(2.0)
+_QAM256_POINTS = ((2 * _gray_decode4(_WORDS[:, :4]) - 15) + 1j * (2 * _gray_decode4(_WORDS[:, 4:]) - 15)) * QAM256_SCALE
+
 
 def modulate(bits: np.ndarray, modulation: str) -> np.ndarray:
     """Map a bit sequence onto Gray-coded constellation points at unit mean power.
@@ -128,21 +135,19 @@ def modulate(bits: np.ndarray, modulation: str) -> np.ndarray:
     the Q level from {-15, -13, ..., 15}; the all-zero word is the corner
     point (-15 - 15j)/sqrt(170).
     """
-    bits = np.asarray(bits).astype(np.int64) & 1
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "biu":  # truncated to integers first
+        bits = bits.astype(np.int64)
+    bits = bits.astype(np.uint8) & 1
     if modulation == "QPSK":
         if len(bits) % 2:
             raise ValueError(f"QPSK needs an even bit count, got {len(bits)}")
         pairs = bits.reshape(-1, 2)
-        i = 1 - 2 * pairs[:, 0]
-        q = 1 - 2 * pairs[:, 1]
-        return (i + 1j * q) / np.sqrt(2.0)
+        return _QPSK_POINTS[(pairs[:, 0] << 1) | pairs[:, 1]]
     if modulation == "QAM256":
         if len(bits) % 8:
             raise ValueError(f"QAM256 needs a multiple of 8 bits, got {len(bits)}")
-        words = bits.reshape(-1, 8)
-        i_lvl = 2 * _gray_decode4(words[:, :4]) - 15
-        q_lvl = 2 * _gray_decode4(words[:, 4:]) - 15
-        return (i_lvl + 1j * q_lvl) * QAM256_SCALE
+        return _QAM256_POINTS[np.packbits(bits)]
     raise ValueError(f"unknown modulation {modulation!r}")
 
 

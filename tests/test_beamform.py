@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dcbf.beamform import (
+    _TRI_BLOCK,
     Beamformer,
+    _mmse_solve,
     apply_rx_beamformer,
     build_delay_matrix,
     mmse_rx_beamformer,
@@ -177,6 +179,46 @@ class TestMmse:
                 build_delay_matrix(_sig(z), 0, 16, 4, "b")]
         with pytest.raises(ValueError, match="delta"):
             mmse_rx_beamformer(mats, z, delta=0.0)
+
+
+class TestMmseSolve:
+    """_mmse_solve (Cholesky, block substitution, one refinement step) against
+    dense solvers, on stacks of Hermitian positive-definite systems."""
+
+    DIMS = [1, 2, 8, 24, 2 * _TRI_BLOCK + 5]  # the last spans three substitution blocks
+
+    @staticmethod
+    def _systems(dim, k=3):
+        rng = substream(dim, "t", "mmse_solve")
+        x = rng.normal(size=(k, dim, 2 * dim)) + 1j * rng.normal(size=(k, dim, 2 * dim))
+        return x @ x.conj().swapaxes(-1, -2), rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_dense_solve(self, dim):
+        cov, b = self._systems(dim)
+        w, deltas, resids = _mmse_solve(cov, b, None, 1e-3)
+        for k in range(len(cov)):
+            assert deltas[k] == pytest.approx(1e-3 * np.trace(cov[k]).real / dim, rel=1e-15)
+            w_ref = np.linalg.solve(cov[k] + deltas[k] * np.eye(dim), b[k])
+            assert np.linalg.norm(w[k] - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+            assert resids[k] < 1e-12
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_scipy_cho_solve(self, dim):
+        linalg = pytest.importorskip("scipy.linalg")
+        cov, b = self._systems(dim)
+        w, deltas, _ = _mmse_solve(cov, b, 0.5, 1e-3)
+        for k in range(len(cov)):
+            w_ref = linalg.cho_solve(linalg.cho_factor(cov[k] + 0.5 * np.eye(dim)), b[k])
+            assert np.linalg.norm(w[k] - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+
+    @pytest.mark.parametrize("where", ["gram", "cross"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, where, value):
+        cov, b = self._systems(8)
+        (cov if where == "gram" else b)[1, 3] = value
+        with pytest.raises(ValueError, match="finite"):
+            _mmse_solve(cov, b, None, 1e-3)
 
 
 class TestApplyRx:

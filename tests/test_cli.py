@@ -1,12 +1,18 @@
 """Tests for the command line interface and its output contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcbf
 from dcbf.cli import apply_overrides, load_config, main, scenario_from_dict
 from dcbf.core import ConfigError
+from dcbf.scenario import validate_scenario
 
 
 def _short_config(tmp_path, **extra):
@@ -30,7 +36,9 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("name", ["rx_bf", "rx_bf_interf", "tx_bf", "tx_null", "coherence"])
     def test_bundled_configs_valid(self, name):
-        assert load_config(name).experiment == name.upper()
+        cfg = load_config(name)
+        assert validate_scenario(cfg) is cfg
+        assert cfg.experiment == name.upper()
 
     def test_unknown_field_rejected_with_path(self):
         with pytest.raises(ConfigError, match="not_a_field"):
@@ -88,6 +96,10 @@ class TestConfigHandling:
             _case("fine_cfo_step_hz=0", "fine_cfo_step_hz"),
             _case("coarse_cfo_span_hz=-100", "coarse_cfo_span_hz"),
             _case("fine_cfo_step_hz=-1", "fine_cfo_step_hz"),
+            _case("coarse_cfo_step_hz=1e-6", "coarse_cfo_step_hz"),
+            _case("coarse_cfo_span_hz=1e9", "coarse_cfo_step_hz"),
+            _case("fine_cfo_step_hz=1e-6", "fine_cfo_step_hz"),
+            _case(("coarse_cfo_step_hz=1e6", "coarse_cfo_span_hz=1e6"), "fine_cfo_step_hz"),
             _case("detection_threshold=2", "detection_threshold"),
             _case("channel_redraw_every=-3", "channel_redraw_every"),
             _case("channel_walk_std_per_cycle=-1", "channel_walk_std_per_cycle"),
@@ -111,6 +123,21 @@ class TestConfigHandling:
         rc = main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_no_runner_for_time_transfer_and_no_scipy(self):
+        # a fresh interpreter: time transfer loads none of the runner's
+        # modules, and the whole package, CLI included, loads no scipy module
+        code = (
+            "import sys, dcbf.timesync; "
+            "assert not {'dcbf.scenario', 'dcbf.beamform', 'dcbf.metrics'} & set(sys.modules); "
+            "import dcbf.cli; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+        )
+        src = str(Path(dcbf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestRun:

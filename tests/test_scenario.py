@@ -174,6 +174,25 @@ class TestValidation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_cfo_grids_bounded_before_any_allocation(self):
+        import tracemalloc
+
+        # 2·span/step + 1 and 4·coarse step/fine step + 1 points: 4096 each, the bound
+        validate_scenario(ScenarioConfig(coarse_cfo_span_hz=2047.5, coarse_cfo_step_hz=1.0))
+        validate_scenario(ScenarioConfig(coarse_cfo_step_hz=1023.75, fine_cfo_step_hz=1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="coarse_cfo_step_hz"):
+                _RxRunner(ScenarioConfig(coarse_cfo_step_hz=1e-6))  # 4e9 points
+            with pytest.raises(ConfigError, match="coarse_cfo_step_hz"):
+                _RxRunner(ScenarioConfig(coarse_cfo_span_hz=2048.0, coarse_cfo_step_hz=1.0))
+            with pytest.raises(ConfigError, match="fine_cfo_step_hz"):
+                _RxRunner(ScenarioConfig(fine_cfo_step_hz=1e-6))  # 2e8 points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
