@@ -46,8 +46,6 @@ class DelayMatrix:
 
     data: np.ndarray  # (t_w, t_z + t_w - 1)
     node_id: str
-    tau_hat: int
-    t_z: int
     t_w: int
 
 
@@ -69,7 +67,7 @@ def build_delay_matrix(
     data = np.zeros((t_w, cols), dtype=np.complex128)
     for r in range(t_w):
         data[r, r : r + t_z] = window
-    return DelayMatrix(data=data, node_id=node_id, tau_hat=tau_hat, t_z=t_z, t_w=t_w)
+    return DelayMatrix(data=data, node_id=node_id, t_w=t_w)
 
 
 @dataclass
@@ -102,23 +100,6 @@ class Beamformer:
                 "node_ids": list(self.node_ids),
                 "weights": [[[float(c.real), float(c.imag)] for c in row] for row in w],
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Beamformer":
-        obj = json.loads(text)
-        w = np.array(
-            [[complex(re, im) for re, im in row] for row in obj["weights"]],
-            dtype=np.complex128,
-        )
-        if obj["method"] == "TX_NULL":
-            w = w.ravel()
-        return cls(
-            weights=w,
-            method=obj["method"],
-            delta=obj["delta"],
-            node_ids=tuple(obj["node_ids"]),
-            output_delay=obj["output_delay"],
         )
 
 

@@ -323,7 +323,7 @@ def cmd_sync_demo(args: argparse.Namespace) -> int:
     print(f"rounds at Es/N0 = {args.snr_db:.1f} dB (initial offset {args.delta_s} s):")
     for i, res in enumerate(_sync_rounds(args.snr_db, args, "demo")):
         if not res.success:
-            print(f"  round {i}: decode failure (round aborted)")
+            print(f"  round {i}: {res.failure} failure (round aborted)")
             continue
         print(
             f"  round {i}: delta_hat = {float(res.delta_hat):+.9e} s, "

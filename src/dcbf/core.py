@@ -54,12 +54,6 @@ class ComplexSignal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def power(self) -> float:
-        """Mean per-sample power (1/len)*sum(|s[t]|^2); 0.0 for the empty signal."""
-        if len(self.samples) == 0:
-            return 0.0
-        return float(np.mean(np.abs(self.samples) ** 2))
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -97,9 +91,6 @@ class FrameLayout:
             if seg.name == name:
                 return seg
         raise KeyError(name)
-
-    def names(self) -> list[str]:
-        return [s.name for s in self.segments]
 
     def extract(self, samples: np.ndarray, name: str, shift: int = 0) -> np.ndarray:
         """Slice out one segment's samples; `shift` moves the window (e.g. filter delay)."""
@@ -183,7 +174,7 @@ def substream(seed: int, entity: str | int, purpose: str) -> np.random.Generator
 class NodeState:
     """One node's clock model and RNG stream.
 
-    phase_rad accumulates unwrapped; use wrapped_phase() for reporting.
+    phase_rad accumulates unwrapped.
     With phase_walk_var_per_s = 0 and cfo_hz = 0 the phase stays constant.
     Owned by exactly one scenario runner; everything else here is immutable.
     """
@@ -194,6 +185,3 @@ class NodeState:
     phase_walk_var_per_s: float = 0.0
     timestamp_offset_s: float = 0.0
     rng: np.random.Generator = field(default_factory=lambda: substream(0, "node", "default"))
-
-    def wrapped_phase(self) -> float:
-        return float(np.mod(self.phase_rad, 2 * np.pi))

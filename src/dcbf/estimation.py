@@ -51,7 +51,6 @@ class CfoEstimate:
 class ChannelEstimate:
     taps: np.ndarray
     residual_power: float
-    label: str = ""
 
 
 def _dtft(x: np.ndarray, w: np.ndarray, grid_hz: np.ndarray, fs: float) -> np.ndarray:
@@ -201,14 +200,13 @@ def estimate_channel(
     s_ref: ComplexSignal,
     tau_hat: int,
     t_h: int,
-    label: str = "",
 ) -> ChannelEstimate:
     """Least-squares tapped-delay-line fit of the window starting at tau_hat.
 
     Minimizes ||z_window - conv(s_ref, h)||^2 over h of length t_h via the
     normal equations. CFO must already be corrected on the window.
     """
-    return estimate_channels_joint(z, [s_ref], tau_hat, t_h, [label])[0]
+    return estimate_channels_joint(z, [s_ref], tau_hat, t_h)[0]
 
 
 def estimate_channels_joint(
@@ -216,7 +214,6 @@ def estimate_channels_joint(
     refs: list[ComplexSignal],
     tau_hat: int,
     t_h: int,
-    labels: list[str] | None = None,
 ) -> list[ChannelEstimate]:
     """Jointly fit one tapped delay line per reference to a composite reception.
 
@@ -238,11 +235,7 @@ def estimate_channels_joint(
         raise ValueError("observation window not inside signal")
     design = np.hstack([_conv_design_matrix(r.samples, t_h) for r in refs])
     h_all, resid = _ls_solve(design, y)
-    labels = labels or [""] * len(refs)
-    return [
-        ChannelEstimate(taps=h_all[i * t_h : (i + 1) * t_h], residual_power=resid, label=labels[i])
-        for i in range(len(refs))
-    ]
+    return [ChannelEstimate(taps=h_all[i * t_h : (i + 1) * t_h], residual_power=resid) for i in range(len(refs))]
 
 
 def remove_dc(x: ComplexSignal) -> ComplexSignal:

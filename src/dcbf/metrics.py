@@ -24,9 +24,9 @@ __all__ = [
 DB_FLOOR = -60.0
 
 
-def to_db(linear: float, floor_db: float = DB_FLOOR) -> float:
-    if linear <= 10 ** (floor_db / 10):
-        return floor_db
+def to_db(linear: float) -> float:
+    if linear <= 10 ** (DB_FLOOR / 10):
+        return DB_FLOOR
     return 10.0 * np.log10(linear)
 
 

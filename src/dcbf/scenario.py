@@ -12,6 +12,7 @@ emits one CycleRecord per cycle with SISO and beamformed metrics.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,14 @@ MAX_MMSE_UNKNOWNS = COV_MAX_LEN // 16
 # the bundled 17 lags and 2048 samples, where a 1e-6 Hz coarse step would ask
 # for 4e9 points.
 MAX_CFO_GRID_POINTS = 4096
+
+# Most complex values in one acquisition's DTFT: its input holds lags x n
+# integrated samples and its product (lags * ceil(sqrt(n))) x points, so it
+# must keep lags * ceil(sqrt(n)) * max(points, ceil(sqrt(n))) within 2^22
+# (64 MiB an array). The bundled 17 lags stay within it at any admitted
+# coarse grid (17 * 46 * 4096); an explicit tof of 324,000 samples would ask
+# for 10.7 GB.
+MAX_ACQUISITION_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -139,28 +148,40 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("t_h", f"joint channel estimation needs mesh.amble_len ≥ 4·t_h·n_nodes = {need}")
     if cfg.channels is not None:
         _validate_channels(cfg)
-    buf_s = _receive_buffer(cfg, layout)[1] / cfg.mesh.sample_rate_hz
+    lags, buf_len, lag_field = _receive_buffer(cfg, layout)
+    buf_s = buf_len / cfg.mesh.sample_rate_hz
     if cfg.mesh.cycle_period_s < buf_s:
         raise ConfigError("mesh.cycle_period_s", f"must be ≥ the receive buffer, {buf_s:.6g} s: cycles would overlap")
+    root = math.ceil(math.sqrt(min(cfg.mesh.est_integration_len, cfg.mesh.amble_len)))
+    values = lags * root * max(2 * cfg.coarse_cfo_span_hz / cfg.coarse_cfo_step_hz + 1, root)
+    if values > MAX_ACQUISITION_VALUES:
+        raise ConfigError(
+            lag_field, f"acquisition over {lags} lags needs {values:.6g} complex values, above {MAX_ACQUISITION_VALUES}"
+        )
     return cfg
 
 
-def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout) -> tuple[int, int]:
-    """(lag_hi, buf_len): acquisition searches lags [0, lag_hi), and every
-    receive buffer holds buf_len samples, room for the frame of layout over
-    the longest delay and tap spread of the link families that reach a
+def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout) -> tuple[int, int, str]:
+    """(lag_hi, buf_len, field): acquisition searches lags [0, lag_hi), and
+    every receive buffer holds buf_len samples, room for the frame of layout
+    over the longest delay and tap spread of the link families that reach a
     receiver (for receive experiments the interferer's too, even when it is
     silent). Drawn links have no delay and channel_taps taps; explicit ones
-    their own. validate_scenario and the runner both size from here."""
+    their own. field names what sets the longest link: channels.<label> for
+    an explicit one, else channel_taps. validate_scenario and the runner
+    both size from here."""
     families = RX_LINKS if cfg.experiment in RX_EXPERIMENTS else TX_LINKS[: 1 + (cfg.experiment == "TX_NULL")]
     explicit = cfg.channels or {}
-    max_tof, max_taps = 0, 1
+    links = []  # (tof, taps, field)
     for label in (f.format(i + 1) for f in families for i in range(cfg.mesh.n_nodes)):
         spec = explicit.get(label)
-        max_tof = max(max_tof, int(spec.get("tof", 0)) if spec else 0)
-        max_taps = max(max_taps, len(spec["taps"]) if spec else cfg.channel_taps)
-    lag_hi = max_tof + max_taps + 16
-    return lag_hi, layout.total_length + lag_hi + 64
+        if spec:
+            links.append((int(spec.get("tof", 0)), len(spec["taps"]), f"channels.{label}"))
+        else:
+            links.append((0, cfg.channel_taps, "channel_taps"))
+    lag_hi = max(tof for tof, _, _ in links) + max(taps for _, taps, _ in links) + 16
+    field = max(links, key=lambda link: link[0] + link[1])[2]
+    return lag_hi, layout.total_length + lag_hi + 64, field
 
 
 def _validate_channels(cfg: ScenarioConfig) -> None:
@@ -221,10 +242,8 @@ def _bf_ref(bf: beamform.Beamformer) -> str:
 def _draw_channel(rng: np.random.Generator, kind: str, n_taps: int, label: str) -> ChannelModel:
     if kind == "random_phase":
         taps = np.exp(1j * rng.uniform(0, 2 * np.pi, 1))
-    elif kind == "rayleigh":
+    else:  # rayleigh: validate_scenario admits no other kind
         taps = (rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)) / np.sqrt(2 * n_taps)
-    else:
-        raise ValueError(f"unknown channel kind {kind}")
     return ChannelModel(taps=taps, tof_delay=0, label=label)
 
 
@@ -303,7 +322,7 @@ class _Runner:
         self.jitter_rng = [substream(seed, f"n{i + 1}", "ots_jitter") for i in range(self.n)]
         self._jitter_now = [0.0] * self.n
 
-        self.lag_hi, self.buf_len = _receive_buffer(cfg, self.layout)
+        self.lag_hi, self.buf_len, _ = _receive_buffer(cfg, self.layout)
         self.t_axis = np.arange(self.buf_len) / self.fs
 
     def _matched(self, x: np.ndarray) -> ComplexSignal:
@@ -619,18 +638,12 @@ class _TxRunner(_Runner):
         # every node reaches receiver r (B, then C) over its own link
         return [(sig, ch) for (_, sig), ch in zip(sent, self.links[r])]
 
-    def _link_budget(self, rx_id: str, z_mf: np.ndarray, acq: AcquisitionResult, f_hat: float):
+    def _link_budget(self, z_mf: np.ndarray, acq: AcquisitionResult, f_hat: float):
         """CFO-correct one receiver's buffer and estimate its channels and powers: (per-link
         taps, SISO link metrics, beamformed link metrics)."""
         cfg = self.cfg
         zc = self._derotate(z_mf, f_hat)
-        ests = estimation.estimate_channels_joint(
-            ComplexSignal(zc, self.fs),
-            self.pre_mf,
-            acq.lag,
-            cfg.t_h,
-            labels=[f"n{i + 1}->{rx_id}" for i in range(self.n)],
-        )
+        ests = estimation.estimate_channels_joint(ComplexSignal(zc, self.fs), self.pre_mf, acq.lag, cfg.t_h)
 
         def power(segment: str) -> float:
             return metrics.segment_power(zc, self.layout.segment(segment), shift=acq.lag)
@@ -644,7 +657,7 @@ class _TxRunner(_Runner):
         for rx, h in zip(self.receivers, receptions):
             if h is None:
                 continue
-            est_entry[rx.node_id], siso, bf = self._link_budget(rx.node_id, *h)
+            est_entry[rx.node_id], siso, bf = self._link_budget(*h)
             self._record_link_budget(rec, flags, rx.node_id, dict(enumerate(siso)), bf)
             if rx.node_id == "B":
                 rec.detection_stat = [h[1].detection_stat] * self.n

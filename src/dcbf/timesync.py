@@ -22,9 +22,6 @@ __all__ = [
     "SyncMessage",
     "FecError",
     "golay_encode",
-    "golay_decode",
-    "hamming_encode",
-    "hamming_decode",
     "encode_sync_message",
     "decode_sync_message",
     "estimate_offset",
@@ -193,40 +190,15 @@ def golay_encode(data: int) -> int:
 def _golay_decode(words: np.ndarray) -> tuple[np.ndarray, int]:
     """Decode 24-bit words; returns (data words, total corrected bits).
 
-    Raises FecError if any word carries a detectable heavier pattern."""
+    Corrects any error pattern of weight <= 3 and raises FecError if any
+    word carries a detectable heavier pattern (weight-4 patterns are always
+    detected; weight >= 5 may silently miscorrect, as for any distance-8
+    code)."""
     err = _GOLAY_ERR[_golay_syndrome(words)]
     failed = int((err < 0).sum())
     if failed:
         raise FecError(f"Golay decode failure in {failed} block(s): >= 4 bit errors detected")
     return (words ^ err) >> 12, int(_to_bits(err, 24).sum())
-
-
-def golay_decode(word: int) -> tuple[int, int]:
-    """Decode one 24-bit word; returns (data, corrected_errors).
-
-    Corrects any error pattern of weight <= 3 and raises FecError for
-    detectable heavier patterns (weight-4 patterns are always detected;
-    weight >= 5 may silently miscorrect, as for any distance-8 code).
-    """
-    if not (0 <= word < (1 << 24)):
-        raise ValueError("word must be a 24-bit value")
-    data, corrected = _golay_decode(np.array([word]))
-    return int(data[0]), corrected
-
-
-def hamming_encode(data: int) -> int:
-    """Hamming (7,4) encoder; data in [0, 16)."""
-    if not (0 <= data < 16):
-        raise ValueError("data must be a 4-bit value")
-    return int(_HAMMING_ENC[data])
-
-
-def hamming_decode(word: int) -> tuple[int, int]:
-    """Decode one 7-bit word; returns (data, corrected) with corrected in
-    {0, 1}. Double-bit errors miscorrect, the standard Hamming limitation."""
-    if not (0 <= word < 128):
-        raise ValueError("word must be a 7-bit value")
-    return int(_HAMMING_DATA[word]), int(_HAMMING_CORR[word])
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +363,16 @@ def _coded_bit_count(kind: MessageKind, indexed: bool) -> int:
     return blocks * 24
 
 
-def detect_and_decode(
-    buffer: ComplexSignal,
-    kind: MessageKind,
-    indexed: bool,
-    threshold: float = 0.1,
-) -> tuple[SyncMessage, int, int]:
-    """Find the preamble by normalized cross-correlation, demodulate the
-    expected payload, and decode; returns (message, toa_sample, corrected)."""
+def detect_and_decode(buffer: ComplexSignal, kind: MessageKind, indexed: bool) -> tuple[SyncMessage, int, int]:
+    """Find the preamble by normalized cross-correlation (acquire's default
+    threshold), demodulate the expected payload, and decode; returns
+    (message, toa_sample, corrected)."""
     pre = sync_preamble(buffer.sample_rate_hz)
     n_sym = _coded_bit_count(kind, indexed) // 2
     max_lag = len(buffer.samples) - len(pre.samples) - n_sym + 1
     if max_lag < 1:
         raise ValueError("buffer too short for this message")
-    res = acquire(buffer, pre, lag_range=(0, max_lag), cfo_grid_hz=np.array([0.0]), threshold=threshold)
+    res = acquire(buffer, pre, lag_range=(0, max_lag), cfo_grid_hz=np.array([0.0]))
     start = res.lag + len(pre.samples)
     symbols = buffer.samples[start : start + n_sym]
     # undo any constant channel phase using the preamble as reference
@@ -421,11 +389,16 @@ def detect_and_decode(
 
 @dataclass
 class SyncRoundResult:
+    """One round's outcome. failure is "" on success, else why the round
+    aborted: "acquisition" (no preamble found), "decode" (FEC failure or a
+    message of the wrong kind), "echo" (the reply references another probe)
+    or "flight_time" (the two-way flight time is impossible)."""
+
     success: bool
     delta_hat: Fraction | None
     residual: Fraction | None
     corrected_bits: int
-    used_index: bool
+    failure: str
 
 
 def run_sync_round(
@@ -438,82 +411,84 @@ def run_sync_round(
     fs: float = 2e6,
     use_index: bool = False,
     history: list[Timestamp] | None = None,
-    t_start: Fraction | None = None,
 ) -> SyncRoundResult:
     """One complete two-way exchange over the RF side channel.
 
     The leader's clock is the true time axis; the follower's local clock
     reads true time minus its timestamp_offset_s. Times of arrival are taken
     from the preamble correlation peak, quantized to the sample grid. On
-    success the follower's offset is reduced by the estimate; on a decode
-    failure the round aborts and the offset is left unchanged.
+    success the follower's offset is reduced by the estimate. The round
+    aborts, leaving the offset unchanged, when either message fails to
+    decode, when the reply does not echo the probe the follower sent, or
+    when the two-way flight time (t4 - t1) - (t3 - t2), from which the clock
+    offset cancels, is one the receive buffers cannot hold: below 0, or
+    beyond the sum over both hops of the latest start a whole message has
+    in its buffer. Both checks catch FEC miscorrections of the timestamps;
+    a miscorrection that moves the flight by less than the buffers' slack
+    still passes.
     """
-    pad = 32
+    pad = 32  # zero samples on either side of every received message
     delta_true = Fraction(follower.timestamp_offset_s)
-    if t_start is None:
-        # timestamps are unsigned: start well past zero on both clocks
-        t_start = Fraction(1_000_000) + 2 * abs(delta_true)
-
-    def receive(sig: ComplexSignal, link: ChannelModel) -> tuple[ComplexSignal, Fraction]:
-        """Propagate over link; returns the noisy buffer and its start (true time)."""
-        rx = apply_channel(sig, link)
-        buf = np.concatenate([np.zeros(pad, dtype=complex), rx.samples, np.zeros(pad, dtype=complex)])
-        return add_noise(ComplexSignal(buf, fs), noise, rng), -Fraction(pad, int(fs))
-
     corrected_total = 0
+    reach = 0  # the longest flight the receive buffers can hold, in samples
 
-    # follower probe, stamped in follower-local time
-    t_tx_follower_true = t_start
+    def hop(msg: SyncMessage, link: ChannelModel, t_tx: Fraction) -> tuple[SyncMessage, Fraction]:
+        """Send msg over link at true time t_tx; returns the decoded message
+        and the true arrival time of its first sample."""
+        nonlocal corrected_total, reach
+        wire = sync_wire_signal(msg, fs)
+        rx = apply_channel(wire, link)
+        buf = np.concatenate([np.zeros(pad, dtype=complex), rx.samples, np.zeros(pad, dtype=complex)])
+        buf = add_noise(ComplexSignal(buf, fs), noise, rng)
+        decoded, toa, corrected = detect_and_decode(buf, msg.kind, msg.indexed)
+        corrected_total += corrected
+        reach += len(buf) - len(wire) - pad  # the latest flight at which a whole message fits in buf
+        return decoded, t_tx + Fraction(toa - pad, int(fs))
+
+    def failed(reason: str) -> SyncRoundResult:
+        return SyncRoundResult(False, None, None, corrected_total, reason)
+
+    # follower probe, stamped in follower-local time; timestamps are
+    # unsigned, so the round starts well past zero on both clocks
+    t_tx_follower_true = Fraction(1_000_000) + 2 * abs(delta_true)
     t_tx_follower = Timestamp.from_fraction(t_tx_follower_true - delta_true)
     if use_index:
         if history is None:
             history = []
         history.append(t_tx_follower)
         del history[:-SYNC_HISTORY_DEPTH]
-        index = len(history) - 1
-        probe = SyncMessage(MessageKind.FOLLOWER_PROBE, follower_index=index)
+        probe = SyncMessage(MessageKind.FOLLOWER_PROBE, follower_index=len(history) - 1)
     else:
         probe = SyncMessage(MessageKind.FOLLOWER_PROBE, t_tx_follower=t_tx_follower)
 
-    wire = sync_wire_signal(probe, fs)
     try:
-        buf, buf_start = receive(wire, link_up)
-        decoded_probe, toa, corrected = detect_and_decode(buf, MessageKind.FOLLOWER_PROBE, use_index)
-        corrected_total += corrected
-    except (FecError, AcquisitionError, ValueError):
-        return SyncRoundResult(False, None, None, corrected_total, use_index)
-    # leader-local (== true) arrival time of the probe's first sample
-    t_rx_leader = Timestamp.from_fraction(t_tx_follower_true + buf_start + Fraction(toa, int(fs)))
-
-    # leader reply after a fixed turnaround
-    turnaround = Fraction(1, 1000)
-    t_tx_leader_true = t_rx_leader.to_fraction() + turnaround
-    t_tx_leader = Timestamp.from_fraction(t_tx_leader_true)
-    reply = SyncMessage(
-        MessageKind.LEADER_REPLY,
-        t_tx_follower=decoded_probe.t_tx_follower,
-        follower_index=decoded_probe.follower_index,
-        t_tx_leader=t_tx_leader,
-        t_rx_leader=t_rx_leader,
-    )
-    wire = sync_wire_signal(reply, fs)
-    try:
-        buf, buf_start = receive(wire, link_down)
-        decoded_reply, toa, corrected = detect_and_decode(buf, MessageKind.LEADER_REPLY, use_index)
-        corrected_total += corrected
-    except (FecError, AcquisitionError, ValueError):
-        return SyncRoundResult(False, None, None, corrected_total, use_index)
-    t_rx_follower_true = t_tx_leader_true + buf_start + Fraction(toa, int(fs))
+        decoded_probe, t_rx_leader_true = hop(probe, link_up, t_tx_follower_true)
+        # the leader stamps the arrival on its (true) clock and replies after a fixed turnaround
+        t_rx_leader = Timestamp.from_fraction(t_rx_leader_true)
+        t_tx_leader_true = t_rx_leader.to_fraction() + Fraction(1, 1000)
+        reply = SyncMessage(
+            MessageKind.LEADER_REPLY,
+            t_tx_follower=decoded_probe.t_tx_follower,
+            follower_index=decoded_probe.follower_index,
+            t_tx_leader=Timestamp.from_fraction(t_tx_leader_true),
+            t_rx_leader=t_rx_leader,
+        )
+        decoded_reply, t_rx_follower_true = hop(reply, link_down, t_tx_leader_true)
+    except AcquisitionError:
+        return failed("acquisition")
+    except ValueError:  # FecError, or a message of the wrong kind
+        return failed("decode")
     t_rx_follower = Timestamp.from_fraction(t_rx_follower_true - delta_true)
 
-    if decoded_reply.indexed:
-        if history is None or decoded_reply.follower_index >= len(history):
-            return SyncRoundResult(False, None, None, corrected_total, use_index)
-        ref_tx = history[decoded_reply.follower_index]
-    else:
-        ref_tx = decoded_reply.t_tx_follower
+    if (decoded_reply.t_tx_follower, decoded_reply.follower_index) != (probe.t_tx_follower, probe.follower_index):
+        return failed("echo")
+    t_rx_l, t_tx_l = decoded_reply.t_rx_leader, decoded_reply.t_tx_leader
+    # whole samples: the stamps' 2^-64 s rounding must not push a zero flight below 0
+    flight = round(((t_rx_follower - t_tx_follower) - (t_tx_l - t_rx_l)) * int(fs))
+    if not 0 <= flight <= reach:
+        return failed("flight_time")
 
-    delta_hat = estimate_offset(ref_tx, decoded_reply.t_rx_leader, decoded_reply.t_tx_leader, t_rx_follower)
+    delta_hat = estimate_offset(t_tx_follower, t_rx_l, t_tx_l, t_rx_follower)
     follower.timestamp_offset_s = float(Fraction(follower.timestamp_offset_s) - delta_hat)
     residual = delta_true - delta_hat
-    return SyncRoundResult(True, delta_hat, residual, corrected_total, use_index)
+    return SyncRoundResult(True, delta_hat, residual, corrected_total, "")

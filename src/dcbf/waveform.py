@@ -22,7 +22,6 @@ from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, Segment, 
 __all__ = [
     "gen_mls",
     "modulate",
-    "rrc_taps",
     "shape_symbols",
     "PULSE",
     "rx_source_layout",
@@ -35,7 +34,6 @@ __all__ = [
     "interferer_frame",
     "build_frame",
     "write_frame_iq",
-    "read_frame_iq",
     "RX_FRAME_TOTAL",
     "TX_FRAME_TOTAL",
 ]
@@ -151,20 +149,21 @@ def modulate(bits: np.ndarray, modulation: str) -> np.ndarray:
     raise ValueError(f"unknown modulation {modulation!r}")
 
 
-def rrc_taps(sps: int = 2, rolloff: float = 0.35, span: int = 8) -> np.ndarray:
-    """Root-raised-cosine pulse, unit l2 norm, span*sps + 1 taps."""
-    n = span * sps
-    t = (np.arange(n + 1) - n / 2) / sps
+# Every frame carries QPSK or 256-QAM at SPS samples per symbol, shaped by PULSE.
+SPS = 2
+
+
+def _rrc_pulse() -> np.ndarray:
+    """Root-raised-cosine pulse of rolloff 0.35 over 8 symbols: unit l2 norm,
+    8*SPS + 1 taps. The taps sit at t = k/SPS symbols, so none meets the
+    formula's removable singularity at |t| = 1/(4*0.35)."""
+    n = 8 * SPS
+    t = (np.arange(n + 1) - n / 2) / SPS
     taps = np.zeros_like(t)
-    b = rolloff
+    b = 0.35
     for k, ti in enumerate(t):
         if abs(ti) < 1e-12:
             taps[k] = 1.0 + b * (4.0 / np.pi - 1.0)
-        elif b > 0 and abs(abs(ti) - 1.0 / (4.0 * b)) < 1e-9:
-            taps[k] = (b / np.sqrt(2.0)) * (
-                (1 + 2 / np.pi) * np.sin(np.pi / (4 * b))
-                + (1 - 2 / np.pi) * np.cos(np.pi / (4 * b))
-            )
         else:
             num = np.sin(np.pi * ti * (1 - b)) + 4 * b * ti * np.cos(np.pi * ti * (1 + b))
             den = np.pi * ti * (1 - (4 * b * ti) ** 2)
@@ -179,21 +178,19 @@ def _centered_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.convolve(x, taps)[(len(taps) - 1) // 2 :][: len(x)]
 
 
-def shape_symbols(symbols: np.ndarray, sps: int, taps: np.ndarray) -> np.ndarray:
-    """Upsample by sps and pulse-shape, keeping length len(symbols)*sps.
+def shape_symbols(symbols: np.ndarray) -> np.ndarray:
+    """Upsample by SPS and shape with PULSE, keeping length len(symbols)*SPS.
 
-    Scaled by sqrt(sps) so a unit-power symbol stream yields a unit mean
+    Scaled by sqrt(SPS) so a unit-power symbol stream yields a unit mean
     power waveform (the pulse has unit l2 norm). Centered convolution, so
     segment offsets are preserved.
     """
-    up = np.zeros(len(symbols) * sps, dtype=np.complex128)
-    up[::sps] = symbols
-    return _centered_convolve(up, taps) * np.sqrt(sps)
+    up = np.zeros(len(symbols) * SPS, dtype=np.complex128)
+    up[::SPS] = symbols
+    return _centered_convolve(up, PULSE) * np.sqrt(SPS)
 
 
-# Every frame carries QPSK or 256-QAM at SPS samples per symbol, shaped by PULSE.
-SPS = 2
-PULSE = rrc_taps(SPS)
+PULSE = _rrc_pulse()
 PULSE.setflags(write=False)
 
 
@@ -249,10 +246,10 @@ def _frame_layout(
     return FrameLayout(tuple(segments), total)
 
 
-def rx_source_layout(cfg: MeshConfig, total: int = RX_FRAME_TOTAL) -> FrameLayout:
+def rx_source_layout(cfg: MeshConfig) -> FrameLayout:
     """Source frame: preamble | payload | look-through | postamble, guard-separated.
 
-    The look-through length absorbs the remainder so the frame hits `total`.
+    The look-through length absorbs the remainder so the frame hits RX_FRAME_TOTAL.
     Raises ConfigError naming the field when cfg cannot carry the frame.
     """
     parts = [
@@ -261,20 +258,21 @@ def rx_source_layout(cfg: MeshConfig, total: int = RX_FRAME_TOTAL) -> FrameLayou
         ("look_through", None),
         ("postamble", cfg.amble_len),
     ]
-    return _frame_layout(parts, cfg, total, "mesh.amble_len, mesh.payload_len, mesh.guard_len", 1)
+    return _frame_layout(parts, cfg, RX_FRAME_TOTAL, "mesh.amble_len, mesh.payload_len, mesh.guard_len", 1)
 
 
-def tx_node_layout(cfg: MeshConfig, total: int = TX_FRAME_TOTAL) -> FrameLayout:
+def tx_node_layout(cfg: MeshConfig) -> FrameLayout:
     """Mesh-node frame: CDMA preamble | beamformed payload | look-through |
     N TDMA monitor slots (payload_len each) | N TDMA postamble slots,
-    guard-separated. Raises ConfigError naming the field when cfg cannot
-    carry the frame.
+    guard-separated, TX_FRAME_TOTAL samples in all. Raises ConfigError
+    naming the field when cfg cannot carry the frame.
     """
     n = cfg.n_nodes
     parts = [("preamble", cfg.amble_len), ("bf_payload", cfg.payload_len), ("look_through", None)]
     parts += [(f"monitor_{k}", cfg.payload_len) for k in range(1, n + 1)]
     parts += [(f"postamble_{k}", cfg.amble_len) for k in range(1, n + 1)]
-    return _frame_layout(parts, cfg, total, "mesh.n_nodes, mesh.amble_len, mesh.payload_len, mesh.guard_len", n)
+    fields = "mesh.n_nodes, mesh.amble_len, mesh.payload_len, mesh.guard_len"
+    return _frame_layout(parts, cfg, TX_FRAME_TOTAL, fields, n)
 
 
 def interferer_layout(length: int) -> FrameLayout:
@@ -296,7 +294,7 @@ def _shaped_amble(amble_len: int, taps: tuple[int, ...], init_state: int) -> np.
     n_bits = (amble_len // SPS) * 2
     bits = ((gen_mls(taps[0], taps, init_state=init_state) + 1) // 2).astype(np.int64)
     bits = np.concatenate([bits, bits[: n_bits - len(bits)]])
-    wave = shape_symbols(modulate(bits, "QPSK"), SPS, PULSE)
+    wave = shape_symbols(modulate(bits, "QPSK"))
     wave.setflags(write=False)
     return wave
 
@@ -325,7 +323,7 @@ def node_ambles(cfg: MeshConfig) -> list[dict[str, np.ndarray]]:
 def _qpsk_payload(cfg: MeshConfig, seed: int, entity: str) -> np.ndarray:
     rng = substream(seed, entity, "payload_bits")
     bits = rng.integers(0, 2, size=(cfg.payload_len // SPS) * 2)
-    return shape_symbols(modulate(bits, "QPSK"), SPS, PULSE)
+    return shape_symbols(modulate(bits, "QPSK"))
 
 
 def source_frame(cfg: MeshConfig, seed: int) -> dict[str, np.ndarray]:
@@ -348,7 +346,7 @@ def interferer_frame(length: int, seed: int) -> dict[str, np.ndarray]:
     continuous 256-QAM stream drawn from seed."""
     rng = substream(seed, "interferer", "payload_bits")
     bits = rng.integers(0, 2, size=(length // SPS) * 8)
-    return {"interference": shape_symbols(modulate(bits, "QAM256"), SPS, PULSE)}
+    return {"interference": shape_symbols(modulate(bits, "QAM256"))}
 
 
 def build_frame(layout: FrameLayout, contents: dict[str, np.ndarray], sample_rate_hz: float) -> ComplexSignal:
@@ -378,16 +376,3 @@ def write_frame_iq(path: str | Path, signal: ComplexSignal, layout: FrameLayout)
         ],
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def read_frame_iq(path: str | Path) -> tuple[ComplexSignal, FrameLayout]:
-    """Inverse of write_frame_iq."""
-    path = Path(path)
-    iq = np.frombuffer(path.read_bytes(), dtype="<f4")
-    samples = iq[0::2].astype(np.float64) + 1j * iq[1::2].astype(np.float64)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    layout = FrameLayout(
-        tuple(Segment(s["name"], s["offset"], s["length"]) for s in meta["segments"]),
-        meta["total_length"],
-    )
-    return ComplexSignal(samples, meta["sample_rate_hz"]), layout

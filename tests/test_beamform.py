@@ -437,24 +437,3 @@ class TestTxNull:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError, match="delta"):
             tx_null_beamformer(np.ones(2, complex), np.ones(2, complex), 0.0)
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        rng = substream(15, "t", "ser")
-        w = (rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
-        bf = Beamformer(weights=w, method="MMSE_RX", delta=0.125, node_ids=("n1", "n2", "n3"),
-                        output_delay=4)
-        back = Beamformer.from_json(bf.to_json())
-        assert back.method == bf.method
-        assert back.delta == bf.delta
-        assert back.output_delay == bf.output_delay
-        assert back.node_ids == bf.node_ids
-        assert np.allclose(back.weights, bf.weights)
-
-    def test_tx_null_vector_roundtrip(self):
-        w = np.array([1 + 2j, 3 - 4j, -5j])
-        bf = Beamformer(weights=w, method="TX_NULL")
-        back = Beamformer.from_json(bf.to_json())
-        assert back.weights.shape == (3,)
-        assert np.allclose(back.weights, w)

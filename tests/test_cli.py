@@ -1,7 +1,9 @@
 """Tests for the command line interface and its output contracts."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +73,9 @@ class TestConfigHandling:
             _case("mesh.bandwidth_hz=1e6", "mesh.bandwidth_hz"),
             _case('channels={"A->n9": {"taps": [[1, 0]]}}', "channels.A->n9"),
             _case('channels={"A->n1": {"taps": [[1]]}}', "channels.A->n1"),
+            # acquisition memory: 324,017 and 300,016 lags fit the 0.2 s cycle period
+            _case('channels={"A->n1": {"taps": [[1, 0]], "tof": 324000}}', "channels.A->n1"),
+            _case(("channel_kind=rayleigh", "channel_taps=300000"), "channel_taps"),
             _case("interferer_power=1.0", "interferer_power"),
             _case("channel_taps=2", "channel_taps"),
             _case("mesh.n_nodes=5", "mesh.n_nodes", config="tx_bf"),
@@ -126,6 +131,14 @@ class TestConfigHandling:
 
 
 class TestImports:
+    def test_every_public_name_resolves(self):
+        modules = [dcbf] + [importlib.import_module(f"dcbf.{m.name}") for m in pkgutil.iter_modules(dcbf.__path__)]
+        for module in modules:
+            public = getattr(module, "__all__", [])
+            assert len(set(public)) == len(public), module.__name__
+            missing = [name for name in public if not hasattr(module, name)]
+            assert not missing, (module.__name__, missing)
+
     def test_no_runner_for_time_transfer_and_no_scipy(self):
         # a fresh interpreter: time transfer loads none of the runner's
         # modules, and the whole package, CLI included, loads no scipy module
@@ -292,10 +305,9 @@ class TestDumpFrame:
         out = tmp_path / "f.iq"
         rc = main(["dump-frame", "--kind", "rx-source", "--out", str(out)])
         assert rc == 0
-        from dcbf.waveform import read_frame_iq
-
-        sig, layout = read_frame_iq(out)
-        assert layout.total_length == 75560
+        meta = json.loads((tmp_path / "f.iq.json").read_text())
+        assert meta["total_length"] == 75560
+        assert len(np.fromfile(out, "<c8")) == 75560
 
     def test_tx_node_dump(self, tmp_path):
         out = tmp_path / "n2.iq"

@@ -15,13 +15,6 @@ from dcbf.core import (
 
 
 class TestComplexSignal:
-    def test_power_definition(self):
-        sig = ComplexSignal(np.array([1 + 1j, 1 - 1j]), 1.0)
-        assert sig.power() == pytest.approx(2.0)
-
-    def test_empty_signal_power(self):
-        assert ComplexSignal(np.array([], dtype=complex), 1.0).power() == 0.0
-
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             ComplexSignal(np.array([1.0, np.nan]), 1.0)

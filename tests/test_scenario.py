@@ -11,6 +11,7 @@ from dcbf.core import ConfigError, MeshConfig
 from dcbf.estimation import AcquisitionError
 from dcbf.scenario import (
     EXPERIMENTS,
+    MAX_ACQUISITION_VALUES,
     MAX_MMSE_UNKNOWNS,
     CycleRecord,
     ScenarioConfig,
@@ -188,6 +189,30 @@ class TestValidation:
                 _RxRunner(ScenarioConfig(coarse_cfo_span_hz=2048.0, coarse_cfo_step_hz=1.0))
             with pytest.raises(ConfigError, match="fine_cfo_step_hz"):
                 _RxRunner(ScenarioConfig(fine_cfo_step_hz=1e-6))  # 2e8 points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_acquisition_bounded_before_any_allocation(self):
+        import tracemalloc
+
+        def tof(samples):
+            return ScenarioConfig(channels={"A->n1": {"taps": [[1.0, 0.0]], "tof": samples}})
+
+        # 17 lags at the bundled sizes, at the largest coarse grid admitted
+        validate_scenario(ScenarioConfig(coarse_cfo_span_hz=2047.5, coarse_cfo_step_hz=1.0))
+        # lags * ceil(sqrt(2048)) * 81 coarse points: 1,125 lags fit the bound, 1,126 do not
+        assert 1125 * 46 * 81 <= MAX_ACQUISITION_VALUES < 1126 * 46 * 81
+        validate_scenario(tof(1125 - 17))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=re.escape("channels.A->n1")):
+                validate_scenario(tof(1126 - 17))
+            with pytest.raises(ConfigError, match=re.escape("channels.A->n1")):
+                _RxRunner(tof(324000))  # 10.7 GB of DTFT input
+            with pytest.raises(ConfigError, match="channel_taps"):
+                _RxRunner(ScenarioConfig(channel_kind="rayleigh", channel_taps=300000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,7 +531,7 @@ class TestPayloadReproduction:
         from dcbf.core import ComplexSignal, substream
 
         mesh = MeshConfig()
-        pulse = waveform.rrc_taps()
+        pulse = waveform.PULSE
         layout = waveform.rx_source_layout(mesh)
         frame = waveform.build_frame(layout, waveform.source_frame(mesh, 61), mesh.sample_rate_hz)
         pre_mf = np.convolve(waveform.source_ambles(mesh)["preamble"], pulse, "same")
@@ -534,7 +559,7 @@ class TestFrameDesign:
 
     @staticmethod
     def _mf(x):
-        return np.convolve(x, waveform.rrc_taps(), mode="same")
+        return np.convolve(x, waveform.PULSE, mode="same")
 
     def test_rx_references_are_matched_source_preamble(self):
         runner = _RxRunner(ScenarioConfig(experiment="RX_BF", n_cycles=1))

@@ -1,5 +1,7 @@
 """Tests for timestamps, FEC codes, the sync message codec, and sync rounds."""
 
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -18,16 +20,19 @@ from dcbf.timesync import (
     decode_sync_message,
     encode_sync_message,
     estimate_offset,
-    golay_decode,
     golay_encode,
-    hamming_decode,
-    hamming_encode,
     run_sync_round,
     sync_preamble,
     sync_wire_signal,
 )
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def decode_word(word):
+    """One 24-bit word through the wire path's Golay decoder: (data, corrected)."""
+    data, corrected = timesync._golay_decode(np.array([word]))
+    return int(data[0]), corrected
 
 
 class TestTimestamp:
@@ -62,7 +67,7 @@ class TestGolay:
             cw = golay_encode(int(data))
             for pos in combinations(range(24), 3):
                 err = (1 << pos[0]) | (1 << pos[1]) | (1 << pos[2])
-                decoded, corrected = golay_decode(cw ^ err)
+                decoded, corrected = decode_word(cw ^ err)
                 assert decoded == data
                 assert corrected == 3
 
@@ -80,31 +85,31 @@ class TestGolay:
             for p in pos:
                 err |= 1 << int(p)
             with pytest.raises(FecError):
-                golay_decode(cw ^ err)
+                decode_word(cw ^ err)
 
     def test_single_and_double_flips(self):
         cw = golay_encode(0x5A5)
         for i in range(24):
-            assert golay_decode(cw ^ (1 << i)) == (0x5A5, 1)
+            assert decode_word(cw ^ (1 << i)) == (0x5A5, 1)
             for j in range(i + 1, 24):
-                assert golay_decode(cw ^ (1 << i) ^ (1 << j)) == (0x5A5, 2)
+                assert decode_word(cw ^ (1 << i) ^ (1 << j)) == (0x5A5, 2)
 
 
 class TestHamming:
+    # the wire path's tables: encoder, and word -> (data, corrected)
     def test_zero(self):
-        assert hamming_encode(0) == 0
+        assert timesync._HAMMING_ENC[0] == 0
 
     def test_every_single_flip_corrected(self):
         rng = substream(2, "test", "hamm")
         for data in rng.integers(0, 16, 8):
-            cw = hamming_encode(int(data))
+            cw = int(timesync._HAMMING_ENC[data])
             for i in range(7):
-                decoded, corrected = hamming_decode(cw ^ (1 << i))
-                assert decoded == data
-                assert corrected == 1
+                assert timesync._HAMMING_DATA[cw ^ (1 << i)] == data
+                assert timesync._HAMMING_CORR[cw ^ (1 << i)] == 1
 
     def test_pairwise_distance_at_least_3(self):
-        words = [hamming_encode(d) for d in range(16)]
+        words = [int(w) for w in timesync._HAMMING_ENC]
         for i in range(16):
             for j in range(i + 1, 16):
                 assert bin(words[i] ^ words[j]).count("1") >= 3
@@ -199,9 +204,9 @@ class TestFecTablesOracle:
                 e = int(err[syndrome])
                 if e < 0:
                     with pytest.raises(FecError):
-                        golay_decode(word)
+                        decode_word(word)
                 else:
-                    assert golay_decode(word) == ((word ^ e) >> 12, bin(e).count("1"))
+                    assert decode_word(word) == ((word ^ e) >> 12, bin(e).count("1"))
 
 
 class TestMessageCodec:
@@ -385,7 +390,86 @@ class TestSyncRound:
             NodeState("L"), follower, up, down, NoiseSpec(1000.0), substream(5, "s", "n")
         )
         assert not res.success
+        assert res.failure in ("acquisition", "decode")
         assert follower.timestamp_offset_s == 0.25
+
+    @pytest.mark.parametrize("tof", [0, 2000])
+    def test_any_flight_inside_the_buffers_accepted(self, tof):
+        # zero flight, where the stamps' rounding may fall either side of 0,
+        # and a flight of 4000 samples, longer than either receive buffer
+        up, down = self._links(tof, tof)
+        follower = NodeState("F", timestamp_offset_s=0.3)
+        res = run_sync_round(NodeState("L"), follower, up, down, NoiseSpec(0.0), substream(0, "s", "n"))
+        assert (res.success, res.failure) == (True, "")
+        assert abs(res.residual) <= Fraction(4, 2**64)
+
+    @pytest.mark.parametrize(
+        "use_index, field, wrong, failure",
+        [
+            (False, "t_tx_follower", lambda ts: Timestamp(ts.integer_part, ts.frac_part ^ 1), "echo"),
+            (True, "follower_index", lambda index: index + 1, "echo"),
+            (False, "t_rx_leader", lambda ts: Timestamp(ts.integer_part - 1, ts.frac_part), "flight_time"),
+            (True, "t_tx_leader", lambda ts: Timestamp(ts.integer_part + 1, ts.frac_part), "flight_time"),
+        ],
+        ids=["stamp", "index", "t_rx_leader", "t_tx_leader"],
+    )
+    def test_miscorrected_reply_aborts(self, monkeypatch, use_index, field, wrong, failure):
+        # a reply that decodes but carries a wrong field, as a FEC
+        # miscorrection leaves it: the round aborts and the offset stays
+        decode = timesync.detect_and_decode
+
+        def miscorrect(buffer, kind, indexed):
+            msg, toa, corrected = decode(buffer, kind, indexed)
+            if kind == MessageKind.LEADER_REPLY:
+                msg = dataclasses.replace(msg, **{field: wrong(getattr(msg, field))})
+            return msg, toa, corrected
+
+        monkeypatch.setattr(timesync, "detect_and_decode", miscorrect)
+        up, down = self._links(20, 20)
+        follower = NodeState("F", timestamp_offset_s=0.125)
+        res = run_sync_round(
+            NodeState("L"), follower, up, down, NoiseSpec(0.0), substream(0, "s", "n"), use_index=use_index, history=[]
+        )
+        assert (res.success, res.failure, res.delta_hat) == (False, failure, None)
+        assert follower.timestamp_offset_s == 0.125
+
+    def test_no_silent_miscorrection_at_6db(self):
+        # about one round in 100 used to decode a miscorrected timestamp and
+        # report success ~1e16 s off; the echo and flight-time checks abort it
+        up, down = self._links(20, 20)
+        noise = NoiseSpec(10 ** (-6 / 10))
+        bad = []
+        for seed in range(3):
+            rng = substream(seed, "sync", "6dB")
+            for _ in range(300):
+                follower = NodeState("F", timestamp_offset_s=1.25e-3)
+                res = run_sync_round(NodeState("L"), follower, up, down, noise, rng, history=[])
+                if res.success and abs(res.residual) > Fraction(1, 2_000_000):
+                    bad.append(float(res.residual))
+        assert not bad
+
+    @pytest.mark.parametrize(
+        "use_index, digest",
+        [
+            (False, "a6539cb6015d90816ddab2c25146101fa8c2185681c94e2f28b699ee7abe8b8c"),
+            (True, "15f01fc73e9918854d38169319c2982feb248749591a0490822d4397a9a51c99"),
+        ],
+        ids=["explicit", "indexed"],
+    )
+    def test_fresh_rounds_pinned_at_10db(self, use_index, digest):
+        # (success, delta_hat, residual, corrected_bits) of 20 fresh-follower
+        # rounds, as the round gave them before the echo and flight-time
+        # checks: at 10 dB every round succeeds and neither check fires
+        up, down = self._links(20, 20)
+        rng = substream(0, "sync", "pin")
+        lines = []
+        for _ in range(20):
+            follower = NodeState("F", timestamp_offset_s=1.25e-3)
+            res = run_sync_round(
+                NodeState("L"), follower, up, down, NoiseSpec(0.1), rng, use_index=use_index, history=[]
+            )
+            lines.append(f"{res.success},{res.delta_hat},{res.residual},{res.corrected_bits}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 class TestFecStackGain:

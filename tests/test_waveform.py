@@ -1,11 +1,14 @@
 """Tests for MLS generation, modulation, pulse shaping, and frame assembly."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dcbf import waveform
 from dcbf.core import ConfigError, MeshConfig, substream
 from dcbf.waveform import (
+    PULSE,
     RX_FRAME_TOTAL,
     TX_FRAME_TOTAL,
     build_frame,
@@ -15,8 +18,6 @@ from dcbf.waveform import (
     modulate,
     node_ambles,
     node_frames,
-    read_frame_iq,
-    rrc_taps,
     rx_source_layout,
     shape_symbols,
     source_frame,
@@ -148,14 +149,13 @@ class TestModulate:
 
 class TestPulse:
     def test_unit_norm(self):
-        taps = rrc_taps()
-        assert np.linalg.norm(taps) == pytest.approx(1.0)
-        assert len(taps) == 8 * 2 + 1
+        assert np.linalg.norm(PULSE) == pytest.approx(1.0)
+        assert len(PULSE) == 8 * 2 + 1
 
     def test_shaped_stream_unit_power(self):
         rng = substream(4, "test", "bits")
         stream = modulate(rng.integers(0, 2, 8192), "QPSK")
-        wave = shape_symbols(stream, 2, rrc_taps())
+        wave = shape_symbols(stream)
         assert len(wave) == 2 * len(stream)
         assert np.mean(np.abs(wave) ** 2) == pytest.approx(1.0, rel=0.02)
 
@@ -163,14 +163,13 @@ class TestPulse:
     def test_short_stream_keeps_length_and_centre(self, n_symbols):
         # streams shorter than the pulse: the first samples of the stream followed by silence
         stream = modulate(substream(5, "test", "bits").integers(0, 2, 2 * n_symbols), "QPSK")
-        wave = shape_symbols(stream, 2, rrc_taps())
-        padded = shape_symbols(np.concatenate([stream, np.zeros(16)]), 2, rrc_taps())
+        wave = shape_symbols(stream)
+        padded = shape_symbols(np.concatenate([stream, np.zeros(16)]))
         np.testing.assert_allclose(wave, padded[: 2 * n_symbols], rtol=1e-12, atol=1e-15)
 
     def test_matched_cascade_is_nyquist(self):
         # rrc * rrc sampled at symbol spacing is ~delta (ISI-free)
-        taps = rrc_taps(sps=2, rolloff=0.35, span=8)
-        rc = np.convolve(taps, taps)
+        rc = np.convolve(PULSE, PULSE)
         center = len(rc) // 2
         symbol_taps = rc[center % 2 :: 2]
         peak = np.argmax(np.abs(symbol_taps))
@@ -192,7 +191,7 @@ class TestFrames:
 
     def test_guards_are_256_zero_samples(self):
         sig, layout = _source(self.cfg)
-        guard_names = [n for n in layout.names() if n.startswith("guard")]
+        guard_names = [s.name for s in layout.segments if s.name.startswith("guard")]
         assert guard_names
         for name in guard_names:
             seg = layout.segment(name)
@@ -350,8 +349,12 @@ class TestFrames:
         sig, layout = _source(self.cfg)
         path = tmp_path / "frame.iq"
         write_frame_iq(path, sig, layout)
-        sig2, layout2 = read_frame_iq(path)
-        assert layout2 == layout
-        assert sig2.sample_rate_hz == sig.sample_rate_hz
+        samples = np.fromfile(path, "<c8")  # interleaved little-endian float32 I/Q
+        meta = json.loads((tmp_path / "frame.iq.json").read_text())
+        assert meta == {
+            "sample_rate_hz": sig.sample_rate_hz,
+            "total_length": layout.total_length,
+            "segments": [{"name": s.name, "offset": s.offset, "length": s.length} for s in layout.segments],
+        }
         # float32 quantization on the wire
-        assert np.max(np.abs(sig2.samples - sig.samples)) < 1e-6
+        assert np.max(np.abs(samples - sig.samples)) < 1e-6
