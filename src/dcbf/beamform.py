@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ComplexSignal, Segment
+from .core import ComplexSignal, Segment, _conv_matrix
 
 __all__ = [
     "DelayMatrix",
@@ -63,10 +63,7 @@ def build_delay_matrix(
     window = zs[tau_hat : tau_hat + t_z]
     if len(window) != t_z:
         raise ValueError("window [tau_hat, tau_hat + t_z) not inside signal")
-    cols = t_z + t_w - 1
-    data = np.zeros((t_w, cols), dtype=np.complex128)
-    for r in range(t_w):
-        data[r, r : r + t_z] = window
+    data = _conv_matrix(window.astype(np.complex128), t_w).T
     return DelayMatrix(data=data, node_id=node_id, t_w=t_w)
 
 

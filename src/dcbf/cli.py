@@ -40,25 +40,23 @@ log = logging.getLogger("dcbf")
 # ---------------------------------------------------------------------------
 
 
-def _mesh_from_dict(obj: dict) -> MeshConfig:
-    known = {f.name for f in dataclasses.fields(MeshConfig)}
+def _from_dict(cls, obj: dict, prefix: str = ""):
+    """cls(**obj), raising ConfigError naming prefix + key for a key that is
+    no field of the config dataclass cls."""
+    known = {f.name for f in dataclasses.fields(cls)}
     for key in obj:
         if key not in known:
-            raise ConfigError(f"mesh.{key}", "unknown field")
-    return MeshConfig(**obj)
+            raise ConfigError(prefix + key, "unknown field")
+    return cls(**obj)
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
     """Build a config from its JSON object, rejecting unknown fields only: the
     runner validates the config it is given before synthesizing anything."""
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    for key in obj:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-    obj = dict(obj)
-    if "mesh" in obj and isinstance(obj["mesh"], dict):
-        obj["mesh"] = _mesh_from_dict(obj["mesh"])
-    return ScenarioConfig(**obj)
+    cfg = _from_dict(ScenarioConfig, obj)
+    if isinstance(cfg.mesh, dict):
+        cfg = dataclasses.replace(cfg, mesh=_from_dict(MeshConfig, cfg.mesh, "mesh."))
+    return cfg
 
 
 def load_config(path_or_name: str) -> ScenarioConfig:
@@ -262,8 +260,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.steps < 1 or args.phi_max < args.phi_min or args.phi_min < 0:
-        raise ConfigError("phi range", "need 0 <= phi-min <= phi-max and steps >= 1")
+    for flag, ok, rule in (
+        ("--n", args.n >= 1, "must be ≥ 1"),
+        ("--steps", args.steps >= 1, "must be ≥ 1"),
+        ("--phi-min", 0 <= args.phi_min < np.inf, "must be finite and ≥ 0"),
+        ("--phi-max", args.phi_min <= args.phi_max < np.inf, "must be finite and ≥ --phi-min"),
+    ):
+        if not ok:
+            raise ConfigError(flag, rule)
     grid = np.linspace(args.phi_min, args.phi_max, args.steps)
     lines = ["phi_var,power_gain_db,rx_gain_db,inr_bound"]
     for phi in grid:
@@ -284,7 +288,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sync_rounds(snr_db: float, args: argparse.Namespace, seed_label: str, fresh: bool = False) -> list:
+def _sync_noise(flag: str, snr_db: float) -> NoiseSpec:
+    """Side-channel noise at Es/N0 = snr_db dB; ConfigError naming flag
+    unless that noise power is a finite number (+inf dB is no noise)."""
+    try:
+        return NoiseSpec(10 ** (-snr_db / 10))
+    except (OverflowError, ValueError):
+        raise ConfigError(flag, f"must be an Es/N0 in dB with a finite noise power, got {snr_db}") from None
+
+
+def _sync_rounds(noise: NoiseSpec, args: argparse.Namespace, seed_label: str, fresh: bool = False) -> list:
     """Run sync rounds; fresh=True restarts the follower each round so the
     per-round residual statistics are i.i.d. (used for the SNR sweep)."""
     leader = NodeState(node_id="L")
@@ -293,7 +306,6 @@ def _sync_rounds(snr_db: float, args: argparse.Namespace, seed_label: str, fresh
     down = ChannelModel(
         taps=np.array([1.0 + 0j]), tof_delay=args.tof_samples + args.asym_samples, label="L->F"
     )
-    noise = NoiseSpec(10 ** (-snr_db / 10))
     rng = substream(args.seed, "sync", seed_label)
     history: list = []
     results = []
@@ -310,6 +322,20 @@ def _sync_rounds(snr_db: float, args: argparse.Namespace, seed_label: str, fresh
 
 
 def cmd_sync_demo(args: argparse.Namespace) -> int:
+    noise = _sync_noise("--snr-db", args.snr_db)
+    try:
+        snrs = [float(s) for s in args.sweep.split(",")] if args.sweep else []
+    except ValueError:
+        raise ConfigError("--sweep", f"must be a comma-separated list of numbers, got {args.sweep!r}") from None
+    sweep = [(snr, _sync_noise("--sweep", snr)) for snr in snrs]
+    # the round's stamps reach 1e6 s + 3|delta| and are unsigned 64-bit seconds
+    if not abs(args.delta_s) <= 1e18:
+        raise ConfigError("--delta-s", f"must be finite with |delta| ≤ 1e18 s, got {args.delta_s}")
+    if args.tof_samples < 0:
+        raise ConfigError("--tof-samples", "must be ≥ 0")
+    if args.tof_samples + args.asym_samples < 0:
+        raise ConfigError("--asym-samples", "must be ≥ -tof-samples: the downlink delay is tof + asym samples")
+
     msg = timesync.SyncMessage(
         timesync.MessageKind.LEADER_REPLY,
         t_tx_follower=timesync.Timestamp.from_fraction(Fraction(12345, 8)),
@@ -321,7 +347,7 @@ def cmd_sync_demo(args: argparse.Namespace) -> int:
     print(f"encoded LEADER_REPLY ({len(bits)} coded bits): {hexdump}")
 
     print(f"rounds at Es/N0 = {args.snr_db:.1f} dB (initial offset {args.delta_s} s):")
-    for i, res in enumerate(_sync_rounds(args.snr_db, args, "demo")):
+    for i, res in enumerate(_sync_rounds(noise, args, "demo")):
         if not res.success:
             print(f"  round {i}: {res.failure} failure (round aborted)")
             continue
@@ -330,11 +356,10 @@ def cmd_sync_demo(args: argparse.Namespace) -> int:
             f"residual = {float(res.residual):+.3e} s, fec_corrected = {res.corrected_bits}"
         )
 
-    if args.sweep:
-        snrs = [float(s) for s in args.sweep.split(",")]
+    if sweep:
         print("Es/N0 sweep (residual RMS over rounds, fresh follower each round):")
-        for snr in snrs:
-            results = _sync_rounds(snr, args, f"sweep{snr}", fresh=True)
+        for snr, sweep_noise in sweep:
+            results = _sync_rounds(sweep_noise, args, f"sweep{snr}", fresh=True)
             # an aborted round leaves the full offset uncorrected
             residuals = [float(r.residual) if r.success else args.delta_s for r in results]
             rms = float(np.sqrt(np.mean(np.square(residuals)))) if residuals else float("inf")

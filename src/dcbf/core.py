@@ -153,6 +153,15 @@ def validate_config(cfg: MeshConfig) -> MeshConfig:
     return cfg
 
 
+def _conv_matrix(x: np.ndarray, cols: int) -> np.ndarray:
+    """Full-convolution matrix of x, in x's dtype: column k is x delayed by k
+    samples, so _conv_matrix(x, len(h)) @ h is the full convolution of x and h."""
+    out = np.zeros((len(x) + cols - 1, cols), dtype=x.dtype)
+    for k in range(cols):
+        out[k : k + len(x), k] = x
+    return out
+
+
 def _tag64(text: str) -> int:
     """Stable 64-bit tag of a string (first 8 bytes of its SHA-256)."""
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ComplexSignal
+from .core import ComplexSignal, _conv_matrix
 
 __all__ = [
     "AcquisitionError",
@@ -176,15 +176,6 @@ def ml_cfo(
     return CfoEstimate(f_hat_hz=f_hat, at_boundary=at_boundary, peak_metric=peak)
 
 
-def _conv_design_matrix(ref: np.ndarray, t_h: int) -> np.ndarray:
-    """Full-convolution design matrix: column k is ref delayed by k samples."""
-    rows = len(ref) + t_h - 1
-    s = np.zeros((rows, t_h), dtype=np.complex128)
-    for k in range(t_h):
-        s[k : k + len(ref), k] = ref
-    return s
-
-
 def _ls_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     a = design.conj().T @ design
     b = design.conj().T @ y
@@ -233,7 +224,7 @@ def estimate_channels_joint(
     y = z.samples[tau_hat : tau_hat + rows]
     if len(y) != rows:
         raise ValueError("observation window not inside signal")
-    design = np.hstack([_conv_design_matrix(r.samples, t_h) for r in refs])
+    design = np.hstack([_conv_matrix(r.samples, t_h) for r in refs])
     h_all, resid = _ls_solve(design, y)
     return [ChannelEstimate(taps=h_all[i * t_h : (i + 1) * t_h], residual_power=resid) for i in range(len(refs))]
 

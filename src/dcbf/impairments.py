@@ -6,9 +6,9 @@ LO effects are applied to the waveform before it enters the channel.
 
 The public functions take and return ComplexSignal. Each wraps a private
 array kernel (_add_channel, _impress_lo, _add_noise) that works in place on
-an array its caller owns; the scenario runner chains the kernels, so a
-received buffer is checked for non-finite samples once, after the matched
-filter, rather than at every stage.
+an array its caller owns; the scenario runner and the time-transfer hop chain
+the kernels, so a received buffer is checked for non-finite samples once,
+rather than at every stage.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Tapped delay line plus an integer-sample time-of-flight delay."""
+    """Tapped delay line (finite taps, at least one nonzero) plus an
+    integer-sample time-of-flight delay."""
 
     taps: np.ndarray
     tof_delay: int = 0
@@ -42,8 +43,12 @@ class ChannelModel:
         object.__setattr__(self, "taps", taps)
         if taps.ndim != 1 or len(taps) < 1:
             raise ValueError("taps must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(taps)):
+            raise ValueError("taps must be finite")
         if not np.any(taps != 0):
             raise ValueError("channel needs at least one nonzero tap")
+        if isinstance(self.tof_delay, bool) or not isinstance(self.tof_delay, (int, np.integer)):
+            raise ValueError(f"tof_delay must be an integer, got {self.tof_delay!r}")
         if self.tof_delay < 0:
             raise ValueError("tof_delay must be >= 0")
 
@@ -59,8 +64,8 @@ class NoiseSpec:
     noise_power_per_sample: float
 
     def __post_init__(self):
-        if self.noise_power_per_sample < 0:
-            raise ValueError("noise power must be >= 0")
+        if not 0 <= self.noise_power_per_sample < np.inf:
+            raise ValueError(f"noise power must be finite and >= 0, got {self.noise_power_per_sample!r}")
 
 
 def apply_channel(x: ComplexSignal, ch: ChannelModel) -> ComplexSignal:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import beamform, estimation, metrics, waveform
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream, validate_config
-from .core import _check_field_types
+from .core import _check_field_types, _conv_matrix, _tag64
 from .estimation import AcquisitionError, AcquisitionResult
 from .impairments import ChannelModel, _add_channel, _add_noise, _impress_lo, _lo_product, _phasor, advance_clock
 from .metrics import LinkMetrics
@@ -176,7 +176,7 @@ def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout) -> tuple[int, int,
     for label in (f.format(i + 1) for f in families for i in range(cfg.mesh.n_nodes)):
         spec = explicit.get(label)
         if spec:
-            links.append((int(spec.get("tof", 0)), len(spec["taps"]), f"channels.{label}"))
+            links.append((spec.get("tof", 0), len(spec["taps"]), f"channels.{label}"))
         else:
             links.append((0, cfg.channel_taps, "channel_taps"))
     lag_hi = max(tof for tof, _, _ in links) + max(taps for _, taps, _ in links) + 16
@@ -229,12 +229,6 @@ class CycleRecord:
 PER_NODE_FIELDS = ("siso_snr_db", "siso_inr_db", "siso_sinr_db", "detection_stat", "cfo_est_hz")
 
 
-def derive_seed(master: int, label: str) -> int:
-    """Deterministic 64-bit child seed from the master seed and a label."""
-    digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _bf_ref(bf: beamform.Beamformer) -> str:
     return hashlib.sha256(bf.to_json().encode()).hexdigest()[:12]
 
@@ -249,7 +243,7 @@ def _draw_channel(rng: np.random.Generator, kind: str, n_taps: int, label: str) 
 
 def _explicit_channel(spec: dict, label: str) -> ChannelModel:
     taps = np.array([complex(re, im) for re, im in spec["taps"]], dtype=np.complex128)
-    return ChannelModel(taps=taps, tof_delay=int(spec.get("tof", 0)), label=label)
+    return ChannelModel(taps=taps, tof_delay=spec.get("tof", 0), label=label)
 
 
 def _get_channel(cfg: ScenarioConfig, rng: np.random.Generator, label: str) -> ChannelModel:
@@ -473,9 +467,7 @@ class _RxRunner(_Runner):
             self.cov_window = (self.look_seg.offset, min(self.look_seg.length, COV_MAX_LEN))
         # white antenna noise through the matched filter and a node's taps w
         # has power w^H P w, P = G^H G for G the pulse's convolution matrix
-        conv = np.zeros((len(self.pulse) + cfg.t_w - 1, cfg.t_w))
-        for k in range(cfg.t_w):
-            conv[k : k + len(self.pulse), k] = self.pulse
+        conv = _conv_matrix(self.pulse, cfg.t_w)
         self.noise_gram = conv.T @ conv
         self.with_interf = cfg.interferer_power > 0  # only RX_BF_INTERF may set it
         self.source = self._radio("A", cfg.source_cfo_hz)
@@ -486,11 +478,11 @@ class _RxRunner(_Runner):
 
     def _transmit(self, k, rec, flags):
         cfg = self.cfg
-        contents = waveform.source_frame(self.mesh, derive_seed(cfg.seed, f"src_payload_{k}"))
+        contents = waveform.source_frame(self.mesh, _tag64(f"{cfg.seed}:src_payload_{k}"))
         src = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(cfg.signal_power)
         sent = [(self.source, _impress_lo(src, self.source, self.fs, 1, self._spans(contents)))]
         if self.with_interf:
-            contents = waveform.interferer_frame(self.buf_len, derive_seed(cfg.seed, f"intf_payload_{k}"))
+            contents = waveform.interferer_frame(self.buf_len, _tag64(f"{cfg.seed}:intf_payload_{k}"))
             iframe = waveform.build_frame(self.interferer_layout, contents, self.fs)
             intf = iframe.samples * np.sqrt(cfg.interferer_power)
             sent.append((self.interferer, _impress_lo(intf, self.interferer, self.fs, 1)))
@@ -570,17 +562,18 @@ class _TxRunner(_Runner):
 
         # feedback pipeline: estimates keyed by the cycle that produced them
         self.estimates: dict[int, dict[str, list[np.ndarray]]] = {}
-        self.weights: list[np.ndarray] | None = None
+        self.weights: np.ndarray | None = None
         self.weights_from_cycle: int | None = None
 
-    def _dominant_taps(self, ests: list[np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.complex128)
-        for i, taps in enumerate(ests):
-            out[i] = taps[int(np.argmax(np.abs(taps)))]
-        return out
+    @staticmethod
+    def _dominant_taps(ests: list[np.ndarray]) -> np.ndarray:
+        """Each node's largest-magnitude estimated tap."""
+        taps = np.array(ests)
+        return taps[np.arange(len(taps)), np.argmax(np.abs(taps), axis=1)]
 
-    def _build_weights(self, k: int) -> tuple[list[np.ndarray] | None, str]:
-        """Weights to apply at cycle k, honoring feedback latency and halt."""
+    def _build_weights(self, k: int) -> tuple[np.ndarray | None, str]:
+        """Weights to apply at cycle k, honoring feedback latency and halt:
+        an (n_nodes, taps) array, row i the predistortion filter of node i."""
         cfg = self.cfg
         halted = self.coherence and k * self.mesh.cycle_period_s >= cfg.feedback_halt_time_s
         if halted:
@@ -593,10 +586,9 @@ class _TxRunner(_Runner):
             h_b = self._dominant_taps(est["B"])
             h_c = self._dominant_taps(est["C"])
             delta = self.mesh.diag_loading_eps * float(np.mean(np.abs(h_c) ** 2)) + 1e-12
-            w = beamform.tx_null_beamformer(h_b, h_c, delta)
-            weights = [np.atleast_1d(w[i]) for i in range(self.n)]
+            weights = beamform.tx_null_beamformer(h_b, h_c, delta)[:, None]
         else:
-            weights = [beamform.stmf_beamformer(est["B"][i]) for i in range(self.n)]
+            weights = np.array([beamform.stmf_beamformer(taps) for taps in est["B"]])
         self.weights = weights
         self.weights_from_cycle = est_cycle
         return weights, ""
@@ -613,14 +605,14 @@ class _TxRunner(_Runner):
             raise RuntimeError(f"feedback causality: cycle {k} applies weights from cycle {self.weights_from_cycle}")
         if weights is not None:
             bf_obj = beamform.Beamformer(
-                weights=np.vstack([np.atleast_1d(w) for w in weights]),
+                weights=weights,
                 method="TX_NULL" if self.nulling else "STMF",
                 node_ids=tuple(f"n{i + 1}" for i in range(self.n)),
             )
             rec.beamformer_ref = _bf_ref(bf_obj)
 
         sent = []
-        frames = waveform.node_frames(self.mesh, derive_seed(cfg.seed, f"tx_payload_{k}"))
+        frames = waveform.node_frames(self.mesh, _tag64(f"{cfg.seed}:tx_payload_{k}"))
         for i, (node, contents) in enumerate(zip(self.nodes, frames)):
             samples = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(cfg.signal_power)
             if weights is not None:

@@ -4,6 +4,7 @@ offset estimator with its round runner."""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -13,7 +14,7 @@ import numpy as np
 
 from .core import ComplexSignal, NodeState
 from .estimation import AcquisitionError, acquire
-from .impairments import ChannelModel, NoiseSpec, add_noise, apply_channel
+from .impairments import ChannelModel, NoiseSpec, _add_channel, _add_noise
 from .waveform import gen_mls, modulate
 
 __all__ = [
@@ -75,13 +76,11 @@ def estimate_offset(
 ) -> Fraction:
     """Two-way clock offset: ((t_rx^L - t_tx^n) - (t_rx^n - t_tx^L)) / 2.
 
-    Integer and fractional components are differenced separately and the
-    halving is exact (denominator 2^65), so rational inputs with symmetric
-    time of flight recover the true offset with no rounding at all.
+    Timestamp differences and the halving are exact Fractions, so rational
+    inputs with symmetric time of flight recover the true offset with no
+    rounding at all.
     """
-    di = (t_rx_l.integer_part - t_tx_n.integer_part) - (t_rx_n.integer_part - t_tx_l.integer_part)
-    df = (t_rx_l.frac_part - t_tx_n.frac_part) - (t_rx_n.frac_part - t_tx_l.frac_part)
-    return Fraction(di, 2) + Fraction(df, 2 * _TICKS)
+    return ((t_rx_l - t_tx_n) - (t_rx_n - t_tx_l)) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +91,13 @@ def estimate_offset(
 # row 0), so a received word's syndrome is the parity its data bits imply XOR
 # the parity it carries. Every table below is derived from the B rows.
 
-# Characteristic matrix of the extended binary Golay code.
-_GOLAY_B_ROWS = (
-    0b110111000101,
-    0b101110001011,
-    0b011100010111,
-    0b111000101101,
-    0b110001011011,
-    0b100010110111,
-    0b000101101111,
-    0b001011011101,
-    0b010110111001,
-    0b101101110001,
-    0b011011100011,
-    0b111111111110,
-)
+# Characteristic matrix of the extended binary Golay code: the 11 left
+# rotations of the 11-bit row whose set bits (MSB first) are bit 0 and the
+# quadratic residues mod 11 {1, 3, 4, 5, 9}, each extended by a 1, and the
+# all-ones row extended by a 0.
+_GOLAY_B_ROWS = tuple(
+    ((0b11011100010 << i | 0b11011100010 >> (11 - i)) & 0x7FF) << 1 | 1 for i in range(11)
+) + (0b111111111110,)
 # Hamming parity bits p = (d0^d1^d3, d0^d2^d3, d1^d2^d3), d0 the data MSB:
 # row i holds the parity bits that data bit d_i enters.
 _HAMMING_B_ROWS = (0b110, 0b101, 0b011, 0b111)
@@ -246,25 +237,27 @@ class SyncMessage:
         return self.follower_index is not None
 
 
-def _timestamp_bytes(ts: Timestamp) -> bytes:
-    return ts.integer_part.to_bytes(8, "big") + ts.frac_part.to_bytes(8, "big")
-
-
-def _timestamp_from_bytes(raw: bytes) -> Timestamp:
-    return Timestamp(int.from_bytes(raw[:8], "big"), int.from_bytes(raw[8:16], "big"))
+# The payload of each (kind, indexed) message shape, big-endian: the header
+# byte, the probe reference (a one-byte history index, or the follower's stamp
+# as its integer and fractional words), then a reply's t_tx_leader and
+# t_rx_leader. Bytes past a shape's size are block padding.
+_PAYLOADS = {
+    (kind, indexed): struct.Struct(
+        ">B" + ("B" if indexed else "2Q") + ("4Q" if kind == MessageKind.LEADER_REPLY else "")
+    )
+    for kind in MessageKind
+    for indexed in (False, True)
+}
 
 
 def _message_payload(msg: SyncMessage) -> bytes:
-    header = (msg.kind.value & 0xF) | ((_FLAG_INDEXED if msg.indexed else 0) << 4)
-    out = bytes([header])
-    if msg.indexed:
-        out += bytes([msg.follower_index])
-    else:
-        out += _timestamp_bytes(msg.t_tx_follower)
+    header = msg.kind.value | ((_FLAG_INDEXED if msg.indexed else 0) << 4)
+    ref = [msg.follower_index] if msg.indexed else []
+    stamps = [] if msg.indexed else [msg.t_tx_follower]
     if msg.kind == MessageKind.LEADER_REPLY:
-        out += _timestamp_bytes(msg.t_tx_leader)
-        out += _timestamp_bytes(msg.t_rx_leader)
-    return out
+        stamps += [msg.t_tx_leader, msg.t_rx_leader]
+    words = [word for ts in stamps for word in (ts.integer_part, ts.frac_part)]
+    return _PAYLOADS[msg.kind, msg.indexed].pack(header, *ref, *words)
 
 
 def _parse_payload(raw: bytes) -> SyncMessage:
@@ -272,27 +265,15 @@ def _parse_payload(raw: bytes) -> SyncMessage:
     block padding and are ignored."""
     kind = MessageKind(raw[0] & 0xF)
     indexed = bool((raw[0] >> 4) & _FLAG_INDEXED)
-    if len(raw) < _expected_payload_bytes(kind, indexed):
+    layout = _PAYLOADS[kind, indexed]
+    if len(raw) < layout.size:
         raise ValueError("payload shorter than header promises")
-    if indexed:
-        ref_index, ref_ts, pos = raw[1], None, 2
-    else:
-        ref_index, ref_ts, pos = None, _timestamp_from_bytes(raw[1:17]), 17
-    t_tx_l = t_rx_l = None
-    if kind == MessageKind.LEADER_REPLY:
-        t_tx_l = _timestamp_from_bytes(raw[pos : pos + 16])
-        t_rx_l = _timestamp_from_bytes(raw[pos + 16 : pos + 32])
-    return SyncMessage(
-        kind=kind,
-        t_tx_follower=ref_ts,
-        follower_index=ref_index,
-        t_tx_leader=t_tx_l,
-        t_rx_leader=t_rx_l,
-    )
-
-
-def _expected_payload_bytes(kind: MessageKind, indexed: bool) -> int:
-    return 1 + (1 if indexed else 16) + (32 if kind == MessageKind.LEADER_REPLY else 0)
+    _, *fields = layout.unpack_from(raw)
+    index = fields.pop(0) if indexed else None
+    stamps = [Timestamp(*fields[i : i + 2]) for i in range(0, len(fields), 2)]
+    ref = None if indexed else stamps.pop(0)
+    t_tx_l, t_rx_l = stamps or (None, None)
+    return SyncMessage(kind=kind, t_tx_follower=ref, follower_index=index, t_tx_leader=t_tx_l, t_rx_leader=t_rx_l)
 
 
 def encode_sync_message(msg: SyncMessage) -> np.ndarray:
@@ -357,7 +338,7 @@ def _demod_qpsk_bits(symbols: np.ndarray) -> np.ndarray:
 
 
 def _coded_bit_count(kind: MessageKind, indexed: bool) -> int:
-    data_bits = 8 * _expected_payload_bytes(kind, indexed)
+    data_bits = 8 * _PAYLOADS[kind, indexed].size
     ham_bits = data_bits // 4 * 7
     blocks = (ham_bits + 11) // 12
     return blocks * 24
@@ -437,10 +418,12 @@ def run_sync_round(
         and the true arrival time of its first sample."""
         nonlocal corrected_total, reach
         wire = sync_wire_signal(msg, fs)
-        rx = apply_channel(wire, link)
-        buf = np.concatenate([np.zeros(pad, dtype=complex), rx.samples, np.zeros(pad, dtype=complex)])
-        buf = add_noise(ComplexSignal(buf, fs), noise, rng)
-        decoded, toa, corrected = detect_and_decode(buf, msg.kind, msg.indexed)
+        # the channel's output between pad zeros on either side, then the noise
+        buf = np.zeros(len(wire) + link.n_taps - 1 + link.tof_delay + 2 * pad, dtype=np.complex128)
+        _add_channel(buf[pad:], wire.samples, link)
+        if noise.noise_power_per_sample > 0:
+            _add_noise(buf, noise.noise_power_per_sample, rng)
+        decoded, toa, corrected = detect_and_decode(ComplexSignal(buf, fs), msg.kind, msg.indexed)
         corrected_total += corrected
         reach += len(buf) - len(wire) - pad  # the latest flight at which a whole message fits in buf
         return decoded, t_tx + Fraction(toa - pad, int(fs))

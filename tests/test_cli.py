@@ -73,6 +73,9 @@ class TestConfigHandling:
             _case("mesh.bandwidth_hz=1e6", "mesh.bandwidth_hz"),
             _case('channels={"A->n9": {"taps": [[1, 0]]}}', "channels.A->n9"),
             _case('channels={"A->n1": {"taps": [[1]]}}', "channels.A->n1"),
+            _case('channels={"A->n1": {"taps": [[NaN, 0]], "tof": 0}}', "channels.A->n1"),
+            _case('channels={"A->n1": {"taps": [[1, 0]], "tof": 2.5}}', "channels.A->n1"),
+            _case('channels={"A->n1": {"taps": [[1, 0]], "tof": true}}', "channels.A->n1"),
             # acquisition memory: 324,017 and 300,016 lags fit the 0.2 s cycle period
             _case('channels={"A->n1": {"taps": [[1, 0]], "tof": 324000}}', "channels.A->n1"),
             _case(("channel_kind=rayleigh", "channel_taps=300000"), "channel_taps"),
@@ -320,4 +323,28 @@ class TestDumpFrame:
         out = tmp_path / "n.iq"
         assert main(["dump-frame", "--kind", "tx-node", "--node-id", node_id, "--out", str(out)]) == 2
         assert "--node-id" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sync-demo", "--snr-db", "nan"], "--snr-db"),
+            (["sync-demo", "--tof-samples", "-5"], "--tof-samples"),
+            (["sync-demo", "--delta-s", "1e30"], "--delta-s"),
+            (["sync-demo", "--sweep", "6,abc"], "--sweep"),
+            (["bounds", "--n", "0"], "--n"),
+            (["bounds", "--phi-max", "nan"], "--phi-max"),
+            (["bounds", "--steps", "0"], "--steps"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "b.csv"
+        if argv[0] == "bounds":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {flag}:" in captured.err
+        assert captured.out == ""
         assert not out.exists()

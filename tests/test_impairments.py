@@ -68,9 +68,19 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="nonzero"):
             ChannelModel(np.zeros(3, complex))
 
+    @pytest.mark.parametrize("tap", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_tap(self, tap):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelModel(np.array([1.0, tap]))
+
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError, match="tof_delay"):
             ChannelModel(np.array([1.0 + 0j]), tof_delay=-1)
+
+    @pytest.mark.parametrize("tof", [2.5, True])
+    def test_rejects_non_integer_delay(self, tof):
+        with pytest.raises(ValueError, match="tof_delay must be an integer"):
+            ChannelModel(np.array([1.0 + 0j]), tof_delay=tof)
 
 
 class TestAdvanceClock:
@@ -197,6 +207,11 @@ class TestAddNoise:
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
             NoiseSpec(-0.1)
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf])
+    def test_rejects_non_finite_power(self, power):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(power)
 
 
 # The array kernels behind the public functions, against the formulas they

@@ -230,6 +230,27 @@ class TestMessageCodec:
         )
         self._roundtrip(msg)
 
+    @given(
+        kind=st.sampled_from(MessageKind),
+        index=st.none() | st.integers(0, 255),
+        words=st.lists(st.sampled_from([0, 2**64 - 1]) | U64, min_size=6, max_size=6),
+        pad=st.binary(max_size=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_payload_roundtrip_and_size(self, kind, index, words, pad):
+        # every message shape, stamps at the 64-bit edges, 0-2 bytes of block padding
+        ref, t_tx, t_rx = (Timestamp(*words[i : i + 2]) for i in range(0, 6, 2))
+        reply = kind == MessageKind.LEADER_REPLY
+        msg = SyncMessage(
+            kind,
+            t_tx_follower=ref if index is None else None,
+            follower_index=index,
+            t_tx_leader=t_tx if reply else None,
+            t_rx_leader=t_rx if reply else None,
+        )
+        assert timesync._parse_payload(timesync._message_payload(msg) + pad) == msg
+        assert timesync._coded_bit_count(kind, index is not None) == len(encode_sync_message(msg))
+
     def test_single_flip_per_inner_block_decodes(self):
         msg = SyncMessage(
             MessageKind.LEADER_REPLY,
