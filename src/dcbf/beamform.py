@@ -50,20 +50,19 @@ class DelayMatrix:
 
 
 def build_delay_matrix(
-    z: ComplexSignal | np.ndarray,
+    z: ComplexSignal,
     tau_hat: int,
     t_z: int,
     t_w: int,
     node_id: str = "",
 ) -> DelayMatrix:
     """Entry (r, c) = z[tau_hat + c - r] when 0 <= c - r < t_z, else 0."""
-    zs = z.samples if isinstance(z, ComplexSignal) else np.asarray(z)
     if t_w < 1 or t_z < 1:
         raise ValueError("t_w and t_z must be >= 1")
-    window = zs[tau_hat : tau_hat + t_z]
+    window = z.samples[tau_hat : tau_hat + t_z]
     if len(window) != t_z:
         raise ValueError("window [tau_hat, tau_hat + t_z) not inside signal")
-    data = _conv_matrix(window.astype(np.complex128), t_w).T
+    data = _conv_matrix(window, t_w).T
     return DelayMatrix(data=data, node_id=node_id, t_w=t_w)
 
 
@@ -112,7 +111,7 @@ def _pad_training_row(s_train: np.ndarray, t_w: int) -> np.ndarray:
 
 def mmse_rx_beamformer(
     delay_mats: list[DelayMatrix],
-    s_train: np.ndarray | ComplexSignal,
+    s_train: np.ndarray,
     delta: float | None = None,
     cov_source: str = "full",
     cov_mats: list[DelayMatrix] | None = None,
@@ -144,11 +143,10 @@ def mmse_rx_beamformer(
     else:
         raise ValueError(f"unknown cov_source {cov_source!r}")
 
-    strain = s_train.samples if isinstance(s_train, ComplexSignal) else np.asarray(s_train)
-    s_bar = _pad_training_row(strain, t_w)
+    s_bar = _pad_training_row(s_train, t_w)
     if len(s_bar) != z.shape[1]:
         raise ValueError(
-            f"training row length {len(strain)} inconsistent with window length "
+            f"training row length {len(s_train)} inconsistent with window length "
             f"{z.shape[1] - t_w + 1}"
         )
     w, deltas, resids = _mmse_solve((c_src @ c_src.conj().T)[None], (z @ np.conj(s_bar))[None], delta, eps)
@@ -304,10 +302,10 @@ def mmse_rx_beamformers(
 
 def apply_rx_beamformer(
     bf: Beamformer,
-    z_all: list[ComplexSignal | np.ndarray],
+    z_all: list[np.ndarray],
     tau_hat: int | list[int] = 0,
     length: int | None = None,
-) -> ComplexSignal:
+) -> np.ndarray:
     """Filter-and-sum: x[t] = sum_n (w_n^* * z_n)[t], nodes aligned at their
     tau_hat. Output sample c corresponds to window position c, so trained
     content appears shifted by bf.output_delay."""
@@ -317,21 +315,13 @@ def apply_rx_beamformer(
     if np.atleast_2d(bf.weights).shape[0] != n:
         raise ValueError("node count mismatch between beamformer and signals")
     taus = [tau_hat] * n if isinstance(tau_hat, (int, np.integer)) else list(tau_hat)
-    fs = None
-    arrays = []
-    for sig in z_all:
-        if isinstance(sig, ComplexSignal):
-            fs = sig.sample_rate_hz
-            arrays.append(sig.samples)
-        else:
-            arrays.append(np.asarray(sig))
     if length is None:
-        length = min(len(a) - t for a, t in zip(arrays, taus))
+        length = min(len(z) - t for z, t in zip(z_all, taus))
     out = np.zeros(length, dtype=np.complex128)
-    for i, (arr, tau) in enumerate(zip(arrays, taus)):
-        seg = arr[tau : tau + length]
+    for i, (z, tau) in enumerate(zip(z_all, taus)):
+        seg = z[tau : tau + length]
         out[: len(seg)] += np.convolve(seg, np.conj(bf.node_weights(i)), mode="full")[:length]
-    return ComplexSignal(out, fs or 1.0)
+    return out
 
 
 # Output samples per block of the segment-power pass: long enough to amortize

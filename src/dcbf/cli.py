@@ -34,6 +34,18 @@ ARTIFACT_VERSION = "0.3.0"
 
 log = logging.getLogger("dcbf")
 
+# Most rows of a `bounds` table. Each row is computed and formatted on its
+# own in Python, about 10 µs and 75 bytes: 100,000 rows take about a second
+# and 7.5 MB, where 1e10 would ask numpy for an 80 GB grid first.
+BOUNDS_MAX_STEPS = 100_000
+
+# Longest `sync-demo` link delay, in samples (4 ms of flight at 2 MHz). A hop
+# searches its whole buffer for the 512-sample preamble, holding 512 complex
+# values per lag, and it has delay + 65 lags: at 8,000 samples that stays
+# within the 2^22 values (64 MiB) that bound a mesh acquisition
+# (scenario.MAX_ACQUISITION_VALUES). 1e9 samples would ask for terabytes.
+SYNC_MAX_DELAY_SAMPLES = 8000
+
 
 # ---------------------------------------------------------------------------
 # Config handling
@@ -262,7 +274,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     for flag, ok, rule in (
         ("--n", args.n >= 1, "must be ≥ 1"),
-        ("--steps", args.steps >= 1, "must be ≥ 1"),
+        ("--steps", 1 <= args.steps <= BOUNDS_MAX_STEPS, f"must be in 1..{BOUNDS_MAX_STEPS}, one Python row each"),
         ("--phi-min", 0 <= args.phi_min < np.inf, "must be finite and ≥ 0"),
         ("--phi-max", args.phi_min <= args.phi_max < np.inf, "must be finite and ≥ --phi-min"),
     ):
@@ -322,6 +334,9 @@ def _sync_rounds(noise: NoiseSpec, args: argparse.Namespace, seed_label: str, fr
 
 
 def cmd_sync_demo(args: argparse.Namespace) -> int:
+    # zero rounds prints the encoded message alone; a sweep point's RMS needs a round
+    if args.rounds < (1 if args.sweep else 0):
+        raise ConfigError("--rounds", "must be ≥ 0, and ≥ 1 with --sweep: a sweep point is an RMS over rounds")
     noise = _sync_noise("--snr-db", args.snr_db)
     try:
         snrs = [float(s) for s in args.sweep.split(",")] if args.sweep else []
@@ -331,10 +346,11 @@ def cmd_sync_demo(args: argparse.Namespace) -> int:
     # the round's stamps reach 1e6 s + 3|delta| and are unsigned 64-bit seconds
     if not abs(args.delta_s) <= 1e18:
         raise ConfigError("--delta-s", f"must be finite with |delta| ≤ 1e18 s, got {args.delta_s}")
-    if args.tof_samples < 0:
-        raise ConfigError("--tof-samples", "must be ≥ 0")
-    if args.tof_samples + args.asym_samples < 0:
-        raise ConfigError("--asym-samples", "must be ≥ -tof-samples: the downlink delay is tof + asym samples")
+    delays = f"0..{SYNC_MAX_DELAY_SAMPLES}: a hop's preamble search grows by 8 KiB per sample of delay"
+    if not 0 <= args.tof_samples <= SYNC_MAX_DELAY_SAMPLES:
+        raise ConfigError("--tof-samples", f"must be in {delays}")
+    if not 0 <= args.tof_samples + args.asym_samples <= SYNC_MAX_DELAY_SAMPLES:
+        raise ConfigError("--asym-samples", f"--tof-samples + --asym-samples, the downlink delay, must be in {delays}")
 
     msg = timesync.SyncMessage(
         timesync.MessageKind.LEADER_REPLY,
@@ -362,7 +378,7 @@ def cmd_sync_demo(args: argparse.Namespace) -> int:
             results = _sync_rounds(sweep_noise, args, f"sweep{snr}", fresh=True)
             # an aborted round leaves the full offset uncorrected
             residuals = [float(r.residual) if r.success else args.delta_s for r in results]
-            rms = float(np.sqrt(np.mean(np.square(residuals)))) if residuals else float("inf")
+            rms = float(np.sqrt(np.mean(np.square(residuals))))
             fails = sum(1 for r in results if not r.success)
             print(f"  {snr:6.1f} dB: rms = {rms:.3e} s, failures = {fails}/{len(results)}")
     return 0

@@ -229,12 +229,7 @@ def estimate_channels_joint(
     return [ChannelEstimate(taps=h_all[i * t_h : (i + 1) * t_h], residual_power=resid) for i in range(len(refs))]
 
 
-def remove_dc(x: ComplexSignal) -> ComplexSignal:
-    """Mean subtraction over the whole signal."""
-    return ComplexSignal(_remove_dc(x.samples.copy()), x.sample_rate_hz)
-
-
-def _remove_dc(x: np.ndarray) -> np.ndarray:
-    """Array kernel of remove_dc: subtracts the mean of x in place; returns x."""
+def remove_dc(x: np.ndarray) -> np.ndarray:
+    """Subtract the mean of x over the whole signal, in place; returns x."""
     x -= np.mean(x)
     return x

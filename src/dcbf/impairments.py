@@ -4,11 +4,12 @@ The receive chain applies the channel first, then the receiving node's LO
 effects (CFO rotation, phase random walk), then additive noise. Transmit-side
 LO effects are applied to the waveform before it enters the channel.
 
-The public functions take and return ComplexSignal. Each wraps a private
-array kernel (_add_channel, _impress_lo, _add_noise) that works in place on
-an array its caller owns; the scenario runner and the time-transfer hop chain
-the kernels, so a received buffer is checked for non-finite samples once,
-rather than at every stage.
+Each stage is one function on a complex array its caller owns, worked in
+place: apply_channel adds a signal through a link into a buffer,
+apply_node_imperfections rotates by a node's LO, add_noise adds the receiver
+noise. The scenario runner and the time-transfer hop chain them on one
+buffer, so a received buffer is checked for non-finite samples once, by the
+ComplexSignal built from it, rather than at every stage.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexSignal, NodeState
+from .core import NodeState
 
 __all__ = [
     "ChannelModel",
@@ -68,18 +69,12 @@ class NoiseSpec:
             raise ValueError(f"noise power must be finite and >= 0, got {self.noise_power_per_sample!r}")
 
 
-def apply_channel(x: ComplexSignal, ch: ChannelModel) -> ComplexSignal:
-    """Convolve with the tapped delay line and delay by tof_delay samples.
+def apply_channel(out: np.ndarray, x: np.ndarray, ch: ChannelModel) -> np.ndarray:
+    """Add x, convolved with the tapped delay line and delayed by tof_delay
+    samples, into out in place, cut at the end of out; returns out.
 
-    Output length is len(x) + n_taps - 1 + tof_delay.
+    The whole channel output fits an out of len(x) + n_taps - 1 + tof_delay.
     """
-    out = np.zeros(len(x.samples) + ch.n_taps - 1 + ch.tof_delay, dtype=np.complex128)
-    return ComplexSignal(_add_channel(out, x.samples, ch), x.sample_rate_hz)
-
-
-def _add_channel(out: np.ndarray, x: np.ndarray, ch: ChannelModel) -> np.ndarray:
-    """Array kernel of apply_channel: adds x through ch into out, in place,
-    from sample tof_delay on and cut at the end of out; returns out."""
     conv = np.convolve(x, ch.taps, mode="full")
     m = max(min(len(conv), len(out) - ch.tof_delay), 0)
     out[ch.tof_delay : ch.tof_delay + m] += conv[:m]
@@ -97,29 +92,14 @@ def advance_clock(node: NodeState, dt_s: float) -> NodeState:
     return node
 
 
-def apply_node_imperfections(x: ComplexSignal, node: NodeState, sign: int = 1) -> ComplexSignal:
-    """Impress the node's LO on a signal: CFO ramp plus phase random walk.
-
-    Sample t is rotated by sign * (2*pi*cfo_hz*t/fs + phase(t)), where
-    phase(t) starts at node.phase_rad and performs a per-sample Wiener walk
-    at phase_walk_var_per_s. The node's clock state is advanced across the
-    signal duration, exactly as len(x) steps of advance_clock would.
-
-    sign=+1 models upconversion at a transmitter, sign=-1 downconversion
-    at a receiver.
-    """
-    if len(x.samples) == 0:
-        return x
-    return ComplexSignal(_impress_lo(x.samples.copy(), node, x.sample_rate_hz, sign), x.sample_rate_hz)
-
-
 # numpy evaluates `x * np.exp(...)` as `exp(...) * x`, in the temporary's own
 # buffer, when that temporary has the product's shape and holds at least
 # 256 KiB (temporary elision). Its SIMD complex multiply is not bitwise
 # commutative: `x * p` and `p * x` differ in the last bit on ~16% of samples.
-# The kernels keep the bits of those full-length formulas by multiplying from
-# the side numpy would have, judged by the full length even when they multiply
-# a slice: `x[lo:hi] * phasor` would differ from the old frame-length product.
+# The LO products here keep the bits of those full-length formulas by
+# multiplying from the side numpy would have, judged by the full length even
+# when they multiply a slice: `x[lo:hi] * phasor` would differ from the old
+# frame-length product.
 _ELIDE_BYTES = 256 * 1024
 
 
@@ -140,11 +120,18 @@ def _lo_product(x: np.ndarray, phasor: np.ndarray) -> np.ndarray:
     return x * phasor
 
 
-def _impress_lo(
+def apply_node_imperfections(
     x: np.ndarray, node: NodeState, fs: float, sign: int, spans: list[tuple[int, int]] | None = None
 ) -> np.ndarray:
-    """Array kernel of apply_node_imperfections: rotates x in place and
-    advances the node's clock across len(x) > 0 samples; returns x.
+    """Impress the node's LO on x (at least one sample) in place: CFO ramp
+    plus phase random walk; returns x.
+
+    Sample t is rotated by sign * (2*pi*cfo_hz*t/fs + phase(t)), where
+    phase(t) starts at node.phase_rad and performs a per-sample Wiener walk
+    at phase_walk_var_per_s. The node's clock state is advanced across the
+    signal duration, exactly as len(x) steps of advance_clock would.
+    sign=+1 models upconversion at a transmitter, sign=-1 downconversion
+    at a receiver.
 
     spans, when given, are the (start, stop) sample ranges that hold every
     nonzero sample of x: the LO phasor is evaluated there only, and the other
@@ -187,16 +174,12 @@ def _impress_lo(
     return x
 
 
-def add_noise(x: ComplexSignal, spec: NoiseSpec, rng: np.random.Generator) -> ComplexSignal:
-    """Add i.i.d. circularly-symmetric complex Gaussian noise of the given power."""
-    if spec.noise_power_per_sample == 0:
+def add_noise(x: np.ndarray, power: float, rng: np.random.Generator) -> np.ndarray:
+    """Add i.i.d. circularly-symmetric complex Gaussian noise of the given
+    power per sample to x in place, the real draws first; returns x. At
+    power 0 nothing is drawn."""
+    if power == 0:
         return x
-    return ComplexSignal(_add_noise(x.samples.copy(), spec.noise_power_per_sample, rng), x.sample_rate_hz)
-
-
-def _add_noise(x: np.ndarray, power: float, rng: np.random.Generator) -> np.ndarray:
-    """Array kernel of add_noise for power > 0: adds the real, then the
-    imaginary draws into x in place; returns x."""
     sigma = np.sqrt(power / 2.0)
     x.real += rng.normal(0.0, sigma, len(x))
     x.imag += rng.normal(0.0, sigma, len(x))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexSignal, Segment
+from .core import Segment
 
 __all__ = [
     "DB_FLOOR",
@@ -42,16 +42,15 @@ class LinkMetrics:
     sinr_db: float
 
 
-def segment_power(x: ComplexSignal | np.ndarray, seg: Segment, shift: int = 0) -> float:
+def segment_power(x: np.ndarray, seg: Segment, shift: int = 0) -> float:
     """Mean per-sample power over one layout segment (optionally shifted)."""
-    arr = x.samples if isinstance(x, ComplexSignal) else np.asarray(x)
     start = seg.offset + shift
     stop = start + seg.length
-    if start < 0 or stop > len(arr):
-        raise ValueError(f"segment {seg.name!r} [{start}, {stop}) outside signal of len {len(arr)}")
+    if start < 0 or stop > len(x):
+        raise ValueError(f"segment {seg.name!r} [{start}, {stop}) outside signal of len {len(x)}")
     if seg.length == 0:
         return 0.0
-    return float(np.mean(np.abs(arr[start:stop]) ** 2))
+    return float(np.mean(np.abs(x[start:stop]) ** 2))
 
 
 def link_metrics(p_sin: float, p_in: float, p_n: float) -> LinkMetrics:

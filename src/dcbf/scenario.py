@@ -21,7 +21,8 @@ from . import beamform, estimation, metrics, waveform
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream, validate_config
 from .core import _check_field_types, _conv_matrix, _tag64
 from .estimation import AcquisitionError, AcquisitionResult
-from .impairments import ChannelModel, _add_channel, _add_noise, _impress_lo, _lo_product, _phasor, advance_clock
+from .impairments import ChannelModel, add_noise, advance_clock, apply_channel, apply_node_imperfections
+from .impairments import _lo_product, _phasor
 from .metrics import LinkMetrics
 
 __all__ = [
@@ -38,7 +39,9 @@ RX_EXPERIMENTS = ("RX_BF", "RX_BF_INTERF")
 # Per-node link labels of each experiment family, "{}" standing for the
 # 1-based node index. Receive links run from the source A and the
 # interferer J to every mesh node; transmit links run from every mesh node
-# to the receiver B and to the nulled receiver C.
+# to the receiver B and to the nulled receiver C. A runner draws every link
+# of its family in this order, C's too when only B receives, so the drawn
+# channels are the same for every experiment of a family.
 RX_LINKS = ("A->n{}", "J->n{}")
 TX_LINKS = ("n{}->B", "n{}->C")
 
@@ -132,6 +135,8 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("detection_threshold", "must be in [0, 1]: the detection statistic is at most 1")
     if cfg.interferer_power > 0 and cfg.experiment != "RX_BF_INTERF":
         raise ConfigError("interferer_power", f"must be 0: {cfg.experiment} has no interferer")
+    if cfg.warmup_identity_s > 0 and cfg.experiment not in RX_EXPERIMENTS:
+        raise ConfigError("warmup_identity_s", f"must be 0: {cfg.experiment} has no receive combiner")
     if cfg.channel_kind == "random_phase" and cfg.channel_taps != 1:
         raise ConfigError("channel_taps", "must be 1: a random_phase channel has one tap")
     validate_config(cfg.mesh)
@@ -161,19 +166,24 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
+def _heard_links(cfg: ScenarioConfig) -> list[str]:
+    """Labels of the links that reach a receiver: for receive experiments
+    the source's and the interferer's (even when it is silent), for transmit
+    ones every node's to B, and to C when nulling."""
+    families = RX_LINKS if cfg.experiment in RX_EXPERIMENTS else TX_LINKS[: 1 + (cfg.experiment == "TX_NULL")]
+    return [f.format(i + 1) for f in families for i in range(cfg.mesh.n_nodes)]
+
+
 def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout) -> tuple[int, int, str]:
     """(lag_hi, buf_len, field): acquisition searches lags [0, lag_hi), and
     every receive buffer holds buf_len samples, room for the frame of layout
-    over the longest delay and tap spread of the link families that reach a
-    receiver (for receive experiments the interferer's too, even when it is
-    silent). Drawn links have no delay and channel_taps taps; explicit ones
-    their own. field names what sets the longest link: channels.<label> for
-    an explicit one, else channel_taps. validate_scenario and the runner
-    both size from here."""
-    families = RX_LINKS if cfg.experiment in RX_EXPERIMENTS else TX_LINKS[: 1 + (cfg.experiment == "TX_NULL")]
+    over the longest delay and tap spread of the heard links. Drawn links
+    have no delay and channel_taps taps; explicit ones their own. field
+    names what sets the longest link: channels.<label> for an explicit one,
+    else channel_taps. validate_scenario and the runner both size from here."""
     explicit = cfg.channels or {}
     links = []  # (tof, taps, field)
-    for label in (f.format(i + 1) for f in families for i in range(cfg.mesh.n_nodes)):
+    for label in _heard_links(cfg):
         spec = explicit.get(label)
         if spec:
             links.append((spec.get("tof", 0), len(spec["taps"]), f"channels.{label}"))
@@ -185,15 +195,14 @@ def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout) -> tuple[int, int,
 
 
 def _validate_channels(cfg: ScenarioConfig) -> None:
-    """Every explicit channel must name a link the experiment draws and parse."""
+    """Every explicit channel must name a link a receiver hears and parse."""
     if not isinstance(cfg.channels, dict):
         raise ConfigError("channels", "must map link labels to channel specs")
-    formats = RX_LINKS if cfg.experiment in RX_EXPERIMENTS else TX_LINKS
-    labels = [f.format(i + 1) for f in formats for i in range(cfg.mesh.n_nodes)]
+    labels = _heard_links(cfg)
     for label, spec in cfg.channels.items():
         name = f"channels.{label}"
         if label not in labels:
-            raise ConfigError(name, f"no {cfg.experiment} link has this label (links: {', '.join(labels)})")
+            raise ConfigError(name, f"no {cfg.experiment} receiver hears this link (heard: {', '.join(labels)})")
         if not isinstance(spec, dict) or "taps" not in spec or not set(spec) <= {"taps", "tof"}:
             raise ConfigError(name, 'must be {"taps": [[re, im], ...], "tof": samples}')
         try:
@@ -360,16 +369,16 @@ class _Runner:
         estimate); raises AcquisitionError, with the best statistic of any
         preamble, when none clears the threshold.
 
-        The buffer passes through the array kernels in place; the matched
+        The buffer passes through the chain's stages in place; the matched
         filter's output is the one ComplexSignal, so a non-finite sample
         anywhere upstream still raises here."""
         cfg = self.cfg
         buf = np.zeros(self.buf_len, dtype=np.complex128)
         for sig, ch in arrivals:
-            _add_channel(buf, sig, ch)
-        _impress_lo(buf, self.receivers[r], self.fs, sign=-1)
-        _add_noise(buf, cfg.noise_power, self.noise_rng[r])
-        estimation._remove_dc(buf)
+            apply_channel(buf, sig, ch)
+        apply_node_imperfections(buf, self.receivers[r], self.fs, sign=-1)
+        add_noise(buf, cfg.noise_power, self.noise_rng[r])
+        estimation.remove_dc(buf)
         sig_mf = self._matched(buf)
         z_mf = sig_mf.samples
         acq = None
@@ -480,12 +489,12 @@ class _RxRunner(_Runner):
         cfg = self.cfg
         contents = waveform.source_frame(self.mesh, _tag64(f"{cfg.seed}:src_payload_{k}"))
         src = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(cfg.signal_power)
-        sent = [(self.source, _impress_lo(src, self.source, self.fs, 1, self._spans(contents)))]
+        sent = [(self.source, apply_node_imperfections(src, self.source, self.fs, 1, self._spans(contents)))]
         if self.with_interf:
             contents = waveform.interferer_frame(self.buf_len, _tag64(f"{cfg.seed}:intf_payload_{k}"))
             iframe = waveform.build_frame(self.interferer_layout, contents, self.fs)
             intf = iframe.samples * np.sqrt(cfg.interferer_power)
-            sent.append((self.interferer, _impress_lo(intf, self.interferer, self.fs, 1)))
+            sent.append((self.interferer, apply_node_imperfections(intf, self.interferer, self.fs, 1)))
         return sent
 
     def _arrivals(self, sent, r):
@@ -623,7 +632,7 @@ class _TxRunner(_Runner):
                 else:
                     distorted = np.convolve(raw, np.conj(w), mode="full")[: pay_seg.length]
                 samples[pay_seg.offset : pay_seg.offset + pay_seg.length] = distorted
-            sent.append((node, _impress_lo(samples, node, self.fs, 1, self._spans(contents))))
+            sent.append((node, apply_node_imperfections(samples, node, self.fs, 1, self._spans(contents))))
         return sent
 
     def _arrivals(self, sent, r):

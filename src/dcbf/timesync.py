@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ComplexSignal, NodeState
 from .estimation import AcquisitionError, acquire
-from .impairments import ChannelModel, NoiseSpec, _add_channel, _add_noise
+from .impairments import ChannelModel, NoiseSpec, add_noise, apply_channel
 from .waveform import gen_mls, modulate
 
 __all__ = [
@@ -420,9 +420,8 @@ def run_sync_round(
         wire = sync_wire_signal(msg, fs)
         # the channel's output between pad zeros on either side, then the noise
         buf = np.zeros(len(wire) + link.n_taps - 1 + link.tof_delay + 2 * pad, dtype=np.complex128)
-        _add_channel(buf[pad:], wire.samples, link)
-        if noise.noise_power_per_sample > 0:
-            _add_noise(buf, noise.noise_power_per_sample, rng)
+        apply_channel(buf[pad:], wire.samples, link)
+        add_noise(buf, noise.noise_power_per_sample, rng)
         decoded, toa, corrected = detect_and_decode(ComplexSignal(buf, fs), msg.kind, msg.indexed)
         corrected_total += corrected
         reach += len(buf) - len(wire) - pad  # the latest flight at which a whole message fits in buf

@@ -226,15 +226,15 @@ class TestApplyRx:
         rng = substream(7, "t", "apply")
         z = _rand(rng, 64)
         bf = Beamformer(weights=np.array([[1.0 + 0j]]), method="MMSE_RX")
-        out = apply_rx_beamformer(bf, [_sig(z)], 0)
-        assert np.allclose(out.samples, z)
+        out = apply_rx_beamformer(bf, [z], 0)
+        assert np.allclose(out, z)
 
     def test_all_ones_coherent_sum(self):
         rng = substream(8, "t", "apply")
         z = _rand(rng, 64)
         bf = Beamformer(weights=np.ones((3, 1), dtype=complex), method="MMSE_RX")
-        out = apply_rx_beamformer(bf, [_sig(z)] * 3, 0)
-        assert np.allclose(out.samples, 3 * z)
+        out = apply_rx_beamformer(bf, [z] * 3, 0)
+        assert np.allclose(out, 3 * z)
 
     def test_matches_delay_matrix_path(self):
         rng = substream(9, "t", "apply")
@@ -244,7 +244,7 @@ class TestApplyRx:
         dm = build_delay_matrix(_sig(z), 8, t_z, 5)
         via_matrix = np.conj(w) @ dm.data
         bf = Beamformer(weights=w[None, :], method="MMSE_RX")
-        out = apply_rx_beamformer(bf, [_sig(z)], 8, length=t_z).samples
+        out = apply_rx_beamformer(bf, [z], 8, length=t_z)
         # interior columns where the zero-filled window and the live signal agree
         assert np.allclose(out[4:t_z], via_matrix[4:t_z], atol=1e-12)
 
@@ -254,8 +254,8 @@ class TestApplyRx:
         a = np.concatenate([np.zeros(3, complex), z])
         b = np.concatenate([np.zeros(7, complex), z])
         bf = Beamformer(weights=np.ones((2, 1), dtype=complex), method="MMSE_RX")
-        out = apply_rx_beamformer(bf, [_sig(a), _sig(b)], [3, 7], length=64)
-        assert np.allclose(out.samples, 2 * z)
+        out = apply_rx_beamformer(bf, [a, b], [3, 7], length=64)
+        assert np.allclose(out, 2 * z)
 
 
 class TestCycleKernelOracle:
@@ -281,9 +281,10 @@ class TestCycleKernelOracle:
         return z, taus, ids, _rand(rng, self.T_Z)
 
     def _oracle_bfs(self, z, taus, ids, s, t_w, cov_source, eps):
-        train = [build_delay_matrix(zi, tau, self.T_Z, t_w, node) for zi, tau, node in zip(z, taus, ids)]
+        sigs = [_sig(zi) for zi in z]
+        train = [build_delay_matrix(zi, tau, self.T_Z, t_w, node) for zi, tau, node in zip(sigs, taus, ids)]
         off, length = self.COV_WINDOW
-        cov = [build_delay_matrix(zi, tau + off, length, t_w, node) for zi, tau, node in zip(z, taus, ids)]
+        cov = [build_delay_matrix(zi, tau + off, length, t_w, node) for zi, tau, node in zip(sigs, taus, ids)]
         siso = [
             mmse_rx_beamformer([train[i]], s, cov_source=cov_source, cov_mats=[cov[i]], eps=eps)
             for i in range(len(ids))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dcbf
-from dcbf.cli import apply_overrides, load_config, main, scenario_from_dict
+from dcbf.cli import SYNC_MAX_DELAY_SAMPLES, apply_overrides, load_config, main, scenario_from_dict
 from dcbf.core import ConfigError
 from dcbf.scenario import validate_scenario
 
@@ -72,6 +72,7 @@ class TestConfigHandling:
             _case("mesh.carrier_hz=6e10", "mesh.carrier_hz"),
             _case("mesh.bandwidth_hz=1e6", "mesh.bandwidth_hz"),
             _case('channels={"A->n9": {"taps": [[1, 0]]}}', "channels.A->n9"),
+            _case('channels={"n1->C": {"taps": [[1, 0]], "tof": 300}}', "channels.n1->C", config="tx_bf"),
             _case('channels={"A->n1": {"taps": [[1]]}}', "channels.A->n1"),
             _case('channels={"A->n1": {"taps": [[NaN, 0]], "tof": 0}}', "channels.A->n1"),
             _case('channels={"A->n1": {"taps": [[1, 0]], "tof": 2.5}}', "channels.A->n1"),
@@ -112,6 +113,7 @@ class TestConfigHandling:
             _case("channel_redraw_every=-3", "channel_redraw_every"),
             _case("channel_walk_std_per_cycle=-1", "channel_walk_std_per_cycle"),
             _case("warmup_identity_s=-1", "warmup_identity_s"),
+            _case("warmup_identity_s=100", "warmup_identity_s", config="tx_null"),
             _case("feedback_halt_time_s=-1", "feedback_halt_time_s", config="coherence"),
             # mesh fields carry their prefix
             _case("mesh.n_nodes=0", "mesh.n_nodes"),
@@ -337,6 +339,12 @@ class TestBadFlags:
             (["bounds", "--n", "0"], "--n"),
             (["bounds", "--phi-max", "nan"], "--phi-max"),
             (["bounds", "--steps", "0"], "--steps"),
+            # past the bounds that keep a run's memory small
+            (["sync-demo", "--tof-samples", "1000000000"], "--tof-samples"),
+            (["sync-demo", "--asym-samples", "1000000000"], "--asym-samples"),
+            (["bounds", "--steps", "10000000000"], "--steps"),
+            (["sync-demo", "--rounds", "-3"], "--rounds"),
+            (["sync-demo", "--rounds", "0", "--sweep", "6"], "--rounds"),
         ],
     )
     def test_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
@@ -348,3 +356,8 @@ class TestBadFlags:
         assert f"config error: {flag}:" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("tof, asym", [(SYNC_MAX_DELAY_SAMPLES, 0), (0, SYNC_MAX_DELAY_SAMPLES)])
+    def test_longest_sync_delays_run(self, capsys, tof, asym):
+        assert main(["sync-demo", "--rounds", "1", "--tof-samples", str(tof), "--asym-samples", str(asym)]) == 0
+        assert "round 0: delta_hat" in capsys.readouterr().out

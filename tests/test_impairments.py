@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from dcbf import impairments, scenario, waveform
-from dcbf.core import ComplexSignal, MeshConfig, NodeState, substream
+from dcbf.core import MeshConfig, NodeState, substream
 from dcbf.impairments import (
     ChannelModel,
     NoiseSpec,
-    _impress_lo,
     _lo_product,
     _phasor,
     add_noise,
@@ -22,27 +21,43 @@ FS = 2e6
 
 
 def _sig(samples):
-    return ComplexSignal(np.asarray(samples, dtype=complex), FS)
+    return np.array(samples, dtype=complex)
+
+
+def _channel(x, ch):
+    """x through ch into a buffer that holds its whole output."""
+    return apply_channel(np.zeros(len(x) + ch.n_taps - 1 + ch.tof_delay, dtype=complex), x, ch)
+
+
+def _lo(x, node, sign=1):
+    """A rotated copy of x; x itself is left as it is."""
+    return apply_node_imperfections(x.copy(), node, FS, sign)
 
 
 class TestApplyChannel:
     def test_identity(self):
         x = _sig([1, 2j, 3])
-        y = apply_channel(x, ChannelModel(np.array([1.0 + 0j])))
-        assert np.array_equal(y.samples, x.samples)
+        y = _channel(x, ChannelModel(np.array([1.0 + 0j])))
+        assert np.array_equal(y, x)
 
     def test_pure_delay_composition(self):
         x = _sig([1, 2, 3])
-        y = apply_channel(x, ChannelModel(np.array([0, 1.0]), tof_delay=3))
-        assert len(y.samples) == 3 + 2 - 1 + 3
-        assert np.array_equal(y.samples[:4], np.zeros(4))
-        assert np.array_equal(y.samples[4:7], x.samples)
+        y = _channel(x, ChannelModel(np.array([0, 1.0]), tof_delay=3))
+        assert len(y) == 3 + 2 - 1 + 3
+        assert np.array_equal(y[:4], np.zeros(4))
+        assert np.array_equal(y[4:7], x)
+
+    def test_adds_into_out_and_cuts_at_its_end(self):
+        out = np.full(6, 1 + 1j)
+        y = apply_channel(out, _sig([1, 2, 3, 4]), ChannelModel(np.array([2.0 + 0j]), tof_delay=3))
+        assert y is out
+        assert np.array_equal(out, [1 + 1j, 1 + 1j, 1 + 1j, 3 + 1j, 5 + 1j, 7 + 1j])
 
     def test_matches_direct_convolution_oracle(self):
         rng = substream(0, "test", "conv")
         x = rng.normal(size=64) + 1j * rng.normal(size=64)
         h = rng.normal(size=4) + 1j * rng.normal(size=4)
-        y = apply_channel(_sig(x), ChannelModel(h, tof_delay=2))
+        y = _channel(x, ChannelModel(h, tof_delay=2))
         # brute-force O(n*T_h) convolution sum
         expect = np.zeros(64 + 3 + 2, dtype=complex)
         for n in range(len(expect)):
@@ -52,7 +67,7 @@ class TestApplyChannel:
                 if 0 <= idx < 64:
                     acc += h[k] * x[idx]
             expect[n] = acc
-        assert np.allclose(y.samples, expect, atol=1e-12)
+        assert np.allclose(y, expect, atol=1e-12)
 
     def test_linearity_to_machine_precision(self):
         rng = substream(1, "test", "lin")
@@ -60,8 +75,8 @@ class TestApplyChannel:
         y = rng.normal(size=32) + 1j * rng.normal(size=32)
         ch = ChannelModel(rng.normal(size=3) + 1j * rng.normal(size=3), tof_delay=1)
         a, b = 2.5 - 1j, -0.125j
-        lhs = apply_channel(_sig(a * x + b * y), ch).samples
-        rhs = a * apply_channel(_sig(x), ch).samples + b * apply_channel(_sig(y), ch).samples
+        lhs = _channel(a * x + b * y, ch)
+        rhs = a * _channel(x, ch) + b * _channel(y, ch)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_requires_nonzero_tap(self):
@@ -115,16 +130,17 @@ class TestNodeImperfections:
     def test_ideal_node_identity(self):
         x = _sig(np.ones(128))
         node = NodeState("n1")
-        y = apply_node_imperfections(x, node)
-        assert np.allclose(y.samples, x.samples)
+        y = apply_node_imperfections(x, node, FS, 1)
+        assert y is x
+        assert np.allclose(y, 1.0)
         assert node.phase_rad == 0.0
 
     def test_pure_cfo_is_complex_exponential(self):
         f0 = 5000.0
         n = 4000
         node = NodeState("n1", cfo_hz=f0)
-        y = apply_node_imperfections(_sig(np.ones(n)), node)
-        spec = np.abs(np.fft.fft(y.samples))
+        y = _lo(_sig(np.ones(n)), node)
+        spec = np.abs(np.fft.fft(y))
         freqs = np.fft.fftfreq(n, 1 / FS)
         assert freqs[np.argmax(spec)] == pytest.approx(f0, abs=FS / n)
 
@@ -132,9 +148,9 @@ class TestNodeImperfections:
         node_tx = NodeState("a", cfo_hz=777.0)
         node_rx = NodeState("b", cfo_hz=777.0)
         x = _sig(np.ones(64))
-        up = apply_node_imperfections(x, node_tx, sign=1)
-        back = apply_node_imperfections(up, node_rx, sign=-1)
-        assert np.allclose(back.samples, x.samples, atol=1e-12)
+        up = _lo(x, node_tx, sign=1)
+        back = _lo(up, node_rx, sign=-1)
+        assert np.allclose(back, x, atol=1e-12)
 
     def test_phase_difference_grows_sqrt_t(self):
         # RMS inter-node phase difference should scale ~sqrt(t): compare RMS
@@ -145,9 +161,9 @@ class TestNodeImperfections:
         for trial in range(200):
             a = NodeState("a", phase_walk_var_per_s=v, rng=substream(trial, "a", "w"))
             b = NodeState("b", phase_walk_var_per_s=v, rng=substream(trial, "b", "w"))
-            ya = apply_node_imperfections(_sig(np.ones(n)), a)
-            yb = apply_node_imperfections(_sig(np.ones(n)), b)
-            dphi = np.unwrap(np.angle(ya.samples * np.conj(yb.samples)))
+            ya = _lo(_sig(np.ones(n)), a)
+            yb = _lo(_sig(np.ones(n)), b)
+            dphi = np.unwrap(np.angle(ya * np.conj(yb)))
             diffs_early.append(dphi[n // 4])
             diffs_late.append(dphi[-1])
         rms_early = np.sqrt(np.mean(np.square(diffs_early)))
@@ -162,9 +178,9 @@ class TestNodeImperfections:
         ch = ChannelModel(np.array([1.0, 0.0, -0.7j]))
         node1 = NodeState("n", cfo_hz=40e3)
         node2 = NodeState("n", cfo_hz=40e3)
-        chain_a = apply_node_imperfections(apply_channel(x, ch), node1, sign=-1)
-        chain_b = apply_channel(apply_node_imperfections(x, node2, sign=-1), ch)
-        assert not np.allclose(chain_a.samples, chain_b.samples, atol=1e-6)
+        chain_a = _lo(_channel(x, ch), node1, sign=-1)
+        chain_b = _channel(_lo(x, node2, sign=-1), ch)
+        assert not np.allclose(chain_a, chain_b, atol=1e-6)
 
     def test_single_tap_commutes(self):
         rng = substream(6, "test", "commute")
@@ -172,27 +188,31 @@ class TestNodeImperfections:
         ch = ChannelModel(np.array([0.3 - 0.4j]))
         node1 = NodeState("n", cfo_hz=40e3)
         node2 = NodeState("n", cfo_hz=40e3)
-        chain_a = apply_node_imperfections(apply_channel(x, ch), node1, sign=-1)
-        chain_b = apply_channel(apply_node_imperfections(x, node2, sign=-1), ch)
-        assert np.allclose(chain_a.samples, chain_b.samples, atol=1e-12)
+        chain_a = _lo(_channel(x, ch), node1, sign=-1)
+        chain_b = _channel(_lo(x, node2, sign=-1), ch)
+        assert np.allclose(chain_a, chain_b, atol=1e-12)
 
 
 class TestAddNoise:
     def test_zero_power_identity(self):
-        x = _sig(np.ones(32))
-        y = add_noise(x, NoiseSpec(0.0), substream(0, "t", "n"))
-        assert np.array_equal(y.samples, x.samples)
+        # zero power adds nothing and draws nothing
+        x, rng = _sig(np.ones(32)), substream(0, "t", "n")
+        state = rng.bit_generator.state
+        y = add_noise(x, 0.0, rng)
+        assert y is x
+        assert np.array_equal(y, np.ones(32))
+        assert rng.bit_generator.state == state
 
     def test_measured_power(self):
         n = 100_000
-        y = add_noise(_sig(np.zeros(n)), NoiseSpec(1.0), substream(1, "t", "n"))
-        assert np.mean(np.abs(y.samples) ** 2) == pytest.approx(1.0, rel=0.02)
+        y = add_noise(_sig(np.zeros(n)), 1.0, substream(1, "t", "n"))
+        assert np.mean(np.abs(y) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_moments_circular_gaussian(self):
         # real/imag each ~ Normal(0, P/2): check mean, variance, skew, kurtosis
         n = 100_000
         p = 0.5
-        y = add_noise(_sig(np.zeros(n)), NoiseSpec(p), substream(2, "t", "n")).samples
+        y = add_noise(_sig(np.zeros(n)), p, substream(2, "t", "n"))
         for part in (y.real, y.imag):
             assert np.mean(part) == pytest.approx(0.0, abs=4 * np.sqrt(p / 2 / n))
             assert np.var(part) == pytest.approx(p / 2, rel=0.03)
@@ -214,10 +234,10 @@ class TestAddNoise:
             NoiseSpec(power)
 
 
-# The array kernels behind the public functions, against the formulas they
-# replaced, written out here. Equal means bitwise: numpy's complex multiply
-# is not commutative in the last bit, so an operand order that differs from
-# the old code's shows up as a mismatch on ~16% of samples.
+# The in-place stages against the formulas they replaced, written out here.
+# Equal means bitwise: numpy's complex multiply is not commutative in the
+# last bit, so an operand order that differs from the old code's shows up as
+# a mismatch on ~16% of samples.
 
 
 def _bits(a):
@@ -266,7 +286,7 @@ class TestArrayKernels:
         rng = substream(n, "test", "lo")
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         new, old = _twin_nodes(cfo_hz, walk)
-        y = apply_node_imperfections(_sig(x), new, sign=sign).samples
+        y = _lo(x, new, sign=sign)
         assert np.array_equal(_bits(y), _bits(_old_node_imperfections(x, old, sign)))
         assert _same_state(new, old)
 
@@ -275,7 +295,7 @@ class TestArrayKernels:
         rng = substream(n, "test", "noise")
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         new, old = substream(3, "t", "n"), substream(3, "t", "n")
-        y = add_noise(_sig(x), NoiseSpec(0.3), new).samples
+        y = add_noise(x.copy(), 0.3, new)
         sigma = np.sqrt(0.3 / 2.0)
         expect = x + (old.normal(0.0, sigma, n) + 1j * old.normal(0.0, sigma, n))
         assert np.array_equal(_bits(y), _bits(expect))
@@ -306,7 +326,7 @@ class TestArrayKernels:
             x = waveform.build_frame(runner.layout, contents, FS).samples
             spans = runner._spans(contents)
             new, old = _twin_nodes(cfo_hz, walk)
-            y = _impress_lo(x.copy(), new, FS, sign, spans)
+            y = apply_node_imperfections(x.copy(), new, FS, sign, spans)
             expect = _old_node_imperfections(x, old, sign)
             assert np.array_equal(y, expect)  # outside the spans: zeros, of either sign in the old
             inside = np.zeros(len(x), dtype=bool)
@@ -324,12 +344,12 @@ class TestArrayKernels:
         if stage == "frame":
             sent[1][1][20000] = bad
         else:
-            real = impairments._add_noise
+            real = impairments.add_noise
 
             def add_then_spoil(x, power, rng):
                 real(x, power, rng)[777] = bad
                 return x
 
-            monkeypatch.setattr(scenario, "_add_noise", add_then_spoil)
+            monkeypatch.setattr(scenario, "add_noise", add_then_spoil)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
             runner._receive(0, runner._arrivals(sent, 0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcbf.core import ComplexSignal, Segment, substream
+from dcbf.core import Segment, substream
 from dcbf.metrics import (
     DB_FLOOR,
     inr_reduction_bound,
@@ -18,11 +18,11 @@ from dcbf.metrics import (
 
 class TestSegmentPower:
     def test_all_ones(self):
-        x = ComplexSignal(np.ones(200, dtype=complex), 1.0)
+        x = np.ones(200, dtype=complex)
         assert segment_power(x, Segment("a", 50, 100)) == 1.0
 
     def test_zero_segment(self):
-        x = ComplexSignal(np.concatenate([np.ones(10), np.zeros(10)]).astype(complex), 1.0)
+        x = np.concatenate([np.ones(10), np.zeros(10)]).astype(complex)
         assert segment_power(x, Segment("z", 10, 10)) == 0.0
 
     def test_noise_power_monte_carlo(self):
@@ -32,7 +32,7 @@ class TestSegmentPower:
         assert segment_power(x, Segment("n", 0, 100_000)) == pytest.approx(sigma2, rel=0.02)
 
     def test_out_of_bounds(self):
-        x = ComplexSignal(np.ones(10, dtype=complex), 1.0)
+        x = np.ones(10, dtype=complex)
         with pytest.raises(ValueError, match="outside"):
             segment_power(x, Segment("a", 5, 10))
 

@@ -13,6 +13,7 @@ from dcbf.scenario import (
     EXPERIMENTS,
     MAX_ACQUISITION_VALUES,
     MAX_MMSE_UNKNOWNS,
+    RX_EXPERIMENTS,
     CycleRecord,
     ScenarioConfig,
     _RxRunner,
@@ -66,6 +67,14 @@ class TestValidation:
             validate_scenario(ScenarioConfig(experiment=experiment, interferer_power=1.0))
         validate_scenario(ScenarioConfig(experiment="RX_BF_INTERF", interferer_power=1.0))
 
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e not in RX_EXPERIMENTS])
+    def test_warmup_identity_needs_a_receive_combiner(self, experiment):
+        # transmit experiments have no identity combiner to warm up with
+        with pytest.raises(ConfigError, match="warmup_identity_s"):
+            validate_scenario(ScenarioConfig(experiment=experiment, warmup_identity_s=100.0))
+        for rx in RX_EXPERIMENTS:
+            validate_scenario(ScenarioConfig(experiment=rx, warmup_identity_s=100.0))
+
     @pytest.mark.parametrize("kind, taps", [("random_phase", 2), ("random_phase", 0), ("rayleigh", 0), ("rayleigh", -1)])
     def test_channel_taps_rejected(self, kind, taps):
         with pytest.raises(ConfigError, match="channel_taps"):
@@ -118,7 +127,15 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "experiment, label",
-        [("RX_BF", "A->n9"), ("RX_BF_INTERF", "n1->B"), ("TX_BF", "n1->X"), ("TX_NULL", "A->n1")],
+        [
+            ("RX_BF", "A->n9"),
+            ("RX_BF_INTERF", "n1->B"),
+            ("TX_BF", "n1->X"),
+            ("TX_NULL", "A->n1"),
+            # only TX_NULL has the receiver C
+            ("TX_BF", "n1->C"),
+            ("COHERENCE", "n3->C"),
+        ],
     )
     def test_unknown_channel_label_rejected(self, experiment, label):
         cfg = ScenarioConfig(experiment=experiment, channels={label: {"taps": [[1.0, 0.0]]}})
@@ -545,10 +562,9 @@ class TestPayloadReproduction:
                 for i, z in enumerate(zs)]
         trace_scale = sum(np.sum(np.abs(m.data) ** 2) for m in mats)
         bf = mmse_rx_beamformer(mats, pre_mf, delta=1e-10 * trace_scale / 24)
-        x = apply_rx_beamformer(bf, [ComplexSignal(z, mesh.sample_rate_hz) for z in zs], 0,
-                                length=layout.total_length)
+        x = apply_rx_beamformer(bf, zs, 0, length=layout.total_length)
         pay_seg = layout.segment("payload")
-        y = x.samples[pay_seg.offset + bf.output_delay : pay_seg.offset + bf.output_delay + pay_seg.length]
+        y = x[pay_seg.offset + bf.output_delay : pay_seg.offset + bf.output_delay + pay_seg.length]
         s = np.convolve(layout.extract(frame.samples, "payload"), pulse, mode="same")
         proj = abs(np.vdot(s, y)) ** 2 / (np.sum(np.abs(s) ** 2) * np.sum(np.abs(y) ** 2))
         assert 1 - proj <= 1e-6
