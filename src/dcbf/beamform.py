@@ -6,14 +6,17 @@ interference-plus-noise-only data), a per-node transmit matched filter
 (time-reversed channel estimate at unit norm), and narrowband transmit
 nulling weights via a regularized rank-one-update solve.
 
-A receive cycle builds all of its beamformers from shared quantities:
-mmse_rx_beamformers forms one Gram matrix of the stacked node windows from
-their lagged cross-correlations and solves every single-node beamformer on a
-diagonal block of it and the all-node one on the whole, and rx_output_powers
-measures every beamformer's segment powers in one filtering pass per node,
-plus its white-noise gain as a quadratic form. The delay-matrix functions
-(build_delay_matrix, mmse_rx_beamformer, apply_rx_beamformer) are the
-direct forms of the same computations.
+A receive cycle's beamformers over its n nodes form one (n + 1, n, t_w)
+weights array: row b < n is node b's single-node filter, zero off node b,
+and row n the all-node one. mmse_rx_beamformers builds it from one Gram
+matrix of the stacked node windows (their lagged cross-correlations),
+solving each single-node filter on a diagonal block and the all-node one on
+the whole, and rx_output_powers measures every row's segment powers in one
+filtering pass per node, shifted by the MMSE output delay t_w // 2 (where
+_pad_training_row puts the training row), plus its white-noise gain as a
+quadratic form. The delay-matrix functions (build_delay_matrix,
+mmse_rx_beamformer, apply_rx_beamformer) are the direct forms of the same
+computations.
 """
 
 from __future__ import annotations
@@ -82,9 +85,6 @@ class Beamformer:
     node_ids: tuple[str, ...] = ()
     output_delay: int = 0
     solve_residual: float = 0.0
-
-    def node_weights(self, i: int) -> np.ndarray:
-        return np.atleast_1d(self.weights[i])
 
     def to_json(self) -> str:
         w = np.atleast_2d(self.weights)
@@ -250,33 +250,34 @@ def _lagged_products(a: np.ndarray, b: np.ndarray, lags) -> np.ndarray:
 def mmse_rx_beamformers(
     z: np.ndarray,
     taus,
-    node_ids: tuple[str, ...],
     s_train: np.ndarray,
     t_w: int,
     cov_window: tuple[int, int] | None = None,
     eps: float = 1e-3,
-) -> list[Beamformer]:
-    """Every node's single-node MMSE receive beamformer, then the all-node one.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node's single-node MMSE receive filter, then the all-node one, as
+    (weights, deltas, residuals) over the n rows of z: weights[b] for b < n
+    holds node b's filter at [b, b] and zeros elsewhere, weights[n] the
+    all-node filter, and deltas and residuals follow the rows of weights.
 
-    Row i of z is node node_ids[i]. Its training window is
-    z[i, taus[i] : taus[i] + len(s_train)] and its covariance window starts
-    cov_window = (offset, length) after taus[i], or is the training window
-    when cov_window is None. Each result equals mmse_rx_beamformer on the
-    delay matrices of those windows (cov_source "interference_only", or
-    "full" when cov_window is None) with the default delta, but no delay
-    matrix is built: the stacked covariance Z Z^H is block-Toeplitz, entry
-    ((i, r), (j, s)) being the cross-correlation of windows i and j at lag
-    r - s, and the cross-vector Z s_bar^H holds the training windows'
-    correlations with the training row. The single-node systems are the
-    diagonal blocks of the all-node one.
+    Node i's training window is z[i, taus[i] : taus[i] + len(s_train)] and its
+    covariance window starts cov_window = (offset, length) after taus[i], or
+    is the training window when cov_window is None. Each row equals
+    mmse_rx_beamformer on the delay matrices of those windows (cov_source
+    "interference_only", or "full" when cov_window is None) with the default
+    delta, but no delay matrix is built: the stacked covariance Z Z^H is
+    block-Toeplitz, entry ((i, r), (j, s)) being the cross-correlation of
+    windows i and j at lag r - s, and the cross-vector Z s_bar^H holds the
+    training windows' correlations with the training row. The single-node
+    systems are the diagonal blocks of the all-node one.
     """
     z = np.atleast_2d(z)
     taus = np.asarray(taus, dtype=np.int64)
     n = z.shape[0]
     if t_w < 1:
         raise ValueError("t_w must be >= 1")
-    if len(taus) != n or len(node_ids) != n:
-        raise ValueError("need one lag and node id per signal")
+    if len(taus) != n:
+        raise ValueError("need one lag per signal")
     s = np.asarray(s_train, dtype=np.complex128)
     train = _windows(z, taus, 0, len(s))
     cov_src = train if cov_window is None else _windows(z, taus, *cov_window)
@@ -290,14 +291,12 @@ def mmse_rx_beamformers(
 
     # node i's system is diagonal block i of the mesh one; the n of them solve as one stack
     nodes = np.arange(n)
+    weights = np.zeros((n + 1, n, t_w), dtype=np.complex128)
     w, deltas, resids = _mmse_solve(cov.reshape(n, t_w, n, t_w)[nodes, :, nodes], b.reshape(n, t_w), None, eps)
-    out = [
-        Beamformer(w[i : i + 1], "MMSE_RX", float(deltas[i]), (node,), t_w // 2, float(resids[i]))
-        for i, node in enumerate(node_ids)
-    ]
-    w, deltas, resids = _mmse_solve(cov[None], b[None], None, eps)
-    out.append(Beamformer(w.reshape(n, t_w), "MMSE_RX", float(deltas[0]), tuple(node_ids), t_w // 2, float(resids[0])))
-    return out
+    weights[nodes, nodes] = w
+    w, mesh_delta, mesh_resid = _mmse_solve(cov[None], b[None], None, eps)
+    weights[n] = w.reshape(n, t_w)
+    return weights, np.append(deltas, mesh_delta), np.append(resids, mesh_resid)
 
 
 def apply_rx_beamformer(
@@ -312,7 +311,8 @@ def apply_rx_beamformer(
     if bf.method not in ("MMSE_RX",):
         raise ValueError(f"apply_rx_beamformer needs an MMSE_RX beamformer, got {bf.method}")
     n = len(z_all)
-    if np.atleast_2d(bf.weights).shape[0] != n:
+    weights = np.atleast_2d(bf.weights)
+    if weights.shape[0] != n:
         raise ValueError("node count mismatch between beamformer and signals")
     taus = [tau_hat] * n if isinstance(tau_hat, (int, np.integer)) else list(tau_hat)
     if length is None:
@@ -320,7 +320,7 @@ def apply_rx_beamformer(
     out = np.zeros(length, dtype=np.complex128)
     for i, (z, tau) in enumerate(zip(z_all, taus)):
         seg = z[tau : tau + length]
-        out[: len(seg)] += np.convolve(seg, np.conj(bf.node_weights(i)), mode="full")[:length]
+        out[: len(seg)] += np.convolve(seg, np.conj(weights[i]), mode="full")[:length]
     return out
 
 
@@ -330,46 +330,37 @@ _POWER_BLOCK = 4096
 
 
 def rx_output_powers(
-    bfs: list[Beamformer],
+    weights: np.ndarray,
     z: np.ndarray,
     taus,
-    node_ids: tuple[str, ...],
     segments: tuple[Segment, ...],
     noise_gram: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Segment powers and white-noise gains of several receive beamformers over
-    the same node signals (row i of z is node node_ids[i], aligned at taus[i]).
+    """Segment powers and white-noise gains of the receive filters weights[b],
+    each of shape (n_nodes, t_w), over the same node signals (row i of z
+    aligned at taus[i]), as mmse_rx_beamformers returns them.
 
-    powers[b, k] is what metrics.segment_power reads from
-    apply_rx_beamformer(bfs[b], its nodes' rows, their taus) over segments[k]
-    shifted by the beamformers' common output_delay, samples before a
-    node's tau counting as zero. All the weights form one
-    (n_bf, n_nodes * t_w) matrix, zero where a beamformer leaves a node out,
-    and each node's contribution to every output is one product with a
+    powers[b, k] is what metrics.segment_power reads from the filter-and-sum
+    output of weights[b] (apply_rx_beamformer) over segments[k] shifted by
+    the MMSE output delay t_w // 2, samples before a node's tau counting as
+    zero. Each node's contribution to every output is one product with a
     strided (t_w, samples) view of its signal over the segments only,
-    accumulated in blocks. gains[b] is sum_n w_n^H P w_n for the
-    (t_w, t_w) noise_gram P: with P = G^H G for G the convolution matrix
-    of the receive pulse, it is the output power of unit white antenna noise.
+    accumulated in blocks. gains[b] is sum_n w_n^H P w_n for the (t_w, t_w)
+    noise_gram P: with P = G^H G for G the convolution matrix of the receive
+    pulse, it is the output power of unit white antenna noise.
     """
     z = np.atleast_2d(z)
     n, n_samples = z.shape
-    if len(taus) != n or len(node_ids) != n:
-        raise ValueError("need one lag and node id per signal")
-    t_w = np.atleast_2d(bfs[0].weights).shape[1]
-    shift = bfs[0].output_delay
-    row = {node: i for i, node in enumerate(node_ids)}
-    weights = np.zeros((len(bfs), n, t_w), dtype=np.complex128)
-    for k, bf in enumerate(bfs):
-        if bf.method != "MMSE_RX" or bf.output_delay != shift:
-            raise ValueError("need MMSE_RX beamformers sharing one output_delay")
-        for node, w in zip(bf.node_ids, np.atleast_2d(bf.weights)):
-            weights[k, row[node]] = w
+    if len(taus) != n or weights.shape[1] != n:
+        raise ValueError("need one lag and one weights column per signal")
+    t_w = weights.shape[2]
+    shift = t_w // 2
     gains = np.einsum("bnk,kl,bnl->b", weights.conj(), noise_gram, weights).real
     # row m of a node's view at output sample c holds z[tau + c - (t_w - 1) + m],
     # the sample that tap t_w - 1 - m weighs
     taps = weights.conj()[:, :, ::-1]
 
-    powers = np.zeros((len(bfs), len(segments)))
+    powers = np.zeros((len(weights), len(segments)))
     for k, seg in enumerate(segments):
         start, stop = seg.offset + shift, seg.offset + shift + seg.length
         if start < 0 or max(taus) + stop > n_samples:

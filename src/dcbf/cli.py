@@ -75,6 +75,8 @@ def load_config(path_or_name: str) -> ScenarioConfig:
     """Load a JSON scenario config from a path, or by bundled config name."""
     path = Path(path_or_name)
     if path.exists():
+        if not path.is_file():
+            raise ConfigError("config", f"not a file: {path_or_name}")
         text = path.read_text()
     else:
         name = path_or_name if path_or_name.endswith(".json") else path_or_name + ".json"
@@ -86,6 +88,8 @@ def load_config(path_or_name: str) -> ScenarioConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError("config", f"expected a JSON object, got {type(obj).__name__}")
     return scenario_from_dict(obj)
 
 

@@ -266,14 +266,6 @@ def _walk_channel(ch: ChannelModel, std: float, rng: np.random.Generator) -> Cha
     return ChannelModel(taps=ch.taps + jitter, tof_delay=ch.tof_delay, label=ch.label)
 
 
-def _identity_beamformer(n_nodes: int, t_w: int, node_ids: tuple[str, ...]) -> beamform.Beamformer:
-    w = np.zeros((n_nodes, t_w), dtype=np.complex128)
-    w[:, t_w // 2] = 1.0
-    return beamform.Beamformer(
-        weights=w, method="MMSE_RX", delta=0.0, node_ids=node_ids, output_delay=t_w // 2
-    )
-
-
 class _Runner:
     """Mesh state, receive chain and cycle loop shared by the experiments.
 
@@ -381,24 +373,10 @@ class _Runner:
         estimation.remove_dc(buf)
         sig_mf = self._matched(buf)
         z_mf = sig_mf.samples
-        acq = None
-        best_stat = 0.0
-        for ref in self.acq_refs:
-            try:
-                cand = estimation.acquire(
-                    sig_mf,
-                    ref,
-                    lag_range=(0, self.lag_hi),
-                    cfo_grid_hz=self.coarse_grid,
-                    threshold=cfg.detection_threshold,
-                )
-            except AcquisitionError as exc:
-                best_stat = max(best_stat, exc.best_stat)
-                continue
-            if acq is None or cand.detection_stat > acq.detection_stat:
-                acq = cand
-        if acq is None:
-            raise AcquisitionError(best_stat, cfg.detection_threshold)
+        search = dict(lag_range=(0, self.lag_hi), cfo_grid_hz=self.coarse_grid, threshold=0.0)
+        acq = max((estimation.acquire(sig_mf, ref, **search) for ref in self.acq_refs), key=lambda a: a.detection_stat)
+        if acq.detection_stat < cfg.detection_threshold:
+            raise AcquisitionError(acq.detection_stat, cfg.detection_threshold)
 
         # fine CFO: derotate each known window by the coarse estimate, search
         # the fixed relative grid, and average over the windows
@@ -517,30 +495,27 @@ class _RxRunner(_Runner):
         f_common = float(np.mean([receptions[i][2] for i in detected]))
         z_corrected = self._derotate(np.array([receptions[i][0] for i in detected]), f_common)
         lags = [receptions[i][1].lag for i in detected]
-        ids = tuple(f"n{i + 1}" for i in detected)
         if rec.t_virtual_s < cfg.warmup_identity_s:
-            bfs = [_identity_beamformer(1, cfg.t_w, (node,)) for node in ids]
-            bfs.append(_identity_beamformer(len(ids), cfg.t_w, ids))
+            # the centre tap alone: each node on its own, then every node summed
+            weights = np.zeros((len(detected) + 1, len(detected), cfg.t_w), dtype=np.complex128)
+            weights[:, :, cfg.t_w // 2] = np.vstack([np.eye(len(detected)), np.ones(len(detected))])
+            delta = 0.0
             flags.append("warmup")
         else:
-            bfs = beamform.mmse_rx_beamformers(
-                z_corrected,
-                lags,
-                ids,
-                self.pre_mf[0].samples,
-                cfg.t_w,
-                cov_window=self.cov_window,
-                eps=self.mesh.diag_loading_eps,
+            weights, deltas, _ = beamform.mmse_rx_beamformers(
+                z_corrected, lags, self.pre_mf[0].samples, cfg.t_w, self.cov_window, self.mesh.diag_loading_eps
             )
+            delta = float(deltas[-1])
         powers, gains = beamform.rx_output_powers(
-            bfs, z_corrected, lags, ids, (self.pay_seg, self.look_seg), self.noise_gram
+            weights, z_corrected, lags, (self.pay_seg, self.look_seg), self.noise_gram
         )
         *siso, bf = [
             metrics.link_metrics(p_pay, p_lt, cfg.noise_power * gain)
             for (p_pay, p_lt), gain in zip(powers.tolist(), gains.tolist())
         ]
         self._record_link_budget(rec, flags, "mesh", dict(zip(detected, siso)), bf)
-        rec.beamformer_ref = _bf_ref(bfs[-1])
+        ids = tuple(f"n{i + 1}" for i in detected)
+        rec.beamformer_ref = _bf_ref(beamform.Beamformer(weights[-1], "MMSE_RX", delta, ids, cfg.t_w // 2))
         sinrs = [lm.sinr for lm in siso if lm.sinr > 0]
         if sinrs:
             rec.sinr_improvement_db = bf.sinr_db - metrics.to_db(float(np.mean(sinrs)))

@@ -272,37 +272,38 @@ class TestCycleKernelOracle:
     RTOL = 1e-9
 
     def _case(self, n, lost, seed):
-        """Detected nodes' buffers, distinct lags, node ids and training row."""
+        """Detected nodes' buffers, distinct lags and training row."""
         rng = substream(seed, "t", "cycle_kernel")
         keep = [i for i in range(n) if i not in lost]
         z = np.array([_rand(rng, self.N_SAMPLES) for _ in keep])
         taus = [int(t) for t in rng.permutation(self.N_SAMPLES - self.LENGTH)[: len(keep)]]
-        ids = tuple(f"n{i + 1}" for i in keep)
-        return z, taus, ids, _rand(rng, self.T_Z)
+        return z, taus, _rand(rng, self.T_Z)
 
-    def _oracle_bfs(self, z, taus, ids, s, t_w, cov_source, eps):
+    def _oracle_bfs(self, z, taus, s, t_w, cov_source, eps):
         sigs = [_sig(zi) for zi in z]
-        train = [build_delay_matrix(zi, tau, self.T_Z, t_w, node) for zi, tau, node in zip(sigs, taus, ids)]
+        train = [build_delay_matrix(zi, tau, self.T_Z, t_w) for zi, tau in zip(sigs, taus)]
         off, length = self.COV_WINDOW
-        cov = [build_delay_matrix(zi, tau + off, length, t_w, node) for zi, tau, node in zip(sigs, taus, ids)]
+        cov = [build_delay_matrix(zi, tau + off, length, t_w) for zi, tau in zip(sigs, taus)]
         siso = [
             mmse_rx_beamformer([train[i]], s, cov_source=cov_source, cov_mats=[cov[i]], eps=eps)
-            for i in range(len(ids))
+            for i in range(len(z))
         ]
         return siso + [mmse_rx_beamformer(train, s, cov_source=cov_source, cov_mats=cov, eps=eps)]
 
-    def _oracle_powers(self, bf, z, taus, ids):
-        rows = [ids.index(node) for node in bf.node_ids]
-        x = apply_rx_beamformer(bf, [z[r] for r in rows], [taus[r] for r in rows], length=self.LENGTH)
-        return [segment_power(x, seg, shift=bf.output_delay) for seg in self.SEGMENTS]
+    def _oracle_powers(self, w, z, taus):
+        """The filter-and-sum of weights w (one row per node of z), read over
+        the segments after the MMSE output delay."""
+        bf = Beamformer(w, "MMSE_RX")
+        x = apply_rx_beamformer(bf, list(z), taus, length=self.LENGTH)
+        return [segment_power(x, seg, shift=w.shape[1] // 2) for seg in self.SEGMENTS]
 
-    def _check_powers(self, bfs, z, taus, ids, t_w):
+    def _check_powers(self, weights, z, taus, t_w):
         runner = _RxRunner(ScenarioConfig(t_w=t_w))
-        powers, gains = rx_output_powers(bfs, z, taus, ids, self.SEGMENTS, runner.noise_gram)
-        assert powers.shape == (len(bfs), len(self.SEGMENTS))
-        for bf, p, g in zip(bfs, powers, gains):
-            np.testing.assert_allclose(p, self._oracle_powers(bf, z, taus, ids), rtol=self.RTOL)
-            conv_gain = sum(np.sum(np.abs(np.convolve(runner.pulse, w)) ** 2) for w in bf.weights)
+        powers, gains = rx_output_powers(weights, z, taus, self.SEGMENTS, runner.noise_gram)
+        assert powers.shape == (len(weights), len(self.SEGMENTS))
+        for w, p, g in zip(weights, powers, gains):
+            np.testing.assert_allclose(p, self._oracle_powers(w, z, taus), rtol=self.RTOL)
+            conv_gain = sum(np.sum(np.abs(np.convolve(runner.pulse, wn)) ** 2) for wn in w)
             assert g == pytest.approx(conv_gain, rel=self.RTOL)
 
     # t_w = 130 outlasts the 128-sample training window: its outer lags overlap no samples
@@ -310,42 +311,42 @@ class TestCycleKernelOracle:
     @pytest.mark.parametrize("t_w", [1, 2, 7, 8, T_Z + 2])
     @pytest.mark.parametrize("n, lost", MESHES)
     def test_mmse_beamformers_and_powers(self, n, lost, t_w, cov_source):
-        z, taus, ids, s = self._case(n, lost, seed=10 * n + t_w)
+        z, taus, s = self._case(n, lost, seed=10 * n + t_w)
         eps = 1e-2
         cov_window = self.COV_WINDOW if cov_source == "interference_only" else None
-        bfs = mmse_rx_beamformers(z, taus, ids, s, t_w, cov_window=cov_window, eps=eps)
-        expect = self._oracle_bfs(z, taus, ids, s, t_w, cov_source, eps)
-        assert len(bfs) == len(ids) + 1
-        for bf, ref in zip(bfs, expect):
-            assert bf.method == ref.method and bf.node_ids == ref.node_ids
-            assert bf.output_delay == ref.output_delay
-            assert bf.weights.shape == ref.weights.shape
+        weights, deltas, resids = mmse_rx_beamformers(z, taus, s, t_w, cov_window=cov_window, eps=eps)
+        expect = self._oracle_bfs(z, taus, s, t_w, cov_source, eps)
+        m = len(z)
+        assert weights.shape == (m + 1, m, t_w)
+        assert deltas.shape == resids.shape == (m + 1,)
+        for b, ref in enumerate(expect):
+            assert ref.output_delay == t_w // 2
+            # a single-node row is exactly zero off its node; the mesh row spans all of them
+            nodes = [b] if b < m else list(range(m))
+            assert not np.any(np.delete(weights[b], nodes, axis=0))
             scale = np.abs(ref.weights).max()
-            np.testing.assert_allclose(bf.weights, ref.weights, rtol=self.RTOL, atol=self.RTOL * scale)
-            assert bf.delta == pytest.approx(ref.delta, rel=self.RTOL)
+            np.testing.assert_allclose(weights[b, nodes], ref.weights, rtol=self.RTOL, atol=self.RTOL * scale)
+            assert deltas[b] == pytest.approx(ref.delta, rel=self.RTOL)
             # both refined solves end at rounding level
-            assert bf.solve_residual <= self.RTOL and ref.solve_residual <= self.RTOL
-        self._check_powers(bfs, z, taus, ids, t_w)
+            assert resids[b] <= self.RTOL and ref.solve_residual <= self.RTOL
+        self._check_powers(weights, z, taus, t_w)
 
     @pytest.mark.parametrize("t_w", [1, 2, 7, 8])
     @pytest.mark.parametrize("n, lost", MESHES)
     def test_identity_weights_powers(self, n, lost, t_w):
-        # the warm-up beamformers: one tap at the centre, every node summed
-        z, taus, ids, _ = self._case(n, lost, seed=100 + 10 * n + t_w)
-        w = np.zeros((len(ids), t_w), dtype=complex)
-        w[:, t_w // 2] = 1.0
-        groups = [[i] for i in range(len(ids))] + [list(range(len(ids)))]
-        bfs = [
-            Beamformer(w[g], "MMSE_RX", node_ids=tuple(ids[i] for i in g), output_delay=t_w // 2) for g in groups
-        ]
-        self._check_powers(bfs, z, taus, ids, t_w)
+        # the warm-up weights: one tap at the centre, each node alone, then every node summed
+        z, taus, _ = self._case(n, lost, seed=100 + 10 * n + t_w)
+        m = len(z)
+        weights = np.zeros((m + 1, m, t_w), dtype=complex)
+        weights[:, :, t_w // 2] = np.vstack([np.eye(m), np.ones(m)])
+        self._check_powers(weights, z, taus, t_w)
 
     def test_segment_outside_signals_rejected(self):
-        z, taus, ids, s = self._case(2, (), seed=7)
-        bfs = mmse_rx_beamformers(z, taus, ids, s, 4)
+        z, taus, s = self._case(2, (), seed=7)
+        weights, _, _ = mmse_rx_beamformers(z, taus, s, 4)
         late = (Segment("late", self.N_SAMPLES - min(taus), 10),)
         with pytest.raises(ValueError, match="late"):
-            rx_output_powers(bfs, z, taus, ids, late, np.eye(4))
+            rx_output_powers(weights, z, taus, late, np.eye(4))
 
 
 class TestStmf:

@@ -134,6 +134,19 @@ class TestConfigHandling:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", ["[1, 2]", "5", '"rx_bf"', "null"])
+    def test_config_not_a_json_object_is_config_error(self, tmp_path, capsys, document):
+        path = tmp_path / "cfg.json"
+        path.write_text(document)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config: expected a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_directory_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "configs").mkdir()
+        assert main(["run", "--config", str(tmp_path / "configs"), "--out", str(tmp_path / "out")]) == 2
+        assert "config: not a file" in capsys.readouterr().err
+
 
 class TestImports:
     def test_every_public_name_resolves(self):

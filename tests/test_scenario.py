@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from dcbf import beamform, metrics, waveform
-from dcbf.core import ConfigError, MeshConfig
+from dcbf import beamform, estimation, metrics, waveform
+from dcbf.core import ComplexSignal, ConfigError, MeshConfig
 from dcbf.estimation import AcquisitionError
 from dcbf.scenario import (
     EXPERIMENTS,
@@ -342,6 +342,47 @@ class TestRxBeamforming:
 
 
 class TestTxBeamforming:
+    @staticmethod
+    def _faded_receiver(n_faded):
+        """A TX_BF runner whose first n_faded nodes reach B at -120 dB, and
+        what B hears of its first cycle."""
+        channels = {f"n{i + 1}->B": {"taps": [[1e-6, 0.0]], "tof": 0} for i in range(n_faded)}
+        runner = _TxRunner(ScenarioConfig(experiment="TX_BF", n_cycles=1, seed=25, mesh=TX_MESH, channels=channels))
+        sent = runner._transmit(0, CycleRecord(cycle=0, t_virtual_s=0.0), [])
+        return runner, runner._arrivals(sent, 0)
+
+    @staticmethod
+    def _preamble_acquisitions(runner, z_mf):
+        """Every preamble's acquisition of a matched-filtered buffer, none rejected."""
+        sig = ComplexSignal(z_mf, runner.fs)
+        search = dict(lag_range=(0, runner.lag_hi), cfo_grid_hz=runner.coarse_grid, threshold=0.0)
+        return [estimation.acquire(sig, ref, **search) for ref in runner.acq_refs]
+
+    def test_acquires_on_the_one_heard_preamble(self):
+        runner, arrivals = self._faded_receiver(2)
+        z_mf, acq, _ = runner._receive(0, arrivals)
+        per_preamble = self._preamble_acquisitions(runner, z_mf)
+        assert acq == per_preamble[2]
+        assert max(a.detection_stat for a in per_preamble[:2]) < runner.cfg.detection_threshold <= acq.detection_stat
+
+    def test_failed_acquisition_reports_the_best_preamble(self, monkeypatch):
+        runner, arrivals = self._faded_receiver(3)
+        buffers = []
+        acquire = estimation.acquire
+
+        def keep_buffer(z, *args, **kwargs):
+            buffers.append(z.samples)
+            return acquire(z, *args, **kwargs)
+
+        monkeypatch.setattr(estimation, "acquire", keep_buffer)
+        with pytest.raises(AcquisitionError) as err:
+            runner._receive(0, arrivals)
+        monkeypatch.undo()
+        assert len(buffers) == 3 and all(b is buffers[0] for b in buffers)
+        stats = [a.detection_stat for a in self._preamble_acquisitions(runner, buffers[0])]
+        assert err.value.best_stat == max(stats)
+        assert 0.0 < err.value.best_stat < runner.cfg.detection_threshold
+
     def test_steady_state_gain_near_n_squared(self):
         recs = run_scenario(ScenarioConfig(experiment="TX_BF", n_cycles=4, seed=31, mesh=TX_MESH))
         steady = [r for r in recs if "warmup" not in r.flags]
