@@ -77,15 +77,16 @@ def load_config(path_or_name: str) -> ScenarioConfig:
     if path.exists():
         if not path.is_file():
             raise ConfigError("config", f"not a file: {path_or_name}")
-        text = path.read_text()
+        ref = path
     else:
         name = path_or_name if path_or_name.endswith(".json") else path_or_name + ".json"
         ref = resources.files("dcbf").joinpath("configs", name)
         if not ref.is_file():
             raise ConfigError("config", f"no such file or bundled config: {path_or_name}")
-        text = ref.read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(ref.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path_or_name}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -153,10 +153,12 @@ def validate_config(cfg: MeshConfig) -> MeshConfig:
     return cfg
 
 
-def _conv_matrix(x: np.ndarray, cols: int) -> np.ndarray:
+def _conv_matrix(x: np.ndarray, cols: int, out: np.ndarray | None = None) -> np.ndarray:
     """Full-convolution matrix of x, in x's dtype: column k is x delayed by k
-    samples, so _conv_matrix(x, len(h)) @ h is the full convolution of x and h."""
-    out = np.zeros((len(x) + cols - 1, cols), dtype=x.dtype)
+    samples, so _conv_matrix(x, len(h)) @ h is the full convolution of x and h.
+    out, when given, is the zeroed (len(x) + cols - 1, cols) array to fill."""
+    if out is None:
+        out = np.zeros((len(x) + cols - 1, cols), dtype=x.dtype)
     for k in range(cols):
         out[k : k + len(x), k] = x
     return out

@@ -8,6 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ComplexSignal, _conv_matrix
+from .impairments import _ELIDE_BYTES
 
 __all__ = [
     "AcquisitionError",
@@ -18,6 +19,7 @@ __all__ = [
     "cfo_reference_table",
     "ml_cfo",
     "ml_cfo_table",
+    "ml_cfo_windows",
     "estimate_channel",
     "estimate_channels_joint",
     "remove_dc",
@@ -53,27 +55,54 @@ class ChannelEstimate:
     residual_power: float
 
 
-def _dtft(x: np.ndarray, w: np.ndarray, grid_hz: np.ndarray, fs: float) -> np.ndarray:
-    """sum_t x[..., t] * w[t] * exp(-i*2*pi*f*t/fs) for every f of grid_hz.
+def _dtft_factors(n: int, grid_hz: np.ndarray, fs: float) -> tuple[np.ndarray, ...]:
+    """The phasor factors of an n-sample DTFT on grid_hz, for _dtft.
 
-    Returns shape x.shape[:-1] + (len(grid_hz),); keeps nothing between calls
-    and takes any grid. The phasor factors over t = a*n_b + b, n_b =
-    ceil(sqrt(n)), as exp(-i*2*pi*f*a*n_b/fs) * exp(-i*2*pi*f*b/fs), so a call
-    evaluates (n_a + n_b) exponentials per frequency instead of n and the sum
-    becomes one matmul against the b factor. A one-point grid is a single
-    inner product.
+    A one-point grid has one factor, the n samples of exp(-i*2*pi*f*t/fs).
+    Otherwise t = a*n_b + b, n_b = ceil(sqrt(n)), and exp(-i*2*pi*f*t/fs)
+    factors as exp(-i*2*pi*f*b/fs) * exp(-i*2*pi*f*a*n_b/fs): an (n_b, G) and
+    an (n_a, G) array, (n_a + n_b) exponentials per frequency instead of n.
     """
-    n = x.shape[-1]
     if len(grid_hz) == 1:
-        return (x @ (w * np.exp(-2j * np.pi * (np.arange(n) / fs) * grid_hz[0])))[..., None]
+        return (np.exp(-2j * np.pi * (np.arange(n) / fs) * grid_hz[0]),)
     n_b = int(np.ceil(np.sqrt(n)))
     n_a = -(-n // n_b)
+    phase = -2j * np.pi * grid_hz / fs
+    return np.exp(np.outer(np.arange(n_b), phase)), np.exp(np.outer(np.arange(n_a) * n_b, phase))
+
+
+def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...], rows: bool = False) -> np.ndarray:
+    """sum_t x[..., t] * w[..., t] * exp(-i*2*pi*f*t/fs) for every f of the
+    grid that factors (_dtft_factors) were evaluated on.
+
+    Returns shape x.shape[:-1] + (len(grid),) and keeps nothing between
+    calls, so one set of factors serves any number of calls. A one-point
+    grid is a single inner product; otherwise the sum is one matmul against
+    the b factor, then a product with the a factor summed over a.
+
+    Each factor product keeps the bits of `... * np.exp(...)` written on one
+    line: numpy multiplied from the exponential's side where its temporary
+    elision applied (impairments._ELIDE_BYTES), which for the a factor was a
+    1-D x only. rows=True makes x and w (N, n) stacks of one-window
+    transforms, each row with the bits of its own 1-D call.
+    """
+    n = x.shape[-1]
+    if len(factors) == 1:
+        (e,) = factors
+        we = np.multiply(e, w) if e.nbytes >= _ELIDE_BYTES else w * e
+        if rows:
+            return np.array([xi @ wi for xi, wi in zip(x, we)])[:, None]
+        return (x @ we)[..., None]
+    e_b, e_a = factors
+    n_b, n_a = len(e_b), len(e_a)
     xw = np.zeros(x.shape[:-1] + (n_a * n_b,), dtype=np.complex128)
     xw[..., :n] = x * w
-    phase = -2j * np.pi * grid_hz / fs
-    inner = xw.reshape(-1, n_b) @ np.exp(np.outer(np.arange(n_b), phase))
-    inner = inner.reshape(x.shape[:-1] + (n_a, len(grid_hz)))
-    return np.sum(inner * np.exp(np.outer(np.arange(n_a) * n_b, phase)), axis=-2)
+    inner = (xw.reshape(-1, n_b) @ e_b).reshape(x.shape[:-1] + e_a.shape)
+    if (rows or x.ndim == 1) and e_a.nbytes >= _ELIDE_BYTES:
+        np.multiply(e_a, inner, out=inner)
+    else:
+        inner *= e_a
+    return np.sum(inner, axis=-2)
 
 
 def cfo_reference_table(reference: ComplexSignal, cfo_grid_hz: np.ndarray) -> np.ndarray:
@@ -89,25 +118,30 @@ def cfo_reference_table(reference: ComplexSignal, cfo_grid_hz: np.ndarray) -> np
 
 def acquire(
     z: ComplexSignal,
-    reference: ComplexSignal,
+    references: list[ComplexSignal],
     lag_range: tuple[int, int] | None = None,
     *,
     cfo_grid_hz: np.ndarray,
     threshold: float = 0.1,
 ) -> AcquisitionResult:
-    """Joint lag/CFO search with a normalized inner product detector.
+    """Joint lag/CFO search with a normalized inner product detector, over
+    one or more references of one length.
 
-    Maximizes |<z[lag:], ref * exp(i*2*pi*f*t/fs)>|^2 / (||z window||^2 *
-    ||ref||^2) over lags in lag_range (half-open) and frequencies on the
-    grid (any spacing; a one-point grid is a lag-only search). The
-    statistic is scale invariant in z and bounded by 1. The inner products
-    of every lag and frequency come from one DTFT call per acquisition.
+    For each reference, maximizes |<z[lag:], ref * exp(i*2*pi*f*t/fs)>|^2 /
+    (||z window||^2 * ||ref||^2) over lags in lag_range (half-open) and
+    frequencies on the grid (any spacing; a one-point grid is a lag-only
+    search), and returns the strongest reference's result, the first on
+    ties. The statistic is scale invariant in z and bounded by 1. The
+    references share the lag windows, their energies and the DTFT phasor
+    factors; each takes one DTFT call.
 
-    Raises AcquisitionError when the best statistic falls below threshold.
+    Raises AcquisitionError, with the best statistic of any reference, when
+    it falls below threshold.
     """
     zs = z.samples
-    ref = reference.samples
-    n, t_ref = len(zs), len(ref)
+    if len({len(r.samples) for r in references}) != 1:
+        raise ValueError("need one or more references of one length")
+    n, t_ref = len(zs), len(references[0].samples)
     if t_ref > n:
         raise ValueError(f"reference ({t_ref}) longer than signal ({n})")
     cfo_grid_hz = np.atleast_1d(np.asarray(cfo_grid_hz, dtype=float))
@@ -117,19 +151,23 @@ def acquire(
         raise ValueError(f"empty lag range [{lag_lo}, {lag_hi})")
 
     windows = sliding_window_view(zs, t_ref)[lag_lo:lag_hi]
-    inner = _dtft(windows, np.conj(ref), cfo_grid_hz, reference.sample_rate_hz)  # (n_lags, n_freqs)
-
-    ref_energy = float(np.sum(np.abs(ref) ** 2))
     win_energy = np.sum(np.abs(windows) ** 2, axis=1)
-    denom = np.maximum(win_energy * ref_energy, 1e-300)
-    stats = np.abs(inner) ** 2 / denom[:, None]
-
-    flat = int(np.argmax(stats))
-    li, fi = np.unravel_index(flat, stats.shape)
-    best = float(stats[li, fi])
-    if best < threshold:
-        raise AcquisitionError(best, threshold)
-    return AcquisitionResult(lag=lag_lo + int(li), coarse_cfo_hz=float(cfo_grid_hz[fi]), detection_stat=best)
+    factors = _dtft_factors(t_ref, cfo_grid_hz, references[0].sample_rate_hz)
+    best = None
+    for reference in references:
+        ref = reference.samples
+        inner = _dtft(windows, np.conj(ref), factors)  # (n_lags, n_freqs)
+        ref_energy = float(np.sum(np.abs(ref) ** 2))
+        denom = np.maximum(win_energy * ref_energy, 1e-300)
+        stats = np.abs(inner) ** 2 / denom[:, None]
+        li, fi = np.unravel_index(int(np.argmax(stats)), stats.shape)
+        if best is None or stats[li, fi] > best.detection_stat:
+            best = AcquisitionResult(
+                lag=lag_lo + int(li), coarse_cfo_hz=float(cfo_grid_hz[fi]), detection_stat=float(stats[li, fi])
+            )
+    if best.detection_stat < threshold:
+        raise AcquisitionError(best.detection_stat, threshold)
+    return best
 
 
 def ml_cfo_table(grid_hz: np.ndarray, n_samples: int, fs: float) -> np.ndarray:
@@ -151,29 +189,45 @@ def ml_cfo(
 ) -> CfoEstimate:
     """Maximum-likelihood CFO on a grid: argmax_f |sum_t z[tau+t] s*[t] e^{-i2pift/fs}|^2.
 
-    The metric on the whole grid (any spacing) is one DTFT call. After the
-    grid argmax, the estimate is refined once by quadratic interpolation of
-    the metric through the peak and its two neighbors (skipped, with
-    at_boundary set, when the peak sits on the grid edge).
+    The one-window form of ml_cfo_windows, on the window of z that starts at
+    tau_hat.
     """
-    grid_hz = np.atleast_1d(np.asarray(grid_hz, dtype=float))
     t_ref = len(s_ref.samples)
     window = z.samples[tau_hat : tau_hat + t_ref]
     if len(window) != t_ref:
         raise ValueError("window [tau_hat, tau_hat+T) not inside signal")
-    metric = np.abs(_dtft(window, np.conj(s_ref.samples), grid_hz, z.sample_rate_hz)) ** 2
+    return ml_cfo_windows(window[None], [s_ref.samples], grid_hz, z.sample_rate_hz, refine)[0]
 
-    k = int(np.argmax(metric))
-    f_hat = float(grid_hz[k])
-    peak = float(metric[k])
-    at_boundary = k == 0 or k == len(grid_hz) - 1
-    if refine and not at_boundary and len(grid_hz) >= 3:
-        m0, m1, m2 = metric[k - 1], metric[k], metric[k + 1]
-        denom = m0 - 2 * m1 + m2
-        if abs(denom) > 1e-300:
-            step = grid_hz[k] - grid_hz[k - 1]
-            f_hat += 0.5 * step * float((m0 - m2) / denom)
-    return CfoEstimate(f_hat_hz=f_hat, at_boundary=at_boundary, peak_metric=peak)
+
+def ml_cfo_windows(
+    windows: np.ndarray, refs: list[np.ndarray], grid_hz: np.ndarray, fs: float, refine: bool = True
+) -> list[CfoEstimate]:
+    """ml_cfo of every row of the (N, T) windows against the T-sample
+    reference refs[row], at sample rate fs; the rows share the DTFT phasor
+    factors.
+
+    Each row's metric on the whole grid (any spacing) is one row of a DTFT
+    call, with the bits of a one-window call. After the grid argmax, the
+    estimate is refined once by quadratic interpolation of the metric
+    through the peak and its two neighbors (skipped, with at_boundary set,
+    when the peak sits on the grid edge).
+    """
+    grid_hz = np.atleast_1d(np.asarray(grid_hz, dtype=float))
+    factors = _dtft_factors(windows.shape[-1], grid_hz, fs)
+    metrics = np.abs(_dtft(windows, np.conj(refs), factors, rows=True)) ** 2
+    estimates = []
+    for metric in metrics:
+        k = int(np.argmax(metric))
+        f_hat = float(grid_hz[k])
+        at_boundary = k == 0 or k == len(grid_hz) - 1
+        if refine and not at_boundary and len(grid_hz) >= 3:
+            m0, m1, m2 = metric[k - 1], metric[k], metric[k + 1]
+            denom = m0 - 2 * m1 + m2
+            if abs(denom) > 1e-300:
+                step = grid_hz[k] - grid_hz[k - 1]
+                f_hat += 0.5 * step * float((m0 - m2) / denom)
+        estimates.append(CfoEstimate(f_hat_hz=f_hat, at_boundary=at_boundary, peak_metric=float(metric[k])))
+    return estimates
 
 
 def _ls_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,7 +278,9 @@ def estimate_channels_joint(
     y = z.samples[tau_hat : tau_hat + rows]
     if len(y) != rows:
         raise ValueError("observation window not inside signal")
-    design = np.hstack([_conv_matrix(r.samples, t_h) for r in refs])
+    design = np.zeros((rows, len(refs) * t_h), dtype=np.complex128)
+    for i, r in enumerate(refs):
+        _conv_matrix(r.samples, t_h, out=design[:, i * t_h : (i + 1) * t_h])
     h_all, resid = _ls_solve(design, y)
     return [ChannelEstimate(taps=h_all[i * t_h : (i + 1) * t_h], residual_power=resid) for i in range(len(refs))]
 

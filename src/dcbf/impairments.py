@@ -69,16 +69,39 @@ class NoiseSpec:
             raise ValueError(f"noise power must be finite and >= 0, got {self.noise_power_per_sample!r}")
 
 
-def apply_channel(out: np.ndarray, x: np.ndarray, ch: ChannelModel) -> np.ndarray:
+def apply_channel(
+    out: np.ndarray, x: np.ndarray, ch: ChannelModel, spans: list[tuple[int, int]] | None = None
+) -> np.ndarray:
     """Add x, convolved with the tapped delay line and delayed by tof_delay
     samples, into out in place, cut at the end of out; returns out.
 
     The whole channel output fits an out of len(x) + n_taps - 1 + tof_delay.
+    spans, when given, are the (start, stop) ranges that hold every nonzero
+    sample of x: only they are convolved, each widened by n_taps - 1 samples
+    either side (_cover). Every output sample is then the same dot product,
+    over the same samples, as in the convolution of all of x, so the bits
+    are those of the whole-x form; an unwidened span's edges would be
+    shorter dot products, which differ in the last bit from 8 taps upward.
     """
-    conv = np.convolve(x, ch.taps, mode="full")
-    m = max(min(len(conv), len(out) - ch.tof_delay), 0)
-    out[ch.tof_delay : ch.tof_delay + m] += conv[:m]
+    for lo, hi in _cover([(0, len(x))] if spans is None else spans, ch.n_taps - 1, len(x)):
+        conv = np.convolve(x[lo:hi], ch.taps, mode="full")
+        start = ch.tof_delay + lo
+        m = max(min(len(conv), len(out) - start), 0)
+        out[start : start + m] += conv[:m]
     return out
+
+
+def _cover(spans: list[tuple[int, int]], pad: int, n: int) -> list[tuple[int, int]]:
+    """The (start, stop) spans widened by pad samples either side, clipped to
+    [0, n) and sorted; spans that lie fewer than pad samples apart (or
+    overlap) merge into one, so no widened span holds another's samples."""
+    cover: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if cover and lo < cover[-1][1]:
+            cover[-1] = (cover[-1][0], max(cover[-1][1], min(hi + pad, n)))
+        else:
+            cover.append((max(lo - pad, 0), min(hi + pad, n)))
+    return cover
 
 
 def advance_clock(node: NodeState, dt_s: float) -> NodeState:
@@ -112,10 +135,12 @@ def _phasor(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lo_product(x: np.ndarray, phasor: np.ndarray) -> np.ndarray:
+def _lo_product(x: np.ndarray, phasor: np.ndarray, full_len: int | None = None) -> np.ndarray:
     """x * phasor (broadcast along x's last axis) with the bits of
-    `x * np.exp(...)`; reuses the phasor's buffer where numpy would."""
-    if phasor.shape == x.shape and phasor.nbytes >= _ELIDE_BYTES:
+    `x * np.exp(...)` over the full_len samples that x is a slice of (x's
+    own length by default); reuses the phasor's buffer where numpy would."""
+    full_len = x.shape[-1] if full_len is None else full_len
+    if x.ndim == 1 and 16 * full_len >= _ELIDE_BYTES:
         return np.multiply(phasor, x, out=phasor)
     return x * phasor
 

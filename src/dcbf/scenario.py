@@ -22,7 +22,7 @@ from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState
 from .core import _check_field_types, _conv_matrix, _tag64
 from .estimation import AcquisitionError, AcquisitionResult
 from .impairments import ChannelModel, add_noise, advance_clock, apply_channel, apply_node_imperfections
-from .impairments import _lo_product, _phasor
+from .impairments import _cover, _lo_product, _phasor
 from .metrics import LinkMetrics
 
 __all__ = [
@@ -273,7 +273,7 @@ class _Runner:
     each transmitter's shaped ambles of its frame design in waveform (every
     preamble is an acquisition reference), _transmit sends a cycle's frames,
     _arrivals routes them over the links (LINKS) to each receiver, whose CFO
-    is refined on the known (offset, reference) cfo_windows, and _measure
+    is refined on the windows at cfo_offsets against cfo_refs, and _measure
     turns the receptions into the record and the feedback.
     """
 
@@ -318,16 +318,21 @@ class _Runner:
         self._jitter_now = [0.0] * self.n
 
         self.lag_hi, self.buf_len, _ = _receive_buffer(cfg, self.layout)
-        self.t_axis = np.arange(self.buf_len) / self.fs
 
     def _matched(self, x: np.ndarray) -> ComplexSignal:
         """x through the receive matched filter."""
         return ComplexSignal(waveform._centered_convolve(x, self.pulse), self.fs)
 
-    def _spans(self, contents: dict[str, np.ndarray]) -> list[tuple[int, int]]:
-        """(start, stop) of the layout segments that contents fill: where
-        build_frame puts every nonzero sample of the frame."""
-        return [(seg.offset, seg.offset + seg.length) for seg in map(self.layout.segment, contents)]
+    def _frame(self, contents: dict[str, np.ndarray], power: float):
+        """(samples, spans): the frame of contents scaled to the given power per
+        sample, and the (start, stop) of the layout segments that contents fill,
+        where build_frame puts every nonzero sample. Only the spans are scaled."""
+        samples = waveform.build_frame(self.layout, contents, self.fs).samples
+        spans = [(seg.offset, seg.offset + seg.length) for seg in map(self.layout.segment, contents)]
+        scale = np.sqrt(power)
+        for lo, hi in spans:
+            samples[lo:hi] *= scale
+        return samples, spans
 
     def _radio(self, node_id: str, cfo_hz: float) -> NodeState:
         """An out-of-mesh radio: its own LO offset, no phase walk."""
@@ -356,42 +361,45 @@ class _Runner:
                 node.phase_rad += jit - self._jitter_now[i]
                 self._jitter_now[i] = jit
 
-    def _receive(self, r: int, arrivals: list[tuple[np.ndarray, ChannelModel]]):
+    def _receive(self, r: int, arrivals: list[tuple[np.ndarray, ChannelModel, list[tuple[int, int]]]]):
         """Receiver r's cycle: (matched-filtered buffer, acquisition, CFO
         estimate); raises AcquisitionError, with the best statistic of any
         preamble, when none clears the threshold.
 
-        The buffer passes through the chain's stages in place; the matched
-        filter's output is the one ComplexSignal, so a non-finite sample
-        anywhere upstream still raises here."""
+        Each arrival is (frame, link, spans), spans holding every nonzero
+        sample of the frame. The buffer passes through the chain's stages in
+        place, the channel and the receiver's LO working on the spans only;
+        the matched filter's output is the one ComplexSignal, so a non-finite
+        sample anywhere upstream still raises here."""
         cfg = self.cfg
         buf = np.zeros(self.buf_len, dtype=np.complex128)
-        for sig, ch in arrivals:
-            apply_channel(buf, sig, ch)
-        apply_node_imperfections(buf, self.receivers[r], self.fs, sign=-1)
+        heard = []  # where the arrivals put nonzero samples: shifted by the delay, spread by the taps
+        for sig, ch, spans in arrivals:
+            apply_channel(buf, sig, ch, spans)
+            heard += [(lo + ch.tof_delay, hi + ch.tof_delay + ch.n_taps - 1) for lo, hi in spans]
+        apply_node_imperfections(buf, self.receivers[r], self.fs, -1, _cover(heard, 0, self.buf_len))
         add_noise(buf, cfg.noise_power, self.noise_rng[r])
         estimation.remove_dc(buf)
         sig_mf = self._matched(buf)
         z_mf = sig_mf.samples
-        search = dict(lag_range=(0, self.lag_hi), cfo_grid_hz=self.coarse_grid, threshold=0.0)
-        acq = max((estimation.acquire(sig_mf, ref, **search) for ref in self.acq_refs), key=lambda a: a.detection_stat)
-        if acq.detection_stat < cfg.detection_threshold:
-            raise AcquisitionError(acq.detection_stat, cfg.detection_threshold)
+        acq = estimation.acquire(
+            sig_mf, self.acq_refs, (0, self.lag_hi), cfo_grid_hz=self.coarse_grid, threshold=cfg.detection_threshold
+        )
 
         # fine CFO: derotate each known window by the coarse estimate, search
         # the fixed relative grid, and average over the windows
-        starts = [acq.lag + offset for offset, _ in self.cfo_windows]
-        wins = self._derotate(np.array([z_mf[s : s + self.t_ref] for s in starts]), acq.coarse_cfo_hz)
-        fines = [
-            acq.coarse_cfo_hz + estimation.ml_cfo(ComplexSignal(win, self.fs), ref, 0, self.fine_grid).f_hat_hz
-            for win, (_, ref) in zip(wins, self.cfo_windows)
-        ]
-        return z_mf, acq, float(np.mean(fines))
+        wins = self._derotate(np.array([z_mf[acq.lag + o : acq.lag + o + self.t_ref] for o in self.cfo_offsets]),
+                              acq.coarse_cfo_hz)
+        fines = estimation.ml_cfo_windows(wins, self.cfo_refs, self.fine_grid, self.fs)
+        return z_mf, acq, float(np.mean([acq.coarse_cfo_hz + e.f_hat_hz for e in fines]))
 
-    def _derotate(self, z: np.ndarray, f_hz: float) -> np.ndarray:
-        """z times exp(-i 2 pi f t), t running from the start of a cycle buffer along z's last
-        axis: removes a CFO of f_hz from each row."""
-        return _lo_product(z, _phasor((-2 * np.pi * f_hz) * self.t_axis[: z.shape[-1]]))
+    def _derotate(self, z: np.ndarray, f_hz: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """z[..., lo:hi] times exp(-i 2 pi f t), t running from the start of a cycle buffer
+        along z's last axis: removes a CFO of f_hz from each row, with the bits of
+        the product over all of z."""
+        part = z[..., lo:hi]
+        t = np.arange(lo, lo + part.shape[-1]) / self.fs
+        return _lo_product(part, _phasor((-2 * np.pi * f_hz) * t), z.shape[-1])
 
     def run(self) -> list[CycleRecord]:
         period = self.mesh.cycle_period_s
@@ -401,7 +409,7 @@ class _Runner:
             flags: list[str] = []
             self._evolve_channels(k)
             self._jitter_clocks()
-            sent = self._transmit(k, rec, flags)
+            sent = self._transmit(k, rec, flags)  # (transmitter, frame, spans) each
             receptions = []  # per receiver: (buffer, acquisition, CFO), None when not acquired
             for r, rx in enumerate(self.receivers):
                 try:
@@ -415,7 +423,7 @@ class _Runner:
 
             # clocks run on to the next cycle: transmitters from the end of
             # what they sent, receivers from the end of their buffers
-            for node, sig in sent:
+            for node, sig, _ in sent:
                 advance_clock(node, period - len(sig) / self.fs)
             for node in self.receivers:
                 advance_clock(node, period - self.buf_len / self.fs)
@@ -461,23 +469,28 @@ class _RxRunner(_Runner):
         self.interferer = self._radio("J", cfg.interferer_cfo_hz)
         self.interferer_layout = waveform.interferer_layout(self.buf_len)
         self._set_receivers(self.nodes)
-        self.cfo_windows = [(0, self.pre_mf[0])]
+        self.cfo_offsets = [0]
+        self.cfo_refs = [self.pre_mf[0].samples]
 
     def _transmit(self, k, rec, flags):
         cfg = self.cfg
         contents = waveform.source_frame(self.mesh, _tag64(f"{cfg.seed}:src_payload_{k}"))
-        src = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(cfg.signal_power)
-        sent = [(self.source, apply_node_imperfections(src, self.source, self.fs, 1, self._spans(contents)))]
+        src, spans = self._frame(contents, cfg.signal_power)
+        sent = [(self.source, apply_node_imperfections(src, self.source, self.fs, 1, spans), spans)]
         if self.with_interf:
             contents = waveform.interferer_frame(self.buf_len, _tag64(f"{cfg.seed}:intf_payload_{k}"))
+            # the interferer fills its whole frame. It is scaled into a new array: scaling
+            # build_frame's array in place made glibc trim and regrow its heap every
+            # cycle (page faults per rx_bf_interf cycle 1,741 -> 3,779, step time +12%)
             iframe = waveform.build_frame(self.interferer_layout, contents, self.fs)
             intf = iframe.samples * np.sqrt(cfg.interferer_power)
-            sent.append((self.interferer, apply_node_imperfections(intf, self.interferer, self.fs, 1)))
+            spans = [(0, len(intf))]
+            sent.append((self.interferer, apply_node_imperfections(intf, self.interferer, self.fs, 1, spans), spans))
         return sent
 
     def _arrivals(self, sent, r):
         # the source reaches node r over A->n, the interferer over J->n
-        return [(sig, chans[r]) for (_, sig), chans in zip(sent, self.links)]
+        return [(sig, chans[r], spans) for (_, sig, spans), chans in zip(sent, self.links)]
 
     def _measure(self, k, rec, flags, receptions):
         cfg = self.cfg
@@ -539,10 +552,9 @@ class _TxRunner(_Runner):
         rx_b = self._radio("B", cfg.rx_b_cfo_hz)
         self._set_receivers([rx_b, self._radio("C", cfg.rx_c_cfo_hz)] if nulling else [rx_b])
         # the common CFO is refined on each node's TDMA postamble
-        self.cfo_windows = [
-            (self.layout.segment(f"postamble_{i + 1}").offset, self._matched(a[f"postamble_{i + 1}"]))
-            for i, a in enumerate(self.ambles)
-        ]
+        posts = [f"postamble_{i + 1}" for i in range(self.n)]
+        self.cfo_offsets = [self.layout.segment(p).offset for p in posts]
+        self.cfo_refs = [self._matched(a[p]).samples for a, p in zip(self.ambles, posts)]
 
         # feedback pipeline: estimates keyed by the cycle that produced them
         self.estimates: dict[int, dict[str, list[np.ndarray]]] = {}
@@ -598,7 +610,7 @@ class _TxRunner(_Runner):
         sent = []
         frames = waveform.node_frames(self.mesh, _tag64(f"{cfg.seed}:tx_payload_{k}"))
         for i, (node, contents) in enumerate(zip(self.nodes, frames)):
-            samples = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(cfg.signal_power)
+            samples, spans = self._frame(contents, cfg.signal_power)
             if weights is not None:
                 raw = samples[pay_seg.offset : pay_seg.offset + pay_seg.length]
                 w = weights[i]
@@ -607,22 +619,25 @@ class _TxRunner(_Runner):
                 else:
                     distorted = np.convolve(raw, np.conj(w), mode="full")[: pay_seg.length]
                 samples[pay_seg.offset : pay_seg.offset + pay_seg.length] = distorted
-            sent.append((node, apply_node_imperfections(samples, node, self.fs, 1, self._spans(contents))))
+            sent.append((node, apply_node_imperfections(samples, node, self.fs, 1, spans), spans))
         return sent
 
     def _arrivals(self, sent, r):
         # every node reaches receiver r (B, then C) over its own link
-        return [(sig, ch) for (_, sig), ch in zip(sent, self.links[r])]
+        return [(sig, ch, spans) for (_, sig, spans), ch in zip(sent, self.links[r])]
 
     def _link_budget(self, z_mf: np.ndarray, acq: AcquisitionResult, f_hat: float):
-        """CFO-correct one receiver's buffer and estimate its channels and powers: (per-link
-        taps, SISO link metrics, beamformed link metrics)."""
+        """Estimate one receiver's channels and powers from its buffer, CFO-corrected
+        where they read it only: (per-link taps, SISO link metrics, beamformed link
+        metrics)."""
         cfg = self.cfg
-        zc = self._derotate(z_mf, f_hat)
-        ests = estimation.estimate_channels_joint(ComplexSignal(zc, self.fs), self.pre_mf, acq.lag, cfg.t_h)
+        window = self._derotate(z_mf, f_hat, acq.lag, acq.lag + self.t_ref + cfg.t_h - 1)
+        ests = estimation.estimate_channels_joint(ComplexSignal(window, self.fs), self.pre_mf, 0, cfg.t_h)
 
         def power(segment: str) -> float:
-            return metrics.segment_power(zc, self.layout.segment(segment), shift=acq.lag)
+            seg = self.layout.segment(segment)
+            lo = seg.offset + acq.lag
+            return metrics.segment_power(self._derotate(z_mf, f_hat, lo, lo + seg.length), seg, shift=-seg.offset)
 
         p_lt = power("look_through")
         siso = [metrics.link_metrics(power(f"monitor_{i + 1}"), p_lt, cfg.noise_power) for i in range(self.n)]

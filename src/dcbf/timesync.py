@@ -353,7 +353,7 @@ def detect_and_decode(buffer: ComplexSignal, kind: MessageKind, indexed: bool) -
     max_lag = len(buffer.samples) - len(pre.samples) - n_sym + 1
     if max_lag < 1:
         raise ValueError("buffer too short for this message")
-    res = acquire(buffer, pre, lag_range=(0, max_lag), cfo_grid_hz=np.array([0.0]))
+    res = acquire(buffer, [pre], lag_range=(0, max_lag), cfo_grid_hz=np.array([0.0]))
     start = res.lag + len(pre.samples)
     symbols = buffer.samples[start : start + n_sym]
     # undo any constant channel phase using the preamble as reference

@@ -147,6 +147,13 @@ class TestConfigHandling:
         assert main(["run", "--config", str(tmp_path / "configs"), "--out", str(tmp_path / "out")]) == 2
         assert "config: not a file" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestImports:
     def test_every_public_name_resolves(self):

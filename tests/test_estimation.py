@@ -7,12 +7,14 @@ from dcbf.core import ComplexSignal, substream
 from dcbf.estimation import (
     AcquisitionError,
     _dtft,
+    _dtft_factors,
     acquire,
     cfo_reference_table,
     estimate_channel,
     estimate_channels_joint,
     ml_cfo,
     ml_cfo_table,
+    ml_cfo_windows,
     remove_dc,
 )
 
@@ -32,7 +34,7 @@ class TestAcquire:
         rng = substream(0, "t", "acq")
         ref = _pn_ref(rng)
         z = np.concatenate([np.zeros(37, complex), ref.samples, np.zeros(20, complex)])
-        res = acquire(_sig(z), ref, lag_range=(0, 60), cfo_grid_hz=np.array([0.0]))
+        res = acquire(_sig(z), [ref], lag_range=(0, 60), cfo_grid_hz=np.array([0.0]))
         assert res.lag == 37
         assert res.detection_stat == pytest.approx(1.0)
 
@@ -41,7 +43,7 @@ class TestAcquire:
         ref = _pn_ref(rng)
         t = np.arange(512) / FS
         z = np.concatenate([ref.samples * np.exp(2j * np.pi * 250 * t), np.zeros(8, complex)])
-        res = acquire(_sig(z), ref, cfo_grid_hz=np.arange(-500, 501, 50))
+        res = acquire(_sig(z), [ref], cfo_grid_hz=np.arange(-500, 501, 50))
         assert res.lag == 0
         assert res.coarse_cfo_hz == 250.0
         assert res.detection_stat == pytest.approx(1.0)
@@ -50,8 +52,8 @@ class TestAcquire:
         rng = substream(2, "t", "acq")
         ref = _pn_ref(rng)
         z = np.concatenate([np.zeros(5, complex), ref.samples, np.zeros(5, complex)])
-        r1 = acquire(_sig(z), ref, cfo_grid_hz=np.array([0.0]))
-        r2 = acquire(_sig(z * (3.7 - 2j)), ref, cfo_grid_hz=np.array([0.0]))
+        r1 = acquire(_sig(z), [ref], cfo_grid_hz=np.array([0.0]))
+        r2 = acquire(_sig(z * (3.7 - 2j)), [ref], cfo_grid_hz=np.array([0.0]))
         assert r1.lag == r2.lag
         assert r1.detection_stat == pytest.approx(r2.detection_stat)
 
@@ -65,7 +67,7 @@ class TestAcquire:
         for _ in range(100):
             z = (rng.normal(size=8192 + 16) + 1j * rng.normal(size=8192 + 16)) / np.sqrt(2)
             try:
-                acquire(_sig(z), ref, lag_range=(0, 16), cfo_grid_hz=grid, threshold=0.1)
+                acquire(_sig(z), [ref], lag_range=(0, 16), cfo_grid_hz=grid, threshold=0.1)
                 false_alarms += 1
             except AcquisitionError:
                 pass
@@ -75,14 +77,42 @@ class TestAcquire:
         rng = substream(4, "t", "acq")
         ref = _pn_ref(rng, 256)
         z = (rng.normal(size=512) + 1j * rng.normal(size=512))
-        res = acquire(_sig(z), ref, cfo_grid_hz=np.arange(-2000, 2001, 50.0), threshold=0.0)
+        res = acquire(_sig(z), [ref], cfo_grid_hz=np.arange(-2000, 2001, 50.0), threshold=0.0)
         assert 0.0 <= res.detection_stat <= 1.0
+
+    def test_strongest_of_several_references(self):
+        rng = substream(22, "t", "acq")
+        refs = [_pn_ref(rng, 256) for _ in range(3)]
+        z = np.zeros(300, complex)
+        z[37 : 37 + 256] = refs[1].samples + 0.3 * refs[2].samples
+        z[5 : 5 + 256] += 0.2 * refs[0].samples
+        grid = np.arange(-500, 501, 50.0)
+        each = [acquire(_sig(z), [ref], cfo_grid_hz=grid, threshold=0.0) for ref in refs]
+        res = acquire(_sig(z), refs, cfo_grid_hz=grid, threshold=0.0)
+        assert res == each[1] == max(each, key=lambda a: a.detection_stat)
+        assert res.lag == 37
+
+    def test_failure_reports_the_best_reference(self):
+        rng = substream(23, "t", "acq")
+        refs = [_pn_ref(rng, 256) for _ in range(3)]
+        z = _sig(rng.normal(size=300) + 1j * rng.normal(size=300))
+        grid = np.arange(-500, 501, 50.0)
+        stats = [acquire(z, [ref], cfo_grid_hz=grid, threshold=0.0).detection_stat for ref in refs]
+        with pytest.raises(AcquisitionError) as err:
+            acquire(z, refs, cfo_grid_hz=grid, threshold=0.9)
+        assert err.value.best_stat == max(stats)
+
+    @pytest.mark.parametrize("lengths", [(), (64, 32)])
+    def test_references_need_one_length(self, lengths):
+        rng = substream(24, "t", "acq")
+        with pytest.raises(ValueError, match="one length"):
+            acquire(_sig(np.zeros(128, complex)), [_pn_ref(rng, n) for n in lengths], cfo_grid_hz=np.array([0.0]))
 
     def test_reference_longer_than_signal(self):
         rng = substream(5, "t", "acq")
         ref = _pn_ref(rng, 64)
         with pytest.raises(ValueError, match="longer"):
-            acquire(_sig(np.zeros(32, complex)), ref, cfo_grid_hz=np.array([0.0]))
+            acquire(_sig(np.zeros(32, complex)), [ref], cfo_grid_hz=np.array([0.0]))
 
 
 class TestMlCfo:
@@ -167,12 +197,12 @@ class TestDenseOracle:
         z = _sig(rng.normal(size=n + 12) + 1j * rng.normal(size=n + 12))
         windows = np.lib.stride_tricks.sliding_window_view(z.samples, n)[2:12]
         dense = windows @ cfo_reference_table(ref, grid)
-        assert _close(_dtft(windows, np.conj(ref.samples), grid, FS), dense)
+        assert _close(_dtft(windows, np.conj(ref.samples), _dtft_factors(n, grid, FS)), dense)
 
         energies = np.sum(np.abs(windows) ** 2, axis=1)[:, None] * np.sum(np.abs(ref.samples) ** 2)
         stats = np.abs(dense) ** 2 / energies
         li, fi = np.unravel_index(np.argmax(stats), stats.shape)
-        res = acquire(z, ref, lag_range=(2, 12), cfo_grid_hz=grid, threshold=0.0)
+        res = acquire(z, [ref], lag_range=(2, 12), cfo_grid_hz=grid, threshold=0.0)
         assert (res.lag, res.coarse_cfo_hz) == (2 + li, grid[fi])
         assert res.detection_stat == pytest.approx(stats[li, fi], rel=ORACLE_RTOL)
 
@@ -184,11 +214,79 @@ class TestDenseOracle:
         z = _pn_ref(rng, n + 3)
         r = z.samples[3:] * np.conj(ref.samples)
         dense = np.abs(ml_cfo_table(grid, n, FS) @ r) ** 2
-        assert _close(np.abs(_dtft(z.samples[3:], np.conj(ref.samples), grid, FS)) ** 2, dense)
+        got = _dtft(z.samples[3:][None], np.conj(ref.samples)[None], _dtft_factors(n, grid, FS), rows=True)
+        assert _close(np.abs(got[0]) ** 2, dense)
 
         res = ml_cfo(z, ref, 3, grid, refine=False)
         assert res.f_hat_hz == grid[np.argmax(dense)]
         assert res.peak_metric == pytest.approx(np.max(dense), rel=ORACLE_RTOL)
+
+
+def _one_line_dtft(x, w, grid_hz, fs):
+    """The DTFT with each factor product written on one line, as numpy
+    evaluates it there (temporary elision included): the form the shared
+    factors must keep the bits of."""
+    n = x.shape[-1]
+    if len(grid_hz) == 1:
+        return (x @ (w * np.exp(-2j * np.pi * (np.arange(n) / fs) * grid_hz[0])))[..., None]
+    n_b = int(np.ceil(np.sqrt(n)))
+    n_a = -(-n // n_b)
+    xw = np.zeros(x.shape[:-1] + (n_a * n_b,), dtype=np.complex128)
+    xw[..., :n] = x * w
+    phase = -2j * np.pi * grid_hz / fs
+    inner = xw.reshape(-1, n_b) @ np.exp(np.outer(np.arange(n_b), phase))
+    inner = inner.reshape(x.shape[:-1] + (n_a, len(grid_hz)))
+    return np.sum(inner * np.exp(np.outer(np.arange(n_a) * n_b, phase)), axis=-2)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+FINE_GRID = np.arange(-100, 100.5, 1.0)
+
+
+class TestSharedFactors:
+    """The DTFT's factors evaluated once and shared, bitwise against the
+    one-line form. numpy multiplies `a * np.exp(...)` from the exponential's
+    side once that temporary has the product's shape and holds 256 KiB, and
+    the two sides differ in the last bit."""
+
+    # 1,040 and 8,208 samples: the matched 1,024- and 8,192-sample ambles, whose
+    # (n_a, 201) factor holds 32 x 201 x 16 B (below 256 KiB) and 91 x 201 x 16 B
+    # (above); 20,000 puts the one-point factor above it too
+    @pytest.mark.parametrize("grid", [FINE_GRID, np.array([37.0])], ids=["fine", "one_point"])
+    @pytest.mark.parametrize("n", [1040, 8208, 20000])
+    def test_rows_match_one_window_calls(self, n, grid):
+        rng = substream(25, "t", f"rows{n}")
+        x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        w = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        got = _dtft(x, w, _dtft_factors(n, grid, FS), rows=True)
+        for i in range(3):
+            assert np.array_equal(_bits(got[i]), _bits(_one_line_dtft(x[i], w[i], grid, FS)))
+
+    # 2,048 samples: the (45, G) factor holds 58 KiB at the bundled 81-point
+    # coarse grid and 282 KiB at 401 points
+    @pytest.mark.parametrize("points", [1, 81, 401])
+    def test_lag_windows_match_the_one_line_form(self, points):
+        rng = substream(26, "t", f"lags{points}")
+        z = rng.normal(size=2048 + 16) + 1j * rng.normal(size=2048 + 16)
+        windows = np.lib.stride_tricks.sliding_window_view(z, 2048)
+        w = rng.normal(size=2048) + 1j * rng.normal(size=2048)
+        grid = np.linspace(-2000, 2000, points) if points > 1 else np.array([0.0])
+        got = _dtft(windows, w, _dtft_factors(2048, grid, FS))
+        assert np.array_equal(_bits(got), _bits(_one_line_dtft(windows, w, grid, FS)))
+
+    @pytest.mark.parametrize("n", [1040, 8208])
+    def test_ml_cfo_windows_match_one_window_calls(self, n):
+        rng = substream(27, "t", f"cfo_rows{n}")
+        refs = [_pn_ref(rng, n).samples for _ in range(3)]
+        t = np.arange(n) / FS
+        wins = np.array([ref * np.exp(2j * np.pi * f * t) for ref, f in zip(refs, (13.37, -71.6, 99.9))])
+        wins += 0.1 * (rng.normal(size=wins.shape) + 1j * rng.normal(size=wins.shape))
+        got = ml_cfo_windows(wins, refs, FINE_GRID, FS)
+        assert got == [ml_cfo(_sig(win), _sig(ref), 0, FINE_GRID) for win, ref in zip(wins, refs)]
+        assert [e.at_boundary for e in got] == [False, False, True]
 
 
 class TestEstimateChannel:

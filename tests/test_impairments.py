@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import copy
+
 from dcbf import impairments, scenario, waveform
 from dcbf.core import MeshConfig, NodeState, substream
 from dcbf.impairments import (
     ChannelModel,
     NoiseSpec,
+    _cover,
     _lo_product,
     _phasor,
     add_noise,
@@ -323,8 +326,7 @@ class TestArrayKernels:
             runner = _TxRunner(ScenarioConfig(experiment=experiment, mesh=MeshConfig(cycle_period_s=0.25)))
             frames = waveform.node_frames(runner.mesh, 5)
         for contents in frames:
-            x = waveform.build_frame(runner.layout, contents, FS).samples
-            spans = runner._spans(contents)
+            x, spans = runner._frame(contents, 1.0)
             new, old = _twin_nodes(cfo_hz, walk)
             y = apply_node_imperfections(x.copy(), new, FS, sign, spans)
             expect = _old_node_imperfections(x, old, sign)
@@ -342,7 +344,7 @@ class TestArrayKernels:
         runner = _TxRunner(ScenarioConfig(experiment="TX_BF", mesh=MeshConfig(cycle_period_s=0.25)))
         sent = runner._transmit(0, CycleRecord(cycle=0, t_virtual_s=0.0), [])
         if stage == "frame":
-            sent[1][1][20000] = bad
+            sent[1][1][10000] = bad  # in node 2's beamformed payload
         else:
             real = impairments.add_noise
 
@@ -353,3 +355,79 @@ class TestArrayKernels:
             monkeypatch.setattr(scenario, "add_noise", add_then_spoil)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
             runner._receive(0, runner._arrivals(sent, 0))
+
+
+class TestSpanKernels:
+    """The channel and the receiver's LO over the spans that hold a frame's
+    signal, bitwise against the whole-frame forms."""
+
+    # spans at the frame's start and end, two 3 samples apart (closer than
+    # n_taps - 1 from 5 taps up), and one alone in the middle
+    SPANS = [(0, 120), (500, 700), (703, 900), (1200, 1300), (1880, 2000)]
+
+    @staticmethod
+    def _frame(spans, n=2000):
+        rng = substream(len(spans), "test", "span_frame")
+        x = np.zeros(n, dtype=complex)
+        for lo, hi in spans:
+            x[lo:hi] = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
+        return x
+
+    @pytest.mark.parametrize("cut", [0, 60], ids=["whole", "cut"])
+    @pytest.mark.parametrize("tof", [0, 37])
+    @pytest.mark.parametrize("n_taps", [1, 3, 8, 17, 33])
+    def test_span_channel_matches_whole_frame(self, n_taps, tof, cut):
+        rng = substream(n_taps, "test", "span_taps")
+        ch = ChannelModel(rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps), tof_delay=tof)
+        x = self._frame(self.SPANS)
+        # another arrival already in the buffer; cut drops the end of the output
+        out = rng.normal(size=len(x) + n_taps - 1 + tof - cut) + 1j * rng.normal(size=len(x) + n_taps - 1 + tof - cut)
+        conv = np.convolve(x, ch.taps, mode="full")[: len(out) - tof]
+        expect = out.copy()
+        expect[tof : tof + len(conv)] += conv
+        got = apply_channel(out.copy(), x, ch, self.SPANS)
+        assert np.array_equal(_bits(got), _bits(expect))
+
+    def test_cover_widens_clips_and_merges(self):
+        assert _cover(self.SPANS, 0, 2000) == self.SPANS
+        assert _cover(self.SPANS[::-1], 2, 2000) == [(0, 122), (498, 702), (701, 902), (1198, 1302), (1878, 2000)]
+        assert _cover(self.SPANS, 3, 2000)[1:3] == [(497, 703), (700, 903)]  # 3 apart: kept apart
+        assert _cover(self.SPANS, 4, 2000) == [(0, 124), (496, 904), (1196, 1304), (1876, 2000)]
+        assert _cover([(0, 10), (5, 8), (9, 30)], 0, 20) == [(0, 20)]
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("TX_NULL", dict(channel_kind="rayleigh", channel_taps=3)),
+            ("TX_BF", dict(channels={"n2->B": {"taps": [[0.8, 0.1], [0.3, -0.2], [0.1, 0.05]], "tof": 40}})),
+            ("RX_BF", dict(phase_walk_var_per_s=0.3,
+                           channels={"A->n2": {"taps": [[0.8, 0.1], [0.3, -0.2], [0.1, 0.05]], "tof": 40}})),
+        ],
+    )
+    def test_receiver_spans_match_whole_buffer(self, monkeypatch, experiment, overrides):
+        # every receiver LO of one cycle: the runner's spans against the old
+        # whole-buffer formula, from the same node state
+        seen = []
+        real = impairments.apply_node_imperfections
+
+        def spy(x, node, fs, sign, spans=None):
+            if sign == 1:
+                return real(x, node, fs, sign, spans)
+            before, twin = x.copy(), copy.deepcopy(node)
+            y = real(x, node, fs, sign, spans)
+            seen.append((before, spans, y.copy(), copy.deepcopy(node), twin))
+            return y
+
+        monkeypatch.setattr(scenario, "apply_node_imperfections", spy)
+        mesh = MeshConfig() if experiment == "RX_BF" else MeshConfig(cycle_period_s=0.25)
+        scenario.run_scenario(ScenarioConfig(experiment=experiment, n_cycles=1, seed=3, mesh=mesh, **overrides))
+        assert len(seen) == (3 if experiment == "RX_BF" else 1 + (experiment == "TX_NULL"))
+        for x, spans, y, node, twin in seen:
+            expect = _old_node_imperfections(x, twin, -1)
+            inside = np.zeros(len(x), dtype=bool)
+            for lo, hi in spans:
+                inside[lo:hi] = True
+            assert np.array_equal(y, expect)
+            assert np.array_equal(_bits(y[inside]), _bits(expect[inside]))
+            assert not np.any(x[~inside]) and not np.any(_bits(y[~inside]))  # +0 only
+            assert _same_state(node, twin)

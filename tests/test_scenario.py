@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from dcbf import beamform, estimation, metrics, waveform
+from dcbf import beamform, estimation, metrics, scenario, waveform
+from dcbf.cli import cycle_csv_lines
 from dcbf.core import ComplexSignal, ConfigError, MeshConfig
 from dcbf.estimation import AcquisitionError
 from dcbf.scenario import (
@@ -356,7 +357,7 @@ class TestTxBeamforming:
         """Every preamble's acquisition of a matched-filtered buffer, none rejected."""
         sig = ComplexSignal(z_mf, runner.fs)
         search = dict(lag_range=(0, runner.lag_hi), cfo_grid_hz=runner.coarse_grid, threshold=0.0)
-        return [estimation.acquire(sig, ref, **search) for ref in runner.acq_refs]
+        return [estimation.acquire(sig, [ref], **search) for ref in runner.acq_refs]
 
     def test_acquires_on_the_one_heard_preamble(self):
         runner, arrivals = self._faded_receiver(2)
@@ -378,7 +379,7 @@ class TestTxBeamforming:
         with pytest.raises(AcquisitionError) as err:
             runner._receive(0, arrivals)
         monkeypatch.undo()
-        assert len(buffers) == 3 and all(b is buffers[0] for b in buffers)
+        assert len(buffers) == 1  # one call over the three preambles
         stats = [a.detection_stat for a in self._preamble_acquisitions(runner, buffers[0])]
         assert err.value.best_stat == max(stats)
         assert 0.0 < err.value.best_stat < runner.cfg.detection_threshold
@@ -625,9 +626,8 @@ class TestFrameDesign:
         frame = waveform.build_frame(layout, waveform.source_frame(runner.mesh, 5), runner.fs)
         assert len(runner.pre_mf) == 1
         assert np.array_equal(runner.pre_mf[0].samples, self._mf(layout.extract(frame.samples, "preamble")))
-        assert [(o, ref.samples.tobytes()) for o, ref in runner.cfo_windows] == [
-            (0, runner.pre_mf[0].samples.tobytes())
-        ]
+        assert runner.cfo_offsets == [0]
+        assert len(runner.cfo_refs) == 1 and np.array_equal(runner.cfo_refs[0], runner.pre_mf[0].samples)
 
     @pytest.mark.parametrize("n_nodes", [2, 3])
     def test_tx_references_are_matched_node_ambles(self, n_nodes):
@@ -636,14 +636,13 @@ class TestFrameDesign:
         layout = waveform.tx_node_layout(mesh)
         assert runner.layout == layout
         frames = waveform.node_frames(mesh, 5)
-        assert len(frames) == len(runner.pre_mf) == len(runner.cfo_windows) == n_nodes
+        assert len(frames) == len(runner.pre_mf) == len(runner.cfo_offsets) == len(runner.cfo_refs) == n_nodes
         for i, contents in enumerate(frames):
             frame = waveform.build_frame(layout, contents, runner.fs).samples
             post = layout.segment(f"postamble_{i + 1}")
             assert np.array_equal(runner.pre_mf[i].samples, self._mf(layout.extract(frame, "preamble")))
-            offset, ref = runner.cfo_windows[i]
-            assert offset == post.offset
-            assert np.array_equal(ref.samples, self._mf(layout.extract(frame, post.name)))
+            assert runner.cfo_offsets[i] == post.offset
+            assert np.array_equal(runner.cfo_refs[i], self._mf(layout.extract(frame, post.name)))
 
     def test_tx_cycle_shares_one_payload(self, monkeypatch):
         # every node frame the runner builds in a cycle carries the same
@@ -654,7 +653,7 @@ class TestFrameDesign:
 
         def spy(layout, contents, fs):
             frame = real(layout, contents, fs)
-            built.append((layout, frame.samples))
+            built.append((layout, frame.samples.copy()))  # the runner scales and rotates its frame in place
             return frame
 
         monkeypatch.setattr(waveform, "build_frame", spy)
@@ -675,3 +674,61 @@ class TestFrameDesign:
         # a fresh payload every cycle
         assert not np.array_equal(built[0][0].extract(built[0][1], "bf_payload"),
                                   built[n][0].extract(built[n][1], "bf_payload"))
+
+
+class TestSignalSpans:
+    """A cycle's channel and receiver LO work on the spans that hold signal;
+    the records equal those of the same runner over whole frames and buffers."""
+
+    THREE_TAPS = [[0.8, 0.1], [0.3, -0.2], [0.1, 0.05]]
+
+    @staticmethod
+    def _whole_frames(monkeypatch):
+        real_channel, real_lo = scenario.apply_channel, scenario.apply_node_imperfections
+
+        def whole_frame(self, contents, power):
+            samples = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(power)
+            return samples, [(0, len(samples))]
+
+        monkeypatch.setattr(scenario._Runner, "_frame", whole_frame)
+        monkeypatch.setattr(scenario, "apply_channel", lambda out, x, ch, spans: real_channel(out, x, ch))
+        monkeypatch.setattr(scenario, "apply_node_imperfections",
+                            lambda x, node, fs, sign, spans: real_lo(x, node, fs, sign))
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("TX_NULL", dict(channel_kind="rayleigh", channel_taps=3)),
+            ("TX_BF", dict(channels={"n2->B": {"taps": THREE_TAPS, "tof": 40}})),
+            ("COHERENCE", dict(channel_kind="rayleigh", channel_taps=3, phase_walk_var_per_s=0.021)),
+            ("RX_BF", dict(phase_walk_var_per_s=0.3, channels={"A->n2": {"taps": THREE_TAPS, "tof": 40}})),
+        ],
+    )
+    def test_records_equal_whole_frame_runner(self, monkeypatch, experiment, overrides):
+        mesh = MeshConfig() if experiment in RX_EXPERIMENTS else TX_MESH
+        cfg = ScenarioConfig(experiment=experiment, n_cycles=3, seed=5, mesh=mesh, **overrides)
+        spans = run_scenario(cfg)
+        self._whole_frames(monkeypatch)
+        whole = run_scenario(cfg)
+        assert cycle_csv_lines(spans, mesh.n_nodes, "m") == cycle_csv_lines(whole, mesh.n_nodes, "m")
+        assert "warmup" in spans[0].flags or experiment in RX_EXPERIMENTS
+
+    def test_link_budget_matches_full_buffer_derotation(self):
+        # derotating only the LS window and the measured segments gives the
+        # bits of the full-length derotation the link budget read before
+        from dcbf.impairments import _phasor
+
+        cfg = ScenarioConfig(experiment="TX_BF", n_cycles=1, seed=5, mesh=TX_MESH,
+                             channels={"n2->B": {"taps": self.THREE_TAPS, "tof": 40}})
+        runner = _TxRunner(cfg)
+        sent = runner._transmit(0, CycleRecord(cycle=0, t_virtual_s=0.0), [])
+        z_mf, acq, f_hat = runner._receive(0, runner._arrivals(sent, 0))
+        taps, siso, bf = runner._link_budget(z_mf, acq, f_hat)
+
+        zc = np.multiply(_phasor((-2 * np.pi * f_hat) * (np.arange(len(z_mf)) / runner.fs)), z_mf)  # numpy's side here
+        ests = estimation.estimate_channels_joint(ComplexSignal(zc, runner.fs), runner.pre_mf, acq.lag, cfg.t_h)
+        power = {seg.name: metrics.segment_power(zc, seg, shift=acq.lag) for seg in runner.layout.segments}
+        assert all(np.array_equal(a, e.taps) for a, e in zip(taps, ests))
+        assert siso == [metrics.link_metrics(power[f"monitor_{i + 1}"], power["look_through"], cfg.noise_power)
+                        for i in range(runner.n)]
+        assert bf == metrics.link_metrics(power["bf_payload"], power["look_through"], cfg.noise_power)
