@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,29 +57,49 @@ class ChannelEstimate:
 
 
 def _dtft_factors(n: int, grid_hz: np.ndarray, fs: float) -> tuple[np.ndarray, ...]:
-    """The phasor factors of an n-sample DTFT on grid_hz, for _dtft.
+    """The phasor factors of an n-sample DTFT on the float grid_hz, for _dtft;
+    read-only, and the same arrays for every call with the same n, grid
+    values and fs.
 
     A one-point grid has one factor, the n samples of exp(-i*2*pi*f*t/fs).
     Otherwise t = a*n_b + b, n_b = ceil(sqrt(n)), and exp(-i*2*pi*f*t/fs)
     factors as exp(-i*2*pi*f*b/fs) * exp(-i*2*pi*f*a*n_b/fs): an (n_b, G) and
     an (n_a, G) array, (n_a + n_b) exponentials per frequency instead of n.
     """
+    return _factor_set(n, np.ascontiguousarray(grid_hz, dtype=float).tobytes(), fs)
+
+
+@lru_cache(maxsize=4)
+def _factor_set(n: int, grid: bytes, fs: float) -> tuple[np.ndarray, ...]:
+    """_dtft_factors of the grid whose float64 values are the bytes grid.
+
+    Cached for the whole process, keyed on the values: a runner asks for the
+    same two sets (coarse and fine grid) in every cycle and every runner of
+    a sweep for the same ones again. Each call recomputes exactly these
+    arrays, so a hit keeps the bits. scenario.MAX_CFO_GRID_POINTS states
+    the largest set a runner can ask for.
+    """
+    grid_hz = np.frombuffer(grid)
     if len(grid_hz) == 1:
-        return (np.exp(-2j * np.pi * (np.arange(n) / fs) * grid_hz[0]),)
-    n_b = int(np.ceil(np.sqrt(n)))
-    n_a = -(-n // n_b)
-    phase = -2j * np.pi * grid_hz / fs
-    return np.exp(np.outer(np.arange(n_b), phase)), np.exp(np.outer(np.arange(n_a) * n_b, phase))
+        factors = (np.exp(-2j * np.pi * (np.arange(n) / fs) * grid_hz[0]),)
+    else:
+        n_b = int(np.ceil(np.sqrt(n)))
+        n_a = -(-n // n_b)
+        phase = -2j * np.pi * grid_hz / fs
+        factors = np.exp(np.outer(np.arange(n_b), phase)), np.exp(np.outer(np.arange(n_a) * n_b, phase))
+    for f in factors:
+        f.setflags(write=False)
+    return factors
 
 
 def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...], rows: bool = False) -> np.ndarray:
     """sum_t x[..., t] * w[..., t] * exp(-i*2*pi*f*t/fs) for every f of the
     grid that factors (_dtft_factors) were evaluated on.
 
-    Returns shape x.shape[:-1] + (len(grid),) and keeps nothing between
-    calls, so one set of factors serves any number of calls. A one-point
-    grid is a single inner product; otherwise the sum is one matmul against
-    the b factor, then a product with the a factor summed over a.
+    Returns shape x.shape[:-1] + (len(grid),). It only reads the factors,
+    so one set serves any number of calls. A one-point grid is a single
+    inner product; otherwise the sum is one matmul against the b factor,
+    then a product with the a factor summed over a.
 
     Each factor product keeps the bits of `... * np.exp(...)` written on one
     line: numpy multiplied from the exponential's side where its temporary

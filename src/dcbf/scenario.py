@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +62,13 @@ MAX_MMSE_UNKNOWNS = COV_MAX_LEN // 16
 # product (estimation._dtft): an acquisition holds (lags * ceil(sqrt(n))) x
 # points complex values for n integrated samples, 17 * 45 x 4096 (50 MB) at
 # the bundled 17 lags and 2048 samples, where a 1e-6 Hz coarse step would ask
-# for 4e9 points.
+# for 4e9 points. Each grid's DTFT phasor factors, (ceil(sqrt(n)) +
+# ceil(n / ceil(sqrt(n)))) x points complex values, are kept for the process
+# (estimation._factor_set), at most 4 sets at a time. A bundled config holds
+# two, the coarse set (115 KiB) and the fine set (572 KiB). The largest
+# admitted set is a fine one of 26.75 MiB: a TX amble of 45,730 samples, the
+# longest a one-node frame carries, on 4096 points. A coarse set is bounded by
+# MAX_ACQUISITION_VALUES below, at most 7.5 MiB.
 MAX_CFO_GRID_POINTS = 4096
 
 # Most complex values in one acquisition's DTFT: its input holds lags x n
@@ -69,7 +76,9 @@ MAX_CFO_GRID_POINTS = 4096
 # must keep lags * ceil(sqrt(n)) * max(points, ceil(sqrt(n))) within 2^22
 # (64 MiB an array). The bundled 17 lags stay within it at any admitted
 # coarse grid (17 * 46 * 4096); an explicit tof of 324,000 samples would ask
-# for 10.7 GB.
+# for 10.7 GB. With at least 17 lags, ceil(sqrt(n)) * points stays within
+# 2^22 / 17, so the coarse factor set that the process keeps (the sum of two
+# such arrays) is at most 7.5 MiB: 4033 samples on 3855 points.
 MAX_ACQUISITION_VALUES = 1 << 22
 
 
@@ -266,20 +275,53 @@ def _walk_channel(ch: ChannelModel, std: float, rng: np.random.Generator) -> Cha
     return ChannelModel(taps=ch.taps + jitter, tof_delay=ch.tof_delay, label=ch.label)
 
 
+@lru_cache(maxsize=4)
+def _receive_references(mesh: MeshConfig, family: str):
+    """(pre_mf, acq_refs, cfo_segments, cfo_refs) of the receive family
+    ("RX" or "TX") on mesh, read-only: every transmitter's preamble through
+    the matched filter (acquisition keeps the strongest detection, so that
+    one faded link cannot blind a receiver; TX's joint LS fits one channel
+    to each), their first est_integration_len samples as searched, and the
+    segments the CFO is refined on (the source's preamble under RX, each
+    node's TDMA postamble under TX) with their matched ambles.
+
+    Cached for the whole process like waveform._shaped_amble: they depend on
+    nothing else, and a sweep builds a fresh runner for every seed.
+    """
+    if family == "RX":
+        ambles, cfo_segments = [waveform.source_ambles(mesh)], ("preamble",)
+    else:
+        ambles = waveform.node_ambles(mesh)
+        cfo_segments = tuple(f"postamble_{i + 1}" for i in range(mesh.n_nodes))
+
+    def matched(x: np.ndarray) -> np.ndarray:
+        y = waveform._centered_convolve(x, waveform.PULSE)
+        y.setflags(write=False)
+        return y
+
+    fs = mesh.sample_rate_hz
+    pre_mf = tuple(ComplexSignal(matched(a["preamble"]), fs) for a in ambles)
+    acq_len = min(mesh.est_integration_len, len(pre_mf[0].samples))
+    acq_refs = tuple(ComplexSignal(p.samples[:acq_len], fs) for p in pre_mf)
+    cfo_refs = tuple(matched(a[name]) for a, name in zip(ambles, cfo_segments))
+    return pre_mf, acq_refs, cfo_segments, cfo_refs
+
+
 class _Runner:
     """Mesh state, receive chain and cycle loop shared by the experiments.
 
-    An experiment family is a policy: layout and ambles give the layout and
-    each transmitter's shaped ambles of its frame design in waveform (every
-    preamble is an acquisition reference), _transmit sends a cycle's frames,
-    _arrivals routes them over the links (LINKS) to each receiver, whose CFO
-    is refined on the windows at cfo_offsets against cfo_refs, and _measure
-    turns the receptions into the record and the feedback.
+    An experiment family (FAMILY) is a policy: layout gives the layout of
+    its frame design in waveform and _receive_references its receive
+    references, _transmit sends a cycle's frames, _arrivals routes them over
+    the links (LINKS) to each receiver, whose CFO is refined on the windows
+    at cfo_offsets against cfo_refs, and _measure turns the receptions into
+    the record and the feedback.
     """
 
     LINKS: tuple[str, str]
+    FAMILY: str
 
-    def __init__(self, cfg: ScenarioConfig, layout, ambles):
+    def __init__(self, cfg: ScenarioConfig, layout):
         self.cfg = validate_scenario(cfg)
         mesh = cfg.mesh
         self.mesh = mesh
@@ -287,14 +329,9 @@ class _Runner:
         self.fs = mesh.sample_rate_hz
         self.pulse = waveform.PULSE
         self.layout = layout(mesh)
-        self.ambles = ambles(mesh)
-
-        # acquisition correlates against every transmitter's preamble and keeps
-        # the strongest detection (any one faded link must not blind the receiver)
-        self.pre_mf = [self._matched(a["preamble"]) for a in self.ambles]
+        self.pre_mf, self.acq_refs, cfo_segments, self.cfo_refs = _receive_references(mesh, self.FAMILY)
         self.t_ref = len(self.pre_mf[0].samples)
-        acq_len = min(mesh.est_integration_len, self.t_ref)
-        self.acq_refs = [ComplexSignal(p.samples[:acq_len], self.fs) for p in self.pre_mf]
+        self.cfo_offsets = [self.layout.segment(name).offset for name in cfo_segments]
         self.coarse_grid = np.arange(
             -cfg.coarse_cfo_span_hz, cfg.coarse_cfo_span_hz + cfg.coarse_cfo_step_hz / 2, cfg.coarse_cfo_step_hz
         )
@@ -318,10 +355,6 @@ class _Runner:
         self._jitter_now = [0.0] * self.n
 
         self.lag_hi, self.buf_len, _ = _receive_buffer(cfg, self.layout)
-
-    def _matched(self, x: np.ndarray) -> ComplexSignal:
-        """x through the receive matched filter."""
-        return ComplexSignal(waveform._centered_convolve(x, self.pulse), self.fs)
 
     def _frame(self, contents: dict[str, np.ndarray], power: float):
         """(samples, spans): the frame of contents scaled to the given power per
@@ -380,7 +413,7 @@ class _Runner:
         apply_node_imperfections(buf, self.receivers[r], self.fs, -1, _cover(heard, 0, self.buf_len))
         add_noise(buf, cfg.noise_power, self.noise_rng[r])
         estimation.remove_dc(buf)
-        sig_mf = self._matched(buf)
+        sig_mf = ComplexSignal(waveform._centered_convolve(buf, self.pulse), self.fs)
         z_mf = sig_mf.samples
         acq = estimation.acquire(
             sig_mf, self.acq_refs, (0, self.lag_hi), cfo_grid_hz=self.coarse_grid, threshold=cfg.detection_threshold
@@ -452,9 +485,10 @@ class _RxRunner(_Runner):
     every mesh node receives, and MMSE filters combine the nodes."""
 
     LINKS = RX_LINKS
+    FAMILY = "RX"
 
     def __init__(self, cfg: ScenarioConfig):
-        super().__init__(cfg, waveform.rx_source_layout, lambda mesh: [waveform.source_ambles(mesh)])
+        super().__init__(cfg, waveform.rx_source_layout)
         self.look_seg = self.layout.segment("look_through")
         self.pay_seg = self.layout.segment("payload")
         self.cov_window = None
@@ -469,8 +503,6 @@ class _RxRunner(_Runner):
         self.interferer = self._radio("J", cfg.interferer_cfo_hz)
         self.interferer_layout = waveform.interferer_layout(self.buf_len)
         self._set_receivers(self.nodes)
-        self.cfo_offsets = [0]
-        self.cfo_refs = [self.pre_mf[0].samples]
 
     def _transmit(self, k, rec, flags):
         cfg = self.cfg
@@ -543,18 +575,15 @@ class _TxRunner(_Runner):
     feed back into the nodes' predistortion weights."""
 
     LINKS = TX_LINKS
+    FAMILY = "TX"
 
     def __init__(self, cfg: ScenarioConfig):
         nulling = cfg.experiment == "TX_NULL"
-        super().__init__(cfg, waveform.tx_node_layout, waveform.node_ambles)
+        super().__init__(cfg, waveform.tx_node_layout)
         self.nulling = nulling
         self.coherence = cfg.experiment == "COHERENCE"
         rx_b = self._radio("B", cfg.rx_b_cfo_hz)
         self._set_receivers([rx_b, self._radio("C", cfg.rx_c_cfo_hz)] if nulling else [rx_b])
-        # the common CFO is refined on each node's TDMA postamble
-        posts = [f"postamble_{i + 1}" for i in range(self.n)]
-        self.cfo_offsets = [self.layout.segment(p).offset for p in posts]
-        self.cfo_refs = [self._matched(a[p]).samples for a, p in zip(self.ambles, posts)]
 
         # feedback pipeline: estimates keyed by the cycle that produced them
         self.estimates: dict[int, dict[str, list[np.ndarray]]] = {}

@@ -69,21 +69,58 @@ def gen_mls(m: int, taps: tuple[int, ...] | None = None, init_state: int = 1) ->
     if init_state == 0:
         raise ValueError("init_state must be nonzero")
 
+    if not _is_primitive(m, taps):
+        raise ValueError(f"taps {taps} are not primitive for m={m}")
+
     # bit 0 of the register is the next chip; the feedback, the XOR of bits
-    # m - t, enters at bit m - 1. The taps are primitive exactly when the
-    # register first returns to its initial state after 2**m - 1 steps.
-    length = (1 << m) - 1
+    # m - t, enters at bit m - 1
     mask = sum(1 << (m - t) for t in taps)
     state = init_state
     bits = []
-    for n in range(length):
+    for _ in range((1 << m) - 1):
         bits.append(state & 1)
         state = (state >> 1) | (((state & mask).bit_count() & 1) << (m - 1))
-        if state == init_state:
-            break
-    if n != length - 1:
-        raise ValueError(f"taps {taps} are not primitive for m={m}")
     return (2 * np.array(bits, dtype=np.int8) - 1).astype(np.int8)
+
+
+def _is_primitive(m: int, taps: tuple[int, ...]) -> bool:
+    """Whether 1 + the sum of x^t over taps (degree m) is primitive over
+    GF(2): x has multiplicative order 2^m - 1 modulo it, that is
+    x^(2^m - 1) = 1 and x^((2^m - 1)/q) != 1 for every prime q dividing
+    2^m - 1 (Lidl and Niederreiter, Finite Fields, ch. 3). A reducible
+    polynomial has fewer than 2^m - 1 units, so none of that order. gen_mls's
+    register then runs through all 2^m - 1 nonzero states."""
+    poly = 1 | sum(1 << t for t in taps)
+
+    def mul(a: int, b: int) -> int:  # a * b modulo poly, polynomials as bit masks of degree < m
+        product = 0
+        while b:
+            product ^= a if b & 1 else 0
+            a = (a << 1) ^ (poly if a >> (m - 1) else 0)
+            b >>= 1
+        return product
+
+    def x_pow(e: int) -> int:  # square and multiply
+        result, base = 1, 2
+        while e:
+            result = mul(result, base) if e & 1 else result
+            base, e = mul(base, base), e >> 1
+        return result
+
+    order = (1 << m) - 1
+    return x_pow(order) == 1 and all(x_pow(order // q) != 1 for q in _prime_factors(order))
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n > 1, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
 
 
 @lru_cache(maxsize=256)
@@ -91,16 +128,14 @@ def _primitive_taps(m: int, count: int) -> tuple[tuple[int, ...], ...]:
     """The first count primitive tap sets of order m, or the whole family
     when it holds fewer: trinomials (m, a) for a = m - 1 .. 1, then
     pentanomials (m, a, b, c) in descending lexicographic order, each kept
-    when gen_mls accepts it. Orders 2..8 hold 1, 2, 2, 6, 6, 14 and 12."""
+    when its polynomial is primitive (_is_primitive). Orders 2..8 hold 1, 2,
+    2, 6, 6, 14 and 12."""
     found: list[tuple[int, ...]] = []
     for rest in (r for k in (1, 3) for r in combinations(range(m - 1, 0, -1), k)):
         if len(found) == count:
             break
-        try:
-            gen_mls(m, (m, *rest))
-        except ValueError:
-            continue
-        found.append((m, *rest))
+        if _is_primitive(m, (m, *rest)):
+            found.append((m, *rest))
     return tuple(found)
 
 
@@ -290,6 +325,8 @@ def _shaped_amble(amble_len: int, taps: tuple[int, ...], init_state: int) -> np.
 
     Cached for the whole process, not per runner: a sweep builds a fresh
     runner for every seed, and one order-13 MLS costs milliseconds of Python.
+    scenario._receive_references keeps their matched-filtered forms the same
+    way.
     """
     n_bits = (amble_len // SPS) * 2
     bits = ((gen_mls(taps[0], taps, init_state=init_state) + 1) // 2).astype(np.int64)

@@ -8,6 +8,7 @@ from dcbf.estimation import (
     AcquisitionError,
     _dtft,
     _dtft_factors,
+    _factor_set,
     acquire,
     cfo_reference_table,
     estimate_channel,
@@ -287,6 +288,34 @@ class TestSharedFactors:
         got = ml_cfo_windows(wins, refs, FINE_GRID, FS)
         assert got == [ml_cfo(_sig(win), _sig(ref), 0, FINE_GRID) for win, ref in zip(wins, refs)]
         assert [e.at_boundary for e in got] == [False, False, True]
+
+
+class TestFactorCache:
+    """The DTFT factor sets are kept for the process, keyed on n, the grid's
+    values and fs."""
+
+    @pytest.mark.parametrize(
+        "n, grid", [(2048, np.arange(-2000, 2001, 50.0)), (8192, FINE_GRID), (700, np.array([0.0]))]
+    )
+    def test_hits_are_read_only_and_bitwise_fresh(self, n, grid):
+        factors = _dtft_factors(n, grid, FS)
+        assert _dtft_factors(n, grid.copy(), FS) is factors  # another array of the same values
+        fresh = _factor_set.__wrapped__(n, grid.tobytes(), FS)
+        assert len(factors) == len(fresh)
+        for cached, new in zip(factors, fresh):
+            assert np.array_equal(_bits(cached), _bits(new))
+            with pytest.raises(ValueError, match="read-only"):
+                cached *= 1
+
+    def test_bounded_over_a_sweep_of_grids(self):
+        rng = substream(28, "t", "sweep")
+        ref = _pn_ref(rng, 256)
+        z = _sig(np.concatenate([np.zeros(5), ref.samples, np.zeros(5)]))
+        for step in range(10, 60, 5):
+            acquire(z, [ref], cfo_grid_hz=np.arange(-500, 500.5, step), threshold=0.0)
+            ml_cfo(z, ref, 5, np.arange(-2 * step, 2 * step + 0.5, 1.0))
+        info = _factor_set.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
 
 
 class TestEstimateChannel:

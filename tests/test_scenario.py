@@ -8,8 +8,9 @@ import pytest
 
 from dcbf import beamform, estimation, metrics, scenario, waveform
 from dcbf.cli import cycle_csv_lines
-from dcbf.core import ComplexSignal, ConfigError, MeshConfig
+from dcbf.core import ComplexSignal, ConfigError, MeshConfig, NodeState, substream
 from dcbf.estimation import AcquisitionError
+from dcbf.impairments import ChannelModel, NoiseSpec
 from dcbf.scenario import (
     EXPERIMENTS,
     MAX_ACQUISITION_VALUES,
@@ -22,6 +23,7 @@ from dcbf.scenario import (
     run_scenario,
     validate_scenario,
 )
+from dcbf.timesync import run_sync_round
 
 
 def _records_equal(a: list[CycleRecord], b: list[CycleRecord]) -> bool:
@@ -644,6 +646,25 @@ class TestFrameDesign:
             assert runner.cfo_offsets[i] == post.offset
             assert np.array_equal(runner.cfo_refs[i], self._mf(layout.extract(frame, post.name)))
 
+    @pytest.mark.parametrize("family, mesh", [("RX", MeshConfig()), ("TX", MeshConfig(n_nodes=2, amble_len=4096))])
+    def test_cached_references_are_read_only_and_bitwise_fresh(self, family, mesh):
+        pre_mf, acq_refs, cfo_segments, cfo_refs = scenario._receive_references(mesh, family)
+        fresh = scenario._receive_references.__wrapped__(mesh, family)
+        assert cfo_segments == fresh[2]
+        cached = [s.samples for s in pre_mf + acq_refs] + list(cfo_refs)
+        new = [s.samples for s in fresh[0] + fresh[1]] + list(fresh[3])
+        assert len(cached) == len(new)
+        for a, b in zip(cached, new):
+            assert a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 1
+
+    def test_reference_cache_bounded(self):
+        for amble_len in range(1024, 4096, 256):
+            scenario._receive_references(MeshConfig(amble_len=amble_len), "RX")
+        info = scenario._receive_references.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
     def test_tx_cycle_shares_one_payload(self, monkeypatch):
         # every node frame the runner builds in a cycle carries the same
         # payload in bf_payload and in its own monitor slot, and nothing in
@@ -732,3 +753,56 @@ class TestSignalSpans:
         assert siso == [metrics.link_metrics(power[f"monitor_{i + 1}"], power["look_through"], cfg.noise_power)
                         for i in range(runner.n)]
         assert bf == metrics.link_metrics(power["bf_payload"], power["look_through"], cfg.noise_power)
+
+
+class TestDerivedOnce:
+    """What the process caches (scenario._receive_references and the DTFT
+    factor sets in estimation) is keyed on every input it depends on: runs
+    interleaved in one process, each differing from the base in one key
+    input, give the records of the same runs made from empty caches."""
+
+    BASE = ScenarioConfig(experiment="RX_BF", n_cycles=2, seed=4)
+    VARIANTS = {
+        "coarse_cfo_step_hz": dict(coarse_cfo_step_hz=40.0),
+        # these two keep the grids' lengths (81 and 201 points) and move their points
+        "coarse_cfo_span_hz": dict(coarse_cfo_span_hz=2010.0),
+        "fine_cfo_step_hz": dict(fine_cfo_step_hz=0.999),
+        "mesh.amble_len": dict(mesh=MeshConfig(amble_len=4096)),
+        "mesh.est_integration_len": dict(mesh=MeshConfig(est_integration_len=1024)),
+        "mesh.sample_rate_hz": dict(mesh=MeshConfig(sample_rate_hz=1e6)),
+        "mesh.n_nodes": dict(mesh=MeshConfig(n_nodes=2)),
+        "TX family": dict(experiment="TX_BF"),
+        "TX family, mesh.n_nodes": dict(experiment="TX_BF", mesh=MeshConfig(n_nodes=2)),
+    }
+
+    @staticmethod
+    def _clear_caches():
+        scenario._receive_references.cache_clear()
+        estimation._factor_set.cache_clear()
+
+    @staticmethod
+    def _sync_round():
+        links = [ChannelModel(np.array([1.0 + 0j]), tof_delay=20, label=label) for label in ("up", "down")]
+        follower = NodeState("F", timestamp_offset_s=0.375)
+        return run_sync_round(NodeState("L"), follower, *links, NoiseSpec(0.5), substream(3, "s", "n"))
+
+    def _lines(self, cfg):
+        return cycle_csv_lines(run_scenario(cfg), cfg.mesh.n_nodes, "m")
+
+    def test_interleaved_runs_match_runs_from_empty_caches(self):
+        cfgs = {name: dataclasses.replace(self.BASE, **fields) for name, fields in self.VARIANTS.items()}
+        base = self._lines(self.BASE)
+        interleaved = {}
+        for name, cfg in cfgs.items():
+            interleaved[name] = self._lines(cfg)
+            assert self._lines(self.BASE) == base, f"base after {name}"
+        sync = self._sync_round()
+        assert self._lines(self.BASE) == base, "base after a sync round"
+        for name, cfg in cfgs.items():
+            self._clear_caches()
+            assert interleaved[name] == self._lines(cfg), name
+            assert interleaved[name] != base, f"{name} does not change the records"
+        self._clear_caches()
+        assert self._lines(self.BASE) == base
+        self._clear_caches()
+        assert self._sync_round() == sync

@@ -1,6 +1,7 @@
 """Tests for MLS generation, modulation, pulse shaping, and frame assembly."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -82,6 +83,33 @@ class TestGenMls:
     def test_family_size_of_short_orders(self, m, size):
         # trinomials and pentanomials only: order 7's 18 primitive polynomials include 4 of weight 7
         assert len(waveform._primitive_taps(m, 100)) == size
+
+    @staticmethod
+    def _lfsr_search(m, count):
+        """_primitive_taps by the LFSR: a tap set is primitive exactly when
+        gen_mls's register first returns to its initial state after 2^m - 1
+        steps."""
+        found = []
+        for rest in (r for k in (1, 3) for r in combinations(range(m - 1, 0, -1), k)):
+            if len(found) == count:
+                break
+            taps = (m, *rest)
+            mask = sum(1 << (m - t) for t in taps)
+            state, steps = 1, 0
+            while True:
+                state = (state >> 1) | (((state & mask).bit_count() & 1) << (m - 1))
+                steps += 1
+                if state == 1:
+                    break
+            if steps == 2**m - 1:
+                found.append(taps)
+        return tuple(found)
+
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_multiplicative_order_search_matches_the_lfsr(self, m):
+        for count in (1, 3, 8, 100):
+            waveform._primitive_taps.cache_clear()
+            assert waveform._primitive_taps(m, count) == self._lfsr_search(m, count)
 
     def test_non_primitive_taps_rejected(self):
         with pytest.raises(ValueError, match="not primitive"):
