@@ -9,7 +9,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ComplexSignal, _conv_matrix
-from .impairments import _ELIDE_BYTES
 
 __all__ = [
     "AcquisitionError",
@@ -101,16 +100,15 @@ def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...], rows: b
     inner product; otherwise the sum is one matmul against the b factor,
     then a product with the a factor summed over a.
 
-    Each factor product keeps the bits of `... * np.exp(...)` written on one
-    line: numpy multiplied from the exponential's side where its temporary
-    elision applied (impairments._ELIDE_BYTES), which for the a factor was a
-    1-D x only. rows=True makes x and w (N, n) stacks of one-window
-    transforms, each row with the bits of its own 1-D call.
+    numpy's complex multiply is not bitwise commutative, so each factor
+    product takes one fixed operand side at every size: the one-point
+    product is w * e; the a-factor product is e_a * inner for rows=True,
+    where x and w are (N, n) stacks of one-window transforms, each row with
+    the bits of its own call, and inner * e_a for a stack of lag windows.
     """
     n = x.shape[-1]
     if len(factors) == 1:
-        (e,) = factors
-        we = np.multiply(e, w) if e.nbytes >= _ELIDE_BYTES else w * e
+        we = w * factors[0]
         if rows:
             return np.array([xi @ wi for xi, wi in zip(x, we)])[:, None]
         return (x @ we)[..., None]
@@ -119,7 +117,7 @@ def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...], rows: b
     xw = np.zeros(x.shape[:-1] + (n_a * n_b,), dtype=np.complex128)
     xw[..., :n] = x * w
     inner = (xw.reshape(-1, n_b) @ e_b).reshape(x.shape[:-1] + e_a.shape)
-    if (rows or x.ndim == 1) and e_a.nbytes >= _ELIDE_BYTES:
+    if rows:
         np.multiply(e_a, inner, out=inner)
     else:
         inner *= e_a
@@ -228,7 +226,9 @@ def ml_cfo_windows(
     factors.
 
     Each row's metric on the whole grid (any spacing) is one row of a DTFT
-    call, with the bits of a one-window call. After the grid argmax, the
+    call, with the bits of a one-window call at every window length: its
+    products take _dtft's fixed sides for rows (w * e on a one-point grid,
+    the a factor times the inner sums otherwise). After the grid argmax, the
     estimate is refined once by quadratic interpolation of the metric
     through the peak and its two neighbors (skipped, with at_boundary set,
     when the peak sits on the grid edge).

@@ -115,17 +115,6 @@ def advance_clock(node: NodeState, dt_s: float) -> NodeState:
     return node
 
 
-# numpy evaluates `x * np.exp(...)` as `exp(...) * x`, in the temporary's own
-# buffer, when that temporary has the product's shape and holds at least
-# 256 KiB (temporary elision). Its SIMD complex multiply is not bitwise
-# commutative: `x * p` and `p * x` differ in the last bit on ~16% of samples.
-# The LO products here keep the bits of those full-length formulas by
-# multiplying from the side numpy would have, judged by the full length even
-# when they multiply a slice: `x[lo:hi] * phasor` would differ from the old
-# frame-length product.
-_ELIDE_BYTES = 256 * 1024
-
-
 def _phasor(phase: np.ndarray) -> np.ndarray:
     """exp(1j * phase), with cos and sin written into the .real and .imag of
     one buffer: the same bits as the complex exponential, at less cost."""
@@ -133,16 +122,6 @@ def _phasor(phase: np.ndarray) -> np.ndarray:
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     return out
-
-
-def _lo_product(x: np.ndarray, phasor: np.ndarray, full_len: int | None = None) -> np.ndarray:
-    """x * phasor (broadcast along x's last axis) with the bits of
-    `x * np.exp(...)` over the full_len samples that x is a slice of (x's
-    own length by default); reuses the phasor's buffer where numpy would."""
-    full_len = x.shape[-1] if full_len is None else full_len
-    if x.ndim == 1 and 16 * full_len >= _ELIDE_BYTES:
-        return np.multiply(phasor, x, out=phasor)
-    return x * phasor
 
 
 def apply_node_imperfections(
@@ -161,7 +140,9 @@ def apply_node_imperfections(
     spans, when given, are the (start, stop) sample ranges that hold every
     nonzero sample of x: the LO phasor is evaluated there only, and the other
     samples stay exact zeros. Every normal of the phase walk is still drawn,
-    so the node's RNG and phase end as after a rotation of all of x.
+    so the node's RNG and phase end as after a rotation of all of x. The
+    product is taken from the phasor's side at every length, so a sample's
+    bits do not depend on how long x is.
     """
     n = len(x)
     spans = [(0, n)] if spans is None else spans
@@ -178,17 +159,11 @@ def apply_node_imperfections(
         walk[0] = 0.0
         np.cumsum(steps, out=walk[1:])
     slope = 2 * np.pi * node.cfo_hz
-    left = 16 * n >= _ELIDE_BYTES  # the side of the old frame-length product
     for lo, hi in spans:
         phase = node.phase_rad + slope * (np.arange(lo, hi) / fs)
         if walk is not None:
             phase += walk[lo:hi]
-        phasor = _phasor(sign * phase)
-        part = x[lo:hi]
-        if left:
-            np.multiply(phasor, part, out=part)
-        else:
-            part *= phasor
+        np.multiply(_phasor(sign * phase), x[lo:hi], out=x[lo:hi])
     # final state: one more sample step past the last emitted sample
     last = node.phase_rad + slope * ((n - 1) / fs)
     if walk is not None:

@@ -23,7 +23,7 @@ from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState
 from .core import _check_field_types, _conv_matrix, _tag64
 from .estimation import AcquisitionError, AcquisitionResult
 from .impairments import ChannelModel, add_noise, advance_clock, apply_channel, apply_node_imperfections
-from .impairments import _cover, _lo_product, _phasor
+from .impairments import _cover, _phasor
 from .metrics import LinkMetrics
 
 __all__ = [
@@ -140,6 +140,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     ):
         if points > MAX_CFO_GRID_POINTS:
             raise ConfigError(name, f"{rule}/{name} + 1 = {points:.6g} grid points exceeds {MAX_CFO_GRID_POINTS}")
+    # the fine estimate's quadratic refinement runs through the peak and both its neighbours
+    fine_points = len(_fine_grid(cfg))
+    if fine_points < 3:
+        raise ConfigError("fine_cfo_step_hz", f"the fine grid over ±2·coarse_cfo_step_hz holds {fine_points} points, "
+                          "fewer than the 3 its refinement needs: use at most 2·coarse_cfo_step_hz")
     if not 0 <= cfg.detection_threshold <= 1:
         raise ConfigError("detection_threshold", "must be in [0, 1]: the detection statistic is at most 1")
     if cfg.interferer_power > 0 and cfg.experiment != "RX_BF_INTERF":
@@ -173,6 +178,12 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             lag_field, f"acquisition over {lags} lags needs {values:.6g} complex values, above {MAX_ACQUISITION_VALUES}"
         )
     return cfg
+
+
+def _fine_grid(cfg: ScenarioConfig) -> np.ndarray:
+    """The fine CFO grid, relative to the coarse estimate: two coarse steps either side."""
+    span = 2 * cfg.coarse_cfo_step_hz
+    return np.arange(-span, span + cfg.fine_cfo_step_hz / 2, cfg.fine_cfo_step_hz)
 
 
 def _heard_links(cfg: ScenarioConfig) -> list[str]:
@@ -335,9 +346,7 @@ class _Runner:
         self.coarse_grid = np.arange(
             -cfg.coarse_cfo_span_hz, cfg.coarse_cfo_span_hz + cfg.coarse_cfo_step_hz / 2, cfg.coarse_cfo_step_hz
         )
-        # fine grid relative to the coarse estimate: two coarse steps either side
-        span = 2 * cfg.coarse_cfo_step_hz
-        self.fine_grid = np.arange(-span, span + cfg.fine_cfo_step_hz / 2, cfg.fine_cfo_step_hz)
+        self.fine_grid = _fine_grid(cfg)
 
         seed = cfg.seed
         self.links = self._draw_links(substream(seed, "scenario", "channels"))
@@ -428,11 +437,13 @@ class _Runner:
 
     def _derotate(self, z: np.ndarray, f_hz: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """z[..., lo:hi] times exp(-i 2 pi f t), t running from the start of a cycle buffer
-        along z's last axis: removes a CFO of f_hz from each row, with the bits of
-        the product over all of z."""
+        along z's last axis: removes a CFO of f_hz from each row. A 1-D z is
+        multiplied from the phasor's side, in the phasor's buffer, and a stack
+        of rows from z's side, at every length: the bits of a slice are those
+        of the same samples in the product over all of z."""
         part = z[..., lo:hi]
-        t = np.arange(lo, lo + part.shape[-1]) / self.fs
-        return _lo_product(part, _phasor((-2 * np.pi * f_hz) * t), z.shape[-1])
+        phasor = _phasor((-2 * np.pi * f_hz) * (np.arange(lo, lo + part.shape[-1]) / self.fs))
+        return np.multiply(phasor, part, out=phasor) if z.ndim == 1 else part * phasor
 
     def run(self) -> list[CycleRecord]:
         period = self.mesh.cycle_period_s

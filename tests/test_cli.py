@@ -109,6 +109,7 @@ class TestConfigHandling:
             _case("coarse_cfo_span_hz=1e9", "coarse_cfo_step_hz"),
             _case("fine_cfo_step_hz=1e-6", "fine_cfo_step_hz"),
             _case(("coarse_cfo_step_hz=1e6", "coarse_cfo_span_hz=1e6"), "fine_cfo_step_hz"),
+            _case("fine_cfo_step_hz=250", "fine_cfo_step_hz"),  # a 2-point fine grid: no refinement
             _case("detection_threshold=2", "detection_threshold"),
             _case("channel_redraw_every=-3", "channel_redraw_every"),
             _case("channel_walk_std_per_cycle=-1", "channel_walk_std_per_cycle"),

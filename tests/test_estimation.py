@@ -224,12 +224,14 @@ class TestDenseOracle:
 
 
 def _one_line_dtft(x, w, grid_hz, fs):
-    """The DTFT with each factor product written on one line, as numpy
-    evaluates it there (temporary elision included): the form the shared
-    factors must keep the bits of."""
+    """The DTFT with each factor product written out in full, its operand
+    order named: the one-point product from w's side, the a-factor product
+    from the factor's side for one window (x 1-D) and from the inner sums'
+    side for a stack of lag windows. The form the shared factors must keep
+    the bits of."""
     n = x.shape[-1]
     if len(grid_hz) == 1:
-        return (x @ (w * np.exp(-2j * np.pi * (np.arange(n) / fs) * grid_hz[0])))[..., None]
+        return (x @ np.multiply(w, np.exp(-2j * np.pi * (np.arange(n) / fs) * grid_hz[0])))[..., None]
     n_b = int(np.ceil(np.sqrt(n)))
     n_a = -(-n // n_b)
     xw = np.zeros(x.shape[:-1] + (n_a * n_b,), dtype=np.complex128)
@@ -237,7 +239,8 @@ def _one_line_dtft(x, w, grid_hz, fs):
     phase = -2j * np.pi * grid_hz / fs
     inner = xw.reshape(-1, n_b) @ np.exp(np.outer(np.arange(n_b), phase))
     inner = inner.reshape(x.shape[:-1] + (n_a, len(grid_hz)))
-    return np.sum(inner * np.exp(np.outer(np.arange(n_a) * n_b, phase)), axis=-2)
+    e_a = np.exp(np.outer(np.arange(n_a) * n_b, phase))
+    return np.sum(np.multiply(e_a, inner) if x.ndim == 1 else np.multiply(inner, e_a), axis=-2)
 
 
 def _bits(a):
@@ -249,13 +252,13 @@ FINE_GRID = np.arange(-100, 100.5, 1.0)
 
 class TestSharedFactors:
     """The DTFT's factors evaluated once and shared, bitwise against the
-    one-line form. numpy multiplies `a * np.exp(...)` from the exponential's
-    side once that temporary has the product's shape and holds 256 KiB, and
-    the two sides differ in the last bit."""
+    written-out form. numpy's complex multiply is not bitwise commutative,
+    so the form names each product's operand order, one order at every
+    size."""
 
     # 1,040 and 8,208 samples: the matched 1,024- and 8,192-sample ambles, whose
-    # (n_a, 201) factor holds 32 x 201 x 16 B (below 256 KiB) and 91 x 201 x 16 B
-    # (above); 20,000 puts the one-point factor above it too
+    # (n_a, 201) factor holds 32 x 201 x 16 B (100 KiB) and 91 x 201 x 16 B
+    # (286 KiB); 20,000 samples make a 313 KiB one-point factor
     @pytest.mark.parametrize("grid", [FINE_GRID, np.array([37.0])], ids=["fine", "one_point"])
     @pytest.mark.parametrize("n", [1040, 8208, 20000])
     def test_rows_match_one_window_calls(self, n, grid):

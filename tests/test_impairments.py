@@ -11,8 +11,6 @@ from dcbf.impairments import (
     ChannelModel,
     NoiseSpec,
     _cover,
-    _lo_product,
-    _phasor,
     add_noise,
     advance_clock,
     apply_channel,
@@ -239,8 +237,9 @@ class TestAddNoise:
 
 # The in-place stages against the formulas they replaced, written out here.
 # Equal means bitwise: numpy's complex multiply is not commutative in the
-# last bit, so an operand order that differs from the old code's shows up as
-# a mismatch on ~16% of samples.
+# last bit, so an operand order that differs from the kernel's shows up as
+# a mismatch on ~16% of samples. Each formula names its operand order with
+# np.multiply, so the order is the same at every length.
 
 
 def _bits(a):
@@ -257,7 +256,7 @@ def _old_node_imperfections(x, node, sign):
         steps = node.rng.normal(0.0, np.sqrt(node.phase_walk_var_per_s / FS), n - 1)
         walk = np.concatenate([[0.0], np.cumsum(steps)])
         phase = phase + walk
-    out = x * np.exp(1j * sign * phase)
+    out = np.multiply(np.exp(1j * sign * phase), x)
     node.phase_rad = float(phase[-1]) + 2 * np.pi * node.cfo_hz / FS
     if node.phase_walk_var_per_s > 0:
         node.phase_rad += node.rng.normal(0.0, np.sqrt(node.phase_walk_var_per_s / FS))
@@ -277,11 +276,11 @@ def _same_state(a, b):
 
 
 CLOCKS = [(0.0, 0.0), (437.0, 0.0), (0.0, 0.3), (-613.0, 0.05)]  # (cfo_hz, phase walk per s)
+_DEROTATOR = _RxRunner(ScenarioConfig())  # its sample rate is FS
 
 
 class TestArrayKernels:
-    # 1,000 samples sit below numpy's 256 KiB temporary elision, 91,472 (a
-    # mesh-node frame) above it
+    # 1,000 samples and 91,472 (a mesh-node frame): one operand order at both
     @pytest.mark.parametrize("n", [1000, 91472])
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("cfo_hz, walk", CLOCKS)
@@ -304,13 +303,26 @@ class TestArrayKernels:
         assert np.array_equal(_bits(y), _bits(expect))
         assert new.bit_generator.state == old.bit_generator.state
 
+    @pytest.mark.parametrize("walk", [0.0, 0.3])
+    def test_prefix_rotation_matches_full_buffer(self, walk):
+        # the bits of a sample do not depend on the length of the buffer it
+        # sits in: the first 1,000 samples rotated on their own, against the
+        # same samples of a 91,472-sample rotation from the same node state
+        rng = substream(2, "test", "prefix")
+        x = rng.normal(size=91472) + 1j * rng.normal(size=91472)
+        short, full = _twin_nodes(437.0, walk)
+        head = _lo(x[:1000], short)
+        assert np.array_equal(_bits(head), _bits(_lo(x, full)[:1000]))
+
     @pytest.mark.parametrize("shape", [(1000,), (91472,), (3, 8192), (3, 75641)])
     def test_lo_product_matches_exp_product(self, shape):
+        # the runner's derotation: a buffer from the phasor's side, a stack
+        # of rows from the rows' side, at every length
         rng = substream(1, "test", "derotate")
         z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        phase = (-2 * np.pi * 437.3) * (np.arange(shape[-1]) / FS)
-        expect = z * np.exp(-2j * np.pi * 437.3 * (np.arange(shape[-1]) / FS))
-        assert np.array_equal(_bits(_lo_product(z, _phasor(phase))), _bits(expect))
+        phasor = np.exp(-2j * np.pi * 437.3 * (np.arange(shape[-1]) / FS))
+        expect = np.multiply(phasor, z) if len(shape) == 1 else np.multiply(z, phasor)
+        assert np.array_equal(_bits(_DEROTATOR._derotate(z, 437.3)), _bits(expect))
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize(

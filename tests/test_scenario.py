@@ -214,6 +214,17 @@ class TestValidation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_fine_grid_needs_three_points(self):
+        # the fine grid spans two 50 Hz coarse steps either side in fine
+        # steps: 3 points up to a 133.3 Hz step, 2 above it
+        runner = _RxRunner(ScenarioConfig(n_cycles=1, fine_cfo_step_hz=100.0))  # 2·coarse, the boundary, runs
+        assert list(runner.fine_grid) == [-100.0, 0.0, 100.0]
+        assert len(runner.run()) == 1
+        assert len(_RxRunner(ScenarioConfig(fine_cfo_step_hz=133.0)).fine_grid) == 3
+        for step in (134.0, 250.0):
+            with pytest.raises(ConfigError, match="fine_cfo_step_hz: .* holds 2 points"):
+                validate_scenario(ScenarioConfig(fine_cfo_step_hz=step))
+
     def test_acquisition_bounded_before_any_allocation(self):
         import tracemalloc
 
@@ -746,7 +757,7 @@ class TestSignalSpans:
         z_mf, acq, f_hat = runner._receive(0, runner._arrivals(sent, 0))
         taps, siso, bf = runner._link_budget(z_mf, acq, f_hat)
 
-        zc = np.multiply(_phasor((-2 * np.pi * f_hat) * (np.arange(len(z_mf)) / runner.fs)), z_mf)  # numpy's side here
+        zc = np.multiply(_phasor((-2 * np.pi * f_hat) * (np.arange(len(z_mf)) / runner.fs)), z_mf)  # _derotate's side for a buffer
         ests = estimation.estimate_channels_joint(ComplexSignal(zc, runner.fs), runner.pre_mf, acq.lag, cfg.t_h)
         power = {seg.name: metrics.segment_power(zc, seg, shift=acq.lag) for seg in runner.layout.segments}
         assert all(np.array_equal(a, e.taps) for a, e in zip(taps, ests))
