@@ -113,15 +113,11 @@ def mmse_rx_beamformer(
     delay_mats: list[DelayMatrix],
     s_train: np.ndarray,
     delta: float | None = None,
-    cov_source: str = "full",
-    cov_mats: list[DelayMatrix] | None = None,
     eps: float = 1e-3,
 ) -> Beamformer:
     """Solve (C + delta*I) w = Z s_bar^H for the stacked spatiotemporal filter.
 
-    C is Z Z^H of the stacked training-window delay matrices (cov_source
-    "full"), or of separately supplied interference-plus-noise-only windows
-    (cov_source "interference_only" with cov_mats, e.g. look-through data).
+    C is Z Z^H of the stacked training-window delay matrices Z.
     delta defaults to eps * trace(C) / dim. The system is solved by Cholesky
     factorization with one step of iterative refinement, never by explicit
     inversion; the achieved relative residual is recorded on the result.
@@ -132,24 +128,13 @@ def mmse_rx_beamformer(
     if any(dm.t_w != t_w for dm in delay_mats):
         raise ValueError("all delay matrices must share t_w")
     z = np.vstack([dm.data for dm in delay_mats])
-    if cov_source == "full":
-        c_src = z
-    elif cov_source == "interference_only":
-        if not cov_mats:
-            raise ValueError("interference_only needs cov_mats (look-through windows)")
-        if len(cov_mats) != len(delay_mats) or any(dm.t_w != t_w for dm in cov_mats):
-            raise ValueError("cov_mats must match delay_mats in node count and t_w")
-        c_src = np.vstack([dm.data for dm in cov_mats])
-    else:
-        raise ValueError(f"unknown cov_source {cov_source!r}")
-
     s_bar = _pad_training_row(s_train, t_w)
     if len(s_bar) != z.shape[1]:
         raise ValueError(
             f"training row length {len(s_train)} inconsistent with window length "
             f"{z.shape[1] - t_w + 1}"
         )
-    w, deltas, resids = _mmse_solve((c_src @ c_src.conj().T)[None], (z @ np.conj(s_bar))[None], delta, eps)
+    w, deltas, resids = _mmse_solve((z @ z.conj().T)[None], (z @ np.conj(s_bar))[None], delta, eps)
     return Beamformer(
         weights=w[0].reshape(len(delay_mats), t_w),
         method="MMSE_RX",
@@ -262,10 +247,10 @@ def mmse_rx_beamformers(
 
     Node i's training window is z[i, taus[i] : taus[i] + len(s_train)] and its
     covariance window starts cov_window = (offset, length) after taus[i], or
-    is the training window when cov_window is None. Each row equals
-    mmse_rx_beamformer on the delay matrices of those windows (cov_source
-    "interference_only", or "full" when cov_window is None) with the default
-    delta, but no delay matrix is built: the stacked covariance Z Z^H is
+    is the training window when cov_window is None. Each row solves
+    mmse_rx_beamformer's system with the default delta, C taken over the
+    covariance windows (with no cov_window, the row is mmse_rx_beamformer's),
+    but no delay matrix is built: the stacked covariance Z Z^H is
     block-Toeplitz, entry ((i, r), (j, s)) being the cross-correlation of
     windows i and j at lag r - s, and the cross-vector Z s_bar^H holds the
     training windows' correlations with the training row. The single-node

@@ -326,7 +326,9 @@ class _Runner:
     references, _transmit sends a cycle's frames, _arrivals routes them over
     the links (LINKS) to each receiver, whose CFO is refined on the windows
     at cfo_offsets against cfo_refs, and _measure turns the receptions into
-    the record and the feedback.
+    the record and the feedback. A cycle's frames live until the last
+    receiver has heard them, its receive buffers until _measure has read
+    them: _measure may empty the receptions list it is given.
     """
 
     LINKS: tuple[str, str]
@@ -439,11 +441,14 @@ class _Runner:
         """z[..., lo:hi] times exp(-i 2 pi f t), t running from the start of a cycle buffer
         along z's last axis: removes a CFO of f_hz from each row. A 1-D z is
         multiplied from the phasor's side, in the phasor's buffer, and a stack
-        of rows from z's side, at every length: the bits of a slice are those
-        of the same samples in the product over all of z."""
+        of rows from z's side, in z's rows, which the caller hands over; at
+        every length the bits of a slice are those of the same samples in the
+        product over all of z."""
         part = z[..., lo:hi]
         phasor = _phasor((-2 * np.pi * f_hz) * (np.arange(lo, lo + part.shape[-1]) / self.fs))
-        return np.multiply(phasor, part, out=phasor) if z.ndim == 1 else part * phasor
+        if z.ndim == 1:
+            return np.multiply(phasor, part, out=phasor)
+        return np.multiply(part, phasor, out=part)
 
     def run(self) -> list[CycleRecord]:
         period = self.mesh.cycle_period_s
@@ -461,14 +466,16 @@ class _Runner:
                 except AcquisitionError:
                     flags.append(f"acq_fail:{rx.node_id}")
                     receptions.append(None)
+            # every receiver has heard the frames: only their lengths are read from here on
+            sent = [(node, len(sig)) for node, sig, _ in sent]
             self._measure(k, rec, flags, receptions)
             rec.flags = ";".join(flags)
             records.append(rec)
 
             # clocks run on to the next cycle: transmitters from the end of
             # what they sent, receivers from the end of their buffers
-            for node, sig, _ in sent:
-                advance_clock(node, period - len(sig) / self.fs)
+            for node, length in sent:
+                advance_clock(node, period - length / self.fs)
             for node in self.receivers:
                 advance_clock(node, period - self.buf_len / self.fs)
         return records
@@ -522,11 +529,11 @@ class _RxRunner(_Runner):
         sent = [(self.source, apply_node_imperfections(src, self.source, self.fs, 1, spans), spans)]
         if self.with_interf:
             contents = waveform.interferer_frame(self.buf_len, _tag64(f"{cfg.seed}:intf_payload_{k}"))
-            # the interferer fills its whole frame. It is scaled into a new array: scaling
-            # build_frame's array in place made glibc trim and regrow its heap every
-            # cycle (page faults per rx_bf_interf cycle 1,741 -> 3,779, step time +12%)
-            iframe = waveform.build_frame(self.interferer_layout, contents, self.fs)
-            intf = iframe.samples * np.sqrt(cfg.interferer_power)
+            # the interferer fills its whole frame, scaled in place: with frames let go after
+            # their last receiver, in place and into a copy fault alike (1,789 and 1,794 minor
+            # faults per perfbench rx_interf step), where in place once doubled them (+12% step)
+            intf = waveform.build_frame(self.interferer_layout, contents, self.fs).samples
+            intf *= np.sqrt(cfg.interferer_power)
             spans = [(0, len(intf))]
             sent.append((self.interferer, apply_node_imperfections(intf, self.interferer, self.fs, 1, spans), spans))
         return sent
@@ -549,8 +556,11 @@ class _RxRunner(_Runner):
         # beamformer and the mesh beamformer then read the same buffers, so
         # the beamformed/SISO ratio isolates the array gain
         f_common = float(np.mean([receptions[i][2] for i in detected]))
-        z_corrected = self._derotate(np.array([receptions[i][0] for i in detected]), f_common)
         lags = [receptions[i][1].lag for i in detected]
+        # the stack is the one copy of the detected buffers read from here on:
+        # derotated in place, and the receivers' own buffers let go
+        z_corrected = self._derotate(np.array([receptions[i][0] for i in detected]), f_common)
+        receptions.clear()
         if rec.t_virtual_s < cfg.warmup_identity_s:
             # the centre tap alone: each node on its own, then every node summed
             weights = np.zeros((len(detected) + 1, len(detected), cfg.t_w), dtype=np.complex128)

@@ -173,7 +173,7 @@ class TestAcceptance:
             for i in range(n):
                 z = rng.normal(size=t_z + 8) + 1j * rng.normal(size=t_z + 8)
                 mats.append(build_delay_matrix(ComplexSignal(z, 1.0), 3, t_z, t_w, f"n{i}"))
-            bf = mmse_rx_beamformer(mats, s, cov_source="full")
+            bf = mmse_rx_beamformer(mats, s)
             zst = np.vstack([m.data for m in mats])
             s_bar = np.zeros(t_z + t_w - 1, dtype=complex)
             s_bar[t_w // 2 : t_w // 2 + t_z] = s

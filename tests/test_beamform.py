@@ -30,6 +30,22 @@ def _rand(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+def _look_through_mmse(train, cov, s, eps):
+    """(weights, delta) of the MMSE filter on the training windows' delay
+    matrices train, with the covariance taken over the delay matrices cov
+    (look-through windows): a dense solve of (C + delta I) w = Z s_bar^H,
+    C the Gram of cov and delta = eps * trace(C) / dim."""
+    z = np.vstack([m.data for m in train])
+    c = np.vstack([m.data for m in cov])
+    t_w = train[0].t_w
+    s_bar = np.zeros(z.shape[1], dtype=complex)
+    s_bar[t_w // 2 : t_w // 2 + len(s)] = s
+    gram = c @ c.conj().T
+    delta = eps * np.trace(gram).real / len(gram)
+    w = np.linalg.solve(gram + delta * np.eye(len(gram)), z @ np.conj(s_bar))
+    return w.reshape(len(train), t_w), delta
+
+
 class TestDelayMatrix:
     def test_structure_example(self):
         dm = build_delay_matrix(_sig([1, 2, 3]), 0, 3, 2)
@@ -100,7 +116,7 @@ class TestMmse:
             n, t_w, t_z = 3, 8, 256
             s = _rand(rng, t_z)
             mats = [build_delay_matrix(_sig(_rand(rng, t_z + 16)), 4, t_z, t_w, f"n{i}") for i in range(n)]
-            bf = mmse_rx_beamformer(mats, s, cov_source="full")
+            bf = mmse_rx_beamformer(mats, s)
             z = np.vstack([m.data for m in mats])
             s_bar = np.zeros(t_z + t_w - 1, dtype=complex)
             s_bar[t_w // 2 : t_w // 2 + t_z] = s
@@ -146,9 +162,7 @@ class TestMmse:
         trace_scale = None
         powers = []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            bf = mmse_rx_beamformer([zs[i] for i in range(3)], s, cov_source="interference_only",
-                                    cov_mats=covs, eps=eps)
-            w = bf.weights
+            w, _ = _look_through_mmse(zs, covs, s, eps)
             out = sum(np.convolve(h_j[i] * j, np.conj(w[i]))[: len(j)] for i in range(3))
             powers.append(np.mean(np.abs(out) ** 2) / np.sum(np.abs(w) ** 2))
         for a, b in zip(powers, powers[1:]):
@@ -280,15 +294,22 @@ class TestCycleKernelOracle:
         return z, taus, _rand(rng, self.T_Z)
 
     def _oracle_bfs(self, z, taus, s, t_w, cov_source, eps):
+        """(weights, delta) of each node alone, then of every node: the
+        delay-matrix solve, over the look-through Gram when cov_source is
+        "interference_only"."""
         sigs = [_sig(zi) for zi in z]
         train = [build_delay_matrix(zi, tau, self.T_Z, t_w) for zi, tau in zip(sigs, taus)]
         off, length = self.COV_WINDOW
         cov = [build_delay_matrix(zi, tau + off, length, t_w) for zi, tau in zip(sigs, taus)]
-        siso = [
-            mmse_rx_beamformer([train[i]], s, cov_source=cov_source, cov_mats=[cov[i]], eps=eps)
-            for i in range(len(z))
-        ]
-        return siso + [mmse_rx_beamformer(train, s, cov_source=cov_source, cov_mats=cov, eps=eps)]
+
+        def solve(nodes):
+            if cov_source == "interference_only":
+                return _look_through_mmse([train[i] for i in nodes], [cov[i] for i in nodes], s, eps)
+            bf = mmse_rx_beamformer([train[i] for i in nodes], s, eps=eps)
+            assert bf.output_delay == t_w // 2 and bf.solve_residual <= self.RTOL
+            return bf.weights, bf.delta
+
+        return [solve([i]) for i in range(len(z))] + [solve(range(len(z)))]
 
     def _oracle_powers(self, w, z, taus):
         """The filter-and-sum of weights w (one row per node of z), read over
@@ -319,16 +340,15 @@ class TestCycleKernelOracle:
         m = len(z)
         assert weights.shape == (m + 1, m, t_w)
         assert deltas.shape == resids.shape == (m + 1,)
-        for b, ref in enumerate(expect):
-            assert ref.output_delay == t_w // 2
+        for b, (ref_w, ref_delta) in enumerate(expect):
             # a single-node row is exactly zero off its node; the mesh row spans all of them
             nodes = [b] if b < m else list(range(m))
             assert not np.any(np.delete(weights[b], nodes, axis=0))
-            scale = np.abs(ref.weights).max()
-            np.testing.assert_allclose(weights[b, nodes], ref.weights, rtol=self.RTOL, atol=self.RTOL * scale)
-            assert deltas[b] == pytest.approx(ref.delta, rel=self.RTOL)
-            # both refined solves end at rounding level
-            assert resids[b] <= self.RTOL and ref.solve_residual <= self.RTOL
+            scale = np.abs(ref_w).max()
+            np.testing.assert_allclose(weights[b, nodes], ref_w, rtol=self.RTOL, atol=self.RTOL * scale)
+            assert deltas[b] == pytest.approx(ref_delta, rel=self.RTOL)
+            # the refined solve ends at rounding level
+            assert resids[b] <= self.RTOL
         self._check_powers(weights, z, taus, t_w)
 
     @pytest.mark.parametrize("t_w", [1, 2, 7, 8])

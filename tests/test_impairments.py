@@ -316,13 +316,24 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("shape", [(1000,), (91472,), (3, 8192), (3, 75641)])
     def test_lo_product_matches_exp_product(self, shape):
-        # the runner's derotation: a buffer from the phasor's side, a stack
-        # of rows from the rows' side, at every length
+        # the runner's derotation: a buffer from the phasor's side into the
+        # phasor's array, a stack of rows from the rows' side in the rows
+        # themselves, at every length; samples outside [lo, hi) stay as they are
         rng = substream(1, "test", "derotate")
-        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        phasor = np.exp(-2j * np.pi * 437.3 * (np.arange(shape[-1]) / FS))
-        expect = np.multiply(phasor, z) if len(shape) == 1 else np.multiply(z, phasor)
-        assert np.array_equal(_bits(_DEROTATOR._derotate(z, 437.3)), _bits(expect))
+        before = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for lo, hi in [(0, None), (37, 811), (600, None)]:
+            z = before.copy()
+            part = before[..., lo:hi]
+            phasor = np.exp(-2j * np.pi * 437.3 * (np.arange(lo, lo + part.shape[-1]) / FS))
+            expect = np.multiply(phasor, part) if len(shape) == 1 else np.multiply(part, phasor)
+            y = _DEROTATOR._derotate(z, 437.3, lo, hi)
+            assert np.array_equal(_bits(y), _bits(expect))
+            assert np.shares_memory(y, z) == (len(shape) > 1)
+            outside = np.ones(shape[-1], dtype=bool)
+            outside[lo:hi] = False
+            assert np.array_equal(_bits(z[..., outside]), _bits(before[..., outside]))
+            if len(shape) == 1:
+                assert np.array_equal(_bits(z), _bits(before))
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcbf import beamform, estimation, metrics, scenario, waveform
-from dcbf.cli import cycle_csv_lines
+from dcbf.cli import cycle_csv_lines, load_config
 from dcbf.core import ComplexSignal, ConfigError, MeshConfig, NodeState, substream
 from dcbf.estimation import AcquisitionError
 from dcbf.impairments import ChannelModel, NoiseSpec
@@ -248,6 +248,25 @@ class TestValidation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("name", ["rx_bf_interf", "coherence"])
+    def test_cycle_peak_traced_memory(self, name):
+        # a cycle keeps one copy of each full-length receive buffer until its
+        # measurement has read it, and no frame past its last receiver: three
+        # cycles of a bundled config stay under 11 MB of traced allocation
+        import tracemalloc
+
+        cfg = dataclasses.replace(load_config(name), n_cycles=3)
+        run_scenario(cfg)  # the process-wide references and DTFT factor sets
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11e6
 
 
 class TestDeterminism:
