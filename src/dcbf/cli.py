@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics, timesync, waveform
 from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream
 from .impairments import ChannelModel, NoiseSpec
-from .scenario import PER_NODE_FIELDS, CycleRecord, ScenarioConfig, run_scenario
+from .scenario import PER_NODE_FIELDS, RX_EXPERIMENTS, CycleRecord, ScenarioConfig, run_scenario
 
 CSV_SCHEMA = "cycles-v1"
 ARTIFACT_VERSION = "0.3.0"
@@ -135,36 +135,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# cycles.csv columns between "flags" and "beamformer_ref": each per-node
-# CycleRecord list as (header stem, field), one column per node suffixed
-# _1.._N, then the mesh-wide fields under their own names.
-_NODE_FIELDS = tuple(zip(("siso_snr_db", "siso_inr_db", "siso_sinr_db", "det_stat", "cfo_hz"), PER_NODE_FIELDS))
-_MESH_FIELDS = (
-    "bf_snr_db",
-    "bf_inr_db",
-    "bf_sinr_db",
-    "gain_snr_db",
-    "sinr_improvement_db",
-    "inr_reduction_db",
-    "bf_snr_c_db",
-    "gain_c_db",
-)
+# cycles.csv headers of the CycleRecord fields that it renames
+_CSV_NAMES = {"detection_stat": "det_stat", "cfo_est_hz": "cfo_hz"}
 
 
 def cycle_csv_lines(records: list[CycleRecord], n_nodes: int, manifest: str) -> list[str]:
-    # (header, cell of a record) per column; the header and every row read it
-    columns = [
-        ("cycle", lambda r: str(r.cycle)),
-        ("t_virtual_s", lambda r: _fmt(r.t_virtual_s)),
-        ("flags", lambda r: r.flags),
-    ]
-    columns += [
-        (f"{stem}_{i + 1}", lambda r, field=field, i=i: _fmt(getattr(r, field)[i]))
-        for i in range(n_nodes)
-        for stem, field in _NODE_FIELDS
-    ]
-    columns += [(field, lambda r, field=field: _fmt(getattr(r, field))) for field in _MESH_FIELDS]
-    columns.append(("beamformer_ref", lambda r: r.beamformer_ref))
+    # (header, cell of a record) per column, one for each CycleRecord field in
+    # order, where the per-node lists take one column per node suffixed _1.._N,
+    # node by node; the header and every row read it
+    columns = []
+    for f in dataclasses.fields(CycleRecord):
+        if f.name == PER_NODE_FIELDS[0]:
+            columns += [
+                (f"{_CSV_NAMES.get(name, name)}_{i + 1}", lambda r, name=name, i=i: _fmt(getattr(r, name)[i]))
+                for i in range(n_nodes)
+                for name in PER_NODE_FIELDS
+            ]
+        elif f.name not in PER_NODE_FIELDS:
+            text = _fmt if f.type == "float" else str
+            columns.append((f.name, lambda r, name=f.name, text=text: text(getattr(r, name))))
     lines = [f"# schema={CSV_SCHEMA} manifest={manifest}", ",".join(name for name, _ in columns)]
     lines += [",".join(cell(r) for _, cell in columns) for r in records]
     return lines
@@ -244,7 +233,7 @@ def _template_frames(kind: str, mesh: MeshConfig, seed: int) -> list[tuple[Compl
 def _dump_template_frames(out_dir: Path, cfg: ScenarioConfig) -> None:
     frames_dir = out_dir / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.experiment in ("RX_BF", "RX_BF_INTERF"):
+    if cfg.experiment in RX_EXPERIMENTS:
         frames = {"source": _template_frames("rx-source", cfg.mesh, cfg.seed)[0]}
         if cfg.experiment == "RX_BF_INTERF":
             frames["interferer"] = _template_frames("rx-interferer", cfg.mesh, cfg.seed)[0]

@@ -15,6 +15,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,10 +33,12 @@ __all__ = [
     "validate_scenario",
     "run_scenario",
     "EXPERIMENTS",
+    "READ_BY",
 ]
 
 EXPERIMENTS = ("RX_BF", "RX_BF_INTERF", "TX_BF", "TX_NULL", "COHERENCE")
 RX_EXPERIMENTS = ("RX_BF", "RX_BF_INTERF")
+TX_EXPERIMENTS = ("TX_BF", "TX_NULL", "COHERENCE")
 
 # Per-node link labels of each experiment family, "{}" standing for the
 # 1-based node index. Receive links run from the source A and the
@@ -116,6 +119,27 @@ class ScenarioConfig:
     seed: int = 1
 
 
+# The fields that only some experiments read, each with the experiments that
+# read it. Under any other experiment validate_scenario admits the field's
+# default alone, so no setting runs and does nothing; every default is legal
+# under every experiment.
+READ_BY = {
+    "interferer_power": ("RX_BF_INTERF",),
+    "interferer_cfo_hz": ("RX_BF_INTERF",),
+    "source_cfo_hz": RX_EXPERIMENTS,
+    "t_w": RX_EXPERIMENTS,
+    "cov_source": RX_EXPERIMENTS,
+    "warmup_identity_s": RX_EXPERIMENTS,
+    "rx_b_cfo_hz": TX_EXPERIMENTS,
+    "t_h": TX_EXPERIMENTS,
+    "feedback_latency_cycles": TX_EXPERIMENTS,
+    "rx_c_cfo_hz": ("TX_NULL",),
+    "feedback_halt_time_s": ("COHERENCE",),
+    "mesh.diag_loading_eps": ("RX_BF", "RX_BF_INTERF", "TX_NULL"),
+}
+_DEFAULTS = {name: attrgetter(name)(ScenarioConfig()) for name in READ_BY}
+
+
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     """Return cfg unchanged if it can run, else raise ConfigError naming the
     field; nothing is synthesized before every check has passed."""
@@ -147,17 +171,17 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
                           "fewer than the 3 its refinement needs: use at most 2·coarse_cfo_step_hz")
     if not 0 <= cfg.detection_threshold <= 1:
         raise ConfigError("detection_threshold", "must be in [0, 1]: the detection statistic is at most 1")
-    if cfg.interferer_power > 0 and cfg.experiment != "RX_BF_INTERF":
-        raise ConfigError("interferer_power", f"must be 0: {cfg.experiment} has no interferer")
-    if cfg.warmup_identity_s > 0 and cfg.experiment not in RX_EXPERIMENTS:
-        raise ConfigError("warmup_identity_s", f"must be 0: {cfg.experiment} has no receive combiner")
+    for name, readers in READ_BY.items():
+        if cfg.experiment not in readers and attrgetter(name)(cfg) != _DEFAULTS[name]:
+            raise ConfigError(name, f"must be its default {_DEFAULTS[name]!r}: {cfg.experiment} does not read it "
+                              f"(read by {', '.join(readers)})")
     if cfg.channel_kind == "random_phase" and cfg.channel_taps != 1:
         raise ConfigError("channel_taps", "must be 1: a random_phase channel has one tap")
     validate_config(cfg.mesh)
-    unknowns = cfg.mesh.n_nodes * cfg.t_w
-    if unknowns > MAX_MMSE_UNKNOWNS:
-        raise ConfigError("t_w", f"n_nodes·t_w = {unknowns} exceeds {MAX_MMSE_UNKNOWNS} MMSE unknowns")
     if cfg.experiment in RX_EXPERIMENTS:
+        unknowns = cfg.mesh.n_nodes * cfg.t_w
+        if unknowns > MAX_MMSE_UNKNOWNS:
+            raise ConfigError("t_w", f"n_nodes·t_w = {unknowns} exceeds {MAX_MMSE_UNKNOWNS} MMSE unknowns")
         layout = waveform.rx_source_layout(cfg.mesh)
     else:
         layout = waveform.tx_node_layout(cfg.mesh)
@@ -677,17 +701,15 @@ class _TxRunner(_Runner):
         return [(sig, ch, spans) for (_, sig, spans), ch in zip(sent, self.links[r])]
 
     def _link_budget(self, z_mf: np.ndarray, acq: AcquisitionResult, f_hat: float):
-        """Estimate one receiver's channels and powers from its buffer, CFO-corrected
-        where they read it only: (per-link taps, SISO link metrics, beamformed link
-        metrics)."""
+        """Estimate one receiver's channels and powers from its buffer: (per-link
+        taps, SISO link metrics, beamformed link metrics). Only the LS window is
+        CFO-corrected; a segment's power is the same with the rotation or without."""
         cfg = self.cfg
         window = self._derotate(z_mf, f_hat, acq.lag, acq.lag + self.t_ref + cfg.t_h - 1)
         ests = estimation.estimate_channels_joint(ComplexSignal(window, self.fs), self.pre_mf, 0, cfg.t_h)
 
         def power(segment: str) -> float:
-            seg = self.layout.segment(segment)
-            lo = seg.offset + acq.lag
-            return metrics.segment_power(self._derotate(z_mf, f_hat, lo, lo + seg.length), seg, shift=-seg.offset)
+            return metrics.segment_power(z_mf, self.layout.segment(segment), shift=acq.lag)
 
         p_lt = power("look_through")
         siso = [metrics.link_metrics(power(f"monitor_{i + 1}"), p_lt, cfg.noise_power) for i in range(self.n)]

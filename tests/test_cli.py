@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import dcbf
-from dcbf.cli import SYNC_MAX_DELAY_SAMPLES, apply_overrides, load_config, main, scenario_from_dict
+from dcbf.cli import SYNC_MAX_DELAY_SAMPLES, apply_overrides, cycle_csv_lines, load_config, main, scenario_from_dict
 from dcbf.core import ConfigError
-from dcbf.scenario import validate_scenario
+from dcbf.scenario import CycleRecord, validate_scenario
 
 
 def _short_config(tmp_path, **extra):
@@ -196,6 +196,24 @@ class TestRun:
         assert summary["manifest"] == manifest["manifest_sha256"]
         assert manifest["seed"] == 5
         assert manifest["virtual_time_s"]["end"] == pytest.approx(3 * 0.2)
+
+    def test_cycles_csv_columns_pinned(self):
+        # node by node the per-node columns, then the mesh-wide ones; a real
+        # column reads repr(float) of what the record holds, an integer too
+        rec = CycleRecord(
+            cycle=4, t_virtual_s=1, flags="warmup", siso_snr_db=[1.0, 2.0], siso_inr_db=[3.0, 4.0],
+            siso_sinr_db=[5.0, 6.0], detection_stat=[0.5, 0.25], cfo_est_hz=[-1.5, 2.5], bf_snr_db=7, gain_c_db=-8.0,
+            beamformer_ref="abc",
+        )
+        assert cycle_csv_lines([rec], 2, "m") == [
+            "# schema=cycles-v1 manifest=m",
+            "cycle,t_virtual_s,flags,"
+            "siso_snr_db_1,siso_inr_db_1,siso_sinr_db_1,det_stat_1,cfo_hz_1,"
+            "siso_snr_db_2,siso_inr_db_2,siso_sinr_db_2,det_stat_2,cfo_hz_2,"
+            "bf_snr_db,bf_inr_db,bf_sinr_db,gain_snr_db,sinr_improvement_db,inr_reduction_db,bf_snr_c_db,gain_c_db,"
+            "beamformer_ref",
+            "4,1.0,warmup,1.0,3.0,5.0,0.5,-1.5,2.0,4.0,6.0,0.25,2.5,7.0,nan,nan,nan,nan,nan,nan,-8.0,abc",
+        ]
 
     def test_filter_longer_than_training_window(self, tmp_path):
         # a 32-sample amble trains a 70-tap filter: its lags reach past the window

@@ -2,12 +2,14 @@
 
 import dataclasses
 import re
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from dcbf import beamform, estimation, metrics, scenario, waveform
-from dcbf.cli import cycle_csv_lines, load_config
+from dcbf.cli import apply_overrides, cycle_csv_lines, load_config, main
 from dcbf.core import ComplexSignal, ConfigError, MeshConfig, NodeState, substream
 from dcbf.estimation import AcquisitionError
 from dcbf.impairments import ChannelModel, NoiseSpec
@@ -15,6 +17,7 @@ from dcbf.scenario import (
     EXPERIMENTS,
     MAX_ACQUISITION_VALUES,
     MAX_MMSE_UNKNOWNS,
+    READ_BY,
     RX_EXPERIMENTS,
     CycleRecord,
     ScenarioConfig,
@@ -250,6 +253,71 @@ class TestValidation:
         assert peak < 1 << 20
 
 
+# A value other than the default of each field that only some experiments
+# read (scenario.READ_BY), as a JSON override. Within 3 cycles each changes
+# cycles.csv of the bundled config of every experiment that reads it.
+OFF_DEFAULT = {
+    "interferer_power": "1.0",
+    "interferer_cfo_hz": "250.0",
+    "source_cfo_hz": "100.0",
+    "t_w": "4",
+    "cov_source": '"full"',
+    "warmup_identity_s": "0.4",  # two identity cycles at the 0.2 s period
+    "rx_b_cfo_hz": "100.0",
+    "t_h": "2",
+    "feedback_latency_cycles": "2",
+    "rx_c_cfo_hz": "0.0",
+    "feedback_halt_time_s": "0.5",  # halts at cycle 2 of the 0.25 s period
+    "mesh.diag_loading_eps": "0.01",
+}
+
+
+@lru_cache(maxsize=8)
+def _cycles_csv(cfg: ScenarioConfig) -> list[str]:
+    return cycle_csv_lines(run_scenario(cfg), cfg.mesh.n_nodes, "m")
+
+
+class TestReadBy:
+    """An experiment accepts only the fields it reads: a setting of any other
+    field of READ_BY than its default is a config error naming the field,
+    before any output; a setting of a field it reads shows in cycles.csv."""
+
+    UNREAD = [(name, e) for name, readers in READ_BY.items() for e in EXPERIMENTS if e not in readers]
+    READ = [(name, e) for name, readers in READ_BY.items() for e in readers]
+
+    def test_table(self):
+        assert set(OFF_DEFAULT) == set(READ_BY)
+        assert all(set(readers) < set(EXPERIMENTS) for readers in READ_BY.values())
+        # 29 settings that ran and did nothing before the table, 7 rejected already
+        assert len(self.UNREAD) == 36
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_defaults_legal_under_every_experiment(self, experiment):
+        validate_scenario(ScenarioConfig(experiment=experiment))
+
+    @pytest.mark.parametrize("name, experiment", UNREAD)
+    def test_unread_setting_rejected_naming_field(self, name, experiment):
+        cfg = apply_overrides(ScenarioConfig(experiment=experiment), [f"{name}={OFF_DEFAULT[name]}"])
+        with pytest.raises(ConfigError) as exc:
+            validate_scenario(cfg)
+        assert exc.value.field_name == name
+
+    @pytest.mark.parametrize("name", READ_BY)
+    def test_unread_override_exits_2_before_any_output(self, tmp_path, capsys, name):
+        config = next(e for e in EXPERIMENTS if e not in READ_BY[name]).lower()
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out), "--override", f"{name}={OFF_DEFAULT[name]}"]) == 2
+        assert f"config error: {name}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, experiment", READ)
+    def test_read_setting_changes_cycles_csv(self, name, experiment):
+        base = apply_overrides(load_config(experiment.lower()), ["n_cycles=3"])
+        changed = apply_overrides(base, [f"{name}={OFF_DEFAULT[name]}"])
+        assert attrgetter(name)(changed) != attrgetter(name)(base)
+        assert _cycles_csv(changed) != _cycles_csv(base)
+
+
 class TestWorkingSet:
     @pytest.mark.parametrize("name", ["rx_bf_interf", "coherence"])
     def test_cycle_peak_traced_memory(self, name):
@@ -477,9 +545,9 @@ class TestTxBeamforming:
     @pytest.mark.parametrize("experiment, latency", [("TX_BF", 2), ("TX_BF", 1), ("COHERENCE", 1)])
     def test_feedback_history_bounded(self, experiment, latency):
         # feedback halts after cycle 2 of the coherence run; later estimates are never read
+        halt = dict(feedback_halt_time_s=0.75) if experiment == "COHERENCE" else {}
         cfg = ScenarioConfig(
-            experiment=experiment, n_cycles=6, seed=31, mesh=TX_MESH,
-            feedback_latency_cycles=latency, feedback_halt_time_s=0.75,
+            experiment=experiment, n_cycles=6, seed=31, mesh=TX_MESH, feedback_latency_cycles=latency, **halt
         )
         runner = _TxRunner(cfg)
         recs = runner.run()
@@ -765,8 +833,9 @@ class TestSignalSpans:
         assert "warmup" in spans[0].flags or experiment in RX_EXPERIMENTS
 
     def test_link_budget_matches_full_buffer_derotation(self):
-        # derotating only the LS window and the measured segments gives the
-        # bits of the full-length derotation the link budget read before
+        # derotating only the LS window gives the taps of the full-length
+        # derotation; the powers are the buffer's as received, which the
+        # derotated buffer's match to the last bits
         from dcbf.impairments import _phasor
 
         cfg = ScenarioConfig(experiment="TX_BF", n_cycles=1, seed=5, mesh=TX_MESH,
@@ -778,8 +847,10 @@ class TestSignalSpans:
 
         zc = np.multiply(_phasor((-2 * np.pi * f_hat) * (np.arange(len(z_mf)) / runner.fs)), z_mf)  # _derotate's side for a buffer
         ests = estimation.estimate_channels_joint(ComplexSignal(zc, runner.fs), runner.pre_mf, acq.lag, cfg.t_h)
-        power = {seg.name: metrics.segment_power(zc, seg, shift=acq.lag) for seg in runner.layout.segments}
+        power = {seg.name: metrics.segment_power(z_mf, seg, shift=acq.lag) for seg in runner.layout.segments}
+        derotated = [metrics.segment_power(zc, seg, shift=acq.lag) for seg in runner.layout.segments]
         assert all(np.array_equal(a, e.taps) for a, e in zip(taps, ests))
+        np.testing.assert_allclose(derotated, list(power.values()), rtol=1e-12, atol=0)
         assert siso == [metrics.link_metrics(power[f"monitor_{i + 1}"], power["look_through"], cfg.noise_power)
                         for i in range(runner.n)]
         assert bf == metrics.link_metrics(power["bf_payload"], power["look_through"], cfg.noise_power)
