@@ -151,8 +151,8 @@ def acquire(
     frequencies on the grid (any spacing; a one-point grid is a lag-only
     search), and returns the strongest reference's result, the first on
     ties. The statistic is scale invariant in z and bounded by 1. The
-    references share the lag windows, their energies and the DTFT phasor
-    factors; each takes one DTFT call.
+    references share the lag windows, their energies (bitwise the per-window
+    sums) and the DTFT phasor factors; each takes one DTFT call.
 
     Raises AcquisitionError, with the best statistic of any reference, when
     it falls below threshold.
@@ -169,8 +169,9 @@ def acquire(
     if lag_lo < 0 or lag_lo >= lag_hi:
         raise ValueError(f"empty lag range [{lag_lo}, {lag_hi})")
 
-    windows = sliding_window_view(zs, t_ref)[lag_lo:lag_hi]
-    win_energy = np.sum(np.abs(windows) ** 2, axis=1)
+    span = zs[lag_lo : lag_hi + t_ref - 1]  # |z|^2 once per sample; each window sums its own run
+    windows = sliding_window_view(span, t_ref)
+    win_energy = np.sum(sliding_window_view(np.abs(span) ** 2, t_ref), axis=1)
     factors = _dtft_factors(t_ref, cfo_grid_hz, references[0].sample_rate_hz)
     best = None
     for reference in references:

@@ -177,6 +177,9 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
                               f"(read by {', '.join(readers)})")
     if cfg.channel_kind == "random_phase" and cfg.channel_taps != 1:
         raise ConfigError("channel_taps", "must be 1: a random_phase channel has one tap")
+    if cfg.interferer_power == 0 and cfg.interferer_cfo_hz != _DEFAULTS["interferer_cfo_hz"]:
+        raise ConfigError("interferer_cfo_hz", f"must be its default {_DEFAULTS['interferer_cfo_hz']!r}: "
+                          "at interferer_power 0 the interferer never transmits")
     validate_config(cfg.mesh)
     if cfg.experiment in RX_EXPERIMENTS:
         unknowns = cfg.mesh.n_nodes * cfg.t_w

@@ -368,7 +368,7 @@ def detect_and_decode(buffer: ComplexSignal, kind: MessageKind, indexed: bool) -
     return msg, res.lag, corrected
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncRoundResult:
     """One round's outcome. failure is "" on success, else why the round
     aborted: "acquisition" (no preamble found), "decode" (FEC failure or a

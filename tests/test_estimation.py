@@ -293,6 +293,48 @@ class TestSharedFactors:
         assert [e.at_boundary for e in got] == [False, False, True]
 
 
+def _acquire_per_window(z, references, lag_range, grid):
+    """acquire's search with each lag window's energy summed from that
+    window's own |z|^2 values: (lag, coarse CFO, statistic) of the strongest
+    reference, the first on ties. The bits that acquire must keep."""
+    zs, t_ref = z.samples, len(references[0].samples)
+    lag_lo, lag_hi = lag_range[0], min(lag_range[1], len(zs) - t_ref + 1)
+    windows = np.lib.stride_tricks.sliding_window_view(zs, t_ref)[lag_lo:lag_hi]
+    win_energy = np.sum(np.abs(windows) ** 2, axis=1)
+    factors = _dtft_factors(t_ref, grid, FS)
+    best = None
+    for reference in references:
+        ref = reference.samples
+        inner = _dtft(windows, np.conj(ref), factors)
+        denom = np.maximum(win_energy * float(np.sum(np.abs(ref) ** 2)), 1e-300)
+        stats = np.abs(inner) ** 2 / denom[:, None]
+        li, fi = np.unravel_index(int(np.argmax(stats)), stats.shape)
+        if best is None or stats[li, fi] > best[2]:
+            best = (lag_lo + int(li), float(grid[fi]), float(stats[li, fi]))
+    return best
+
+
+class TestAcquireEnergyBits:
+    """acquire squares each sample its lag windows cover once and sums each
+    window over its own samples: lag, coarse CFO and statistic equal the
+    per-window form's exactly, on either side of numpy's 8-element pairwise
+    blocks and 128-element pairwise base case."""
+
+    @pytest.mark.parametrize("grid", [np.array([0.0]), np.arange(-2000, 2001, 50.0)], ids=["one_point", "coarse"])
+    @pytest.mark.parametrize("t_ref", [1, 7, 8, 9, 127, 128, 129, 512, 2048])
+    def test_matches_per_window_energies(self, t_ref, grid):
+        rng = substream(29, "t", f"energy{t_ref}")
+        refs = [_pn_ref(rng, t_ref) for _ in range(2)]
+        n = t_ref + 40
+        zs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        zs[11 : 11 + t_ref] += 3 * refs[1].samples * np.exp(2j * np.pi * 400.0 * np.arange(t_ref) / FS)
+        z = _sig(zs)
+        # lag_lo > 0 with lag_hi inside the signal, then lag_hi clipped at n - t_ref + 1
+        for lag_range in [(3, 20), (3, n - t_ref + 9)]:
+            res = acquire(z, refs, lag_range, cfo_grid_hz=grid, threshold=0.0)
+            assert (res.lag, res.coarse_cfo_hz, res.detection_stat) == _acquire_per_window(z, refs, lag_range, grid)
+
+
 class TestFactorCache:
     """The DTFT factor sets are kept for the process, keyed on n, the grid's
     values and fs."""

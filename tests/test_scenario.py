@@ -73,6 +73,13 @@ class TestValidation:
             validate_scenario(ScenarioConfig(experiment=experiment, interferer_power=1.0))
         validate_scenario(ScenarioConfig(experiment="RX_BF_INTERF", interferer_power=1.0))
 
+    def test_silent_interferer_cfo_rejected(self):
+        # at interferer_power 0 the interferer never transmits, so its LO offset is not read
+        with pytest.raises(ConfigError) as exc:
+            validate_scenario(ScenarioConfig(experiment="RX_BF_INTERF", interferer_cfo_hz=100.0))
+        assert exc.value.field_name == "interferer_cfo_hz"
+        validate_scenario(ScenarioConfig(experiment="RX_BF_INTERF", interferer_power=1.0, interferer_cfo_hz=100.0))
+
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e not in RX_EXPERIMENTS])
     def test_warmup_identity_needs_a_receive_combiner(self, experiment):
         # transmit experiments have no identity combiner to warm up with
