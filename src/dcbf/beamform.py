@@ -118,8 +118,8 @@ def mmse_rx_beamformer(
     """Solve (C + delta*I) w = Z s_bar^H for the stacked spatiotemporal filter.
 
     C is Z Z^H of the stacked training-window delay matrices Z.
-    delta defaults to eps * trace(C) / dim. The system is solved by Cholesky
-    factorization with one step of iterative refinement, never by explicit
+    delta defaults to eps * trace(C) / dim. The system is solved by one
+    np.linalg.solve with one step of iterative refinement, never by explicit
     inversion; the achieved relative residual is recorded on the result.
     """
     if not delay_mats:
@@ -147,9 +147,10 @@ def mmse_rx_beamformer(
 
 def _mmse_solve(cov: np.ndarray, b: np.ndarray, delta: float | None, eps: float):
     """Solve (cov[k] + delta_k*I) w[k] = b[k] for a stack of k systems of one
-    size: Cholesky factorization and one step of iterative refinement, never
-    explicit inversion. delta_k is delta, or eps * trace(cov[k]) / dim when
-    delta is None. Returns (w, the delta_k, each achieved relative residual)."""
+    size: one np.linalg.solve on the stack and one step of iterative
+    refinement, the same call on the residual, never explicit inversion.
+    delta_k is delta, or eps * trace(cov[k]) / dim when delta is None.
+    Returns (w, the delta_k, each achieved relative residual)."""
     if not (np.isfinite(cov).all() and np.isfinite(b).all()):
         raise ValueError("the covariance and the cross-vector must be finite")
     dim = cov.shape[-1]
@@ -163,14 +164,12 @@ def _mmse_solve(cov: np.ndarray, b: np.ndarray, delta: float | None, eps: float)
     diag = np.arange(dim)
     a[:, diag, diag] += deltas[:, None]
     try:
-        lower = np.linalg.cholesky(a)
+        w = np.linalg.solve(a, b[..., None])[..., 0]
+        w = w + np.linalg.solve(a, (b - _matvec(a, w))[..., None])[..., 0]  # one refinement step
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "covariance + delta*I is numerically singular; use delta > 0"
         ) from exc
-    upper = lower.conj().swapaxes(-1, -2)
-    w = _cho_solve(lower, upper, b)
-    w = w + _cho_solve(lower, upper, b - _matvec(a, w))  # one refinement step
     b_norm = np.linalg.norm(b, axis=-1)
     r_norm = np.linalg.norm(_matvec(a, w) - b, axis=-1)
     resid = np.divide(r_norm, b_norm, out=np.zeros_like(r_norm), where=b_norm > 0)
@@ -180,34 +179,6 @@ def _mmse_solve(cov: np.ndarray, b: np.ndarray, delta: float | None, eps: float)
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m[k] @ v[k] for every k."""
     return (m @ v[..., None])[..., 0]
-
-
-# Unknowns per diagonal block of the triangular solves. numpy has no
-# triangular solve, so substitution runs by blocks: one general solve on each
-# triangular diagonal block and one matrix-vector product with the solved
-# part. 64 puts a whole solve of the bundled sizes (t_w and n_nodes * t_w
-# unknowns) in one block.
-_TRI_BLOCK = 64
-
-
-def _cho_solve(lower: np.ndarray, upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve lower[k] @ upper[k] @ x[k] = b[k] for the Cholesky factors lower
-    and their conjugate transposes upper: forward, then back substitution,
-    in one buffer."""
-    dim = b.shape[-1]
-    starts = range(0, dim, _TRI_BLOCK)
-    x = b.astype(np.result_type(lower, b))
-    for s in starts:
-        blk = slice(s, min(s + _TRI_BLOCK, dim))
-        if s:
-            x[:, blk] -= _matvec(lower[:, blk, :s], x[:, :s])
-        x[:, blk] = np.linalg.solve(lower[:, blk, blk], x[:, blk, None])[..., 0]
-    for s in reversed(starts):
-        blk = slice(s, min(s + _TRI_BLOCK, dim))
-        if blk.stop < dim:
-            x[:, blk] -= _matvec(upper[:, blk, blk.stop :], x[:, blk.stop :])
-        x[:, blk] = np.linalg.solve(upper[:, blk, blk], x[:, blk, None])[..., 0]
-    return x
 
 
 def _windows(z: np.ndarray, taus: np.ndarray, offset: int, length: int) -> np.ndarray:

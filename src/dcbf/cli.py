@@ -379,13 +379,13 @@ def cmd_sync_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_frame(args: argparse.Namespace) -> int:
+    if args.kind != "tx-node" and args.node_id is not None:
+        raise ConfigError("--node-id", f"applies to --kind tx-node only, not {args.kind}")
     mesh = MeshConfig()
     frames = _template_frames(args.kind, mesh, args.seed)
-    node = 1
-    if args.kind == "tx-node":
-        node = args.node_id
-        if not 1 <= node <= len(frames):
-            raise ConfigError("--node-id", f"must be in 1..{len(frames)}")
+    node = 1 if args.node_id is None else args.node_id
+    if not 1 <= node <= len(frames):
+        raise ConfigError("--node-id", f"must be in 1..{len(frames)}")
     sig, layout = frames[node - 1]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("dump-frame", help="export a frame as float32 I/Q + JSON sidecar")
     pd.add_argument("--kind", choices=["rx-source", "rx-interferer", "tx-node"], required=True)
-    pd.add_argument("--node-id", type=int, default=1)
+    pd.add_argument("--node-id", type=int, default=None, help="transmitting node for --kind tx-node (default 1)")
     pd.add_argument("--out", required=True)
     pd.add_argument("--seed", type=int, default=0)
     pd.set_defaults(func=cmd_dump_frame)

@@ -91,7 +91,7 @@ def _factor_set(n: int, grid: bytes, fs: float) -> tuple[np.ndarray, ...]:
     return factors
 
 
-def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...], rows: bool = False) -> np.ndarray:
+def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     """sum_t x[..., t] * w[..., t] * exp(-i*2*pi*f*t/fs) for every f of the
     grid that factors (_dtft_factors) were evaluated on.
 
@@ -102,14 +102,15 @@ def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...], rows: b
 
     numpy's complex multiply is not bitwise commutative, so each factor
     product takes one fixed operand side at every size: the one-point
-    product is w * e; the a-factor product is e_a * inner for rows=True,
-    where x and w are (N, n) stacks of one-window transforms, each row with
-    the bits of its own call, and inner * e_a for a stack of lag windows.
+    product is w * e; the a-factor product is e_a * inner when w is 2-D,
+    x and w then being (N, n) stacks of one-window transforms, each row with
+    the bits of its own call, and inner * e_a for a stack of lag windows
+    against one 1-D w.
     """
     n = x.shape[-1]
     if len(factors) == 1:
         we = w * factors[0]
-        if rows:
+        if w.ndim == 2:
             return np.array([xi @ wi for xi, wi in zip(x, we)])[:, None]
         return (x @ we)[..., None]
     e_b, e_a = factors
@@ -117,7 +118,7 @@ def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...], rows: b
     xw = np.zeros(x.shape[:-1] + (n_a * n_b,), dtype=np.complex128)
     xw[..., :n] = x * w
     inner = (xw.reshape(-1, n_b) @ e_b).reshape(x.shape[:-1] + e_a.shape)
-    if rows:
+    if w.ndim == 2:
         np.multiply(e_a, inner, out=inner)
     else:
         inner *= e_a
@@ -236,13 +237,13 @@ def ml_cfo_windows(
     """
     grid_hz = np.atleast_1d(np.asarray(grid_hz, dtype=float))
     factors = _dtft_factors(windows.shape[-1], grid_hz, fs)
-    metrics = np.abs(_dtft(windows, np.conj(refs), factors, rows=True)) ** 2
+    metrics = np.abs(_dtft(windows, np.conj(refs), factors)) ** 2
     estimates = []
     for metric in metrics:
         k = int(np.argmax(metric))
         f_hat = float(grid_hz[k])
         at_boundary = k == 0 or k == len(grid_hz) - 1
-        if refine and not at_boundary and len(grid_hz) >= 3:
+        if refine and not at_boundary:
             m0, m1, m2 = metric[k - 1], metric[k], metric[k + 1]
             denom = m0 - 2 * m1 + m2
             if abs(denom) > 1e-300:

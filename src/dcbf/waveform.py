@@ -207,9 +207,8 @@ def _rrc_pulse() -> np.ndarray:
 
 
 def _centered_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """np.convolve(x, taps, "same") for any lengths: "same" centres on taps instead when they are the longer."""
-    if len(x) >= len(taps):
-        return np.convolve(x, taps, mode="same")  # a fresh array: the caller's arithmetic on it runs in place
+    """np.convolve(x, taps, "same") for any lengths, in a buffer of its own
+    ("same" centres on taps instead when they are the longer)."""
     return np.convolve(x, taps)[(len(taps) - 1) // 2 :][: len(x)]
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dcbf.beamform import (
-    _TRI_BLOCK,
     Beamformer,
     _mmse_solve,
     apply_rx_beamformer,
@@ -196,10 +195,10 @@ class TestMmse:
 
 
 class TestMmseSolve:
-    """_mmse_solve (Cholesky, block substitution, one refinement step) against
-    dense solvers, on stacks of Hermitian positive-definite systems."""
+    """_mmse_solve (one stacked solve, one refinement step) against dense
+    solvers, on stacks of Hermitian positive-definite systems."""
 
-    DIMS = [1, 2, 8, 24, 2 * _TRI_BLOCK + 5]  # the last spans three substitution blocks
+    DIMS = [1, 2, 8, 24, 133]  # the last past the bundled sizes (at most 24 unknowns)
 
     @staticmethod
     def _systems(dim, k=3):
@@ -225,6 +224,16 @@ class TestMmseSolve:
         for k in range(len(cov)):
             w_ref = linalg.cho_solve(linalg.cho_factor(cov[k] + 0.5 * np.eye(dim)), b[k])
             assert np.linalg.norm(w[k] - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_stack_matches_per_system_calls(self, dim, delta):
+        cov, b = self._systems(dim)
+        stacked = _mmse_solve(cov, b, delta, 1e-3)
+        for k in range(len(cov)):
+            alone = _mmse_solve(cov[k : k + 1], b[k : k + 1], delta, 1e-3)
+            for got, ref in zip(stacked, alone):
+                assert np.array_equal(got[k], ref[0])
 
     @pytest.mark.parametrize("where", ["gram", "cross"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

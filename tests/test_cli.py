@@ -366,6 +366,13 @@ class TestDumpFrame:
         assert "--node-id" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["rx-source", "rx-interferer"])
+    def test_node_id_outside_tx_node_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "n.iq"
+        assert main(["dump-frame", "--kind", kind, "--node-id", "1", "--out", str(out)]) == 2
+        assert "--node-id" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBadFlags:
     @pytest.mark.parametrize(

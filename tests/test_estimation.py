@@ -215,7 +215,7 @@ class TestDenseOracle:
         z = _pn_ref(rng, n + 3)
         r = z.samples[3:] * np.conj(ref.samples)
         dense = np.abs(ml_cfo_table(grid, n, FS) @ r) ** 2
-        got = _dtft(z.samples[3:][None], np.conj(ref.samples)[None], _dtft_factors(n, grid, FS), rows=True)
+        got = _dtft(z.samples[3:][None], np.conj(ref.samples)[None], _dtft_factors(n, grid, FS))
         assert _close(np.abs(got[0]) ** 2, dense)
 
         res = ml_cfo(z, ref, 3, grid, refine=False)
@@ -265,7 +265,7 @@ class TestSharedFactors:
         rng = substream(25, "t", f"rows{n}")
         x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         w = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-        got = _dtft(x, w, _dtft_factors(n, grid, FS), rows=True)
+        got = _dtft(x, w, _dtft_factors(n, grid, FS))
         for i in range(3):
             assert np.array_equal(_bits(got[i]), _bits(_one_line_dtft(x[i], w[i], grid, FS)))
 

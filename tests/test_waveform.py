@@ -195,6 +195,24 @@ class TestPulse:
         padded = shape_symbols(np.concatenate([stream, np.zeros(16)]))
         np.testing.assert_allclose(wave, padded[: 2 * n_symbols], rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("taps", ["pulse", 17, 4])
+    def test_centered_convolve_is_same_mode(self, taps):
+        # bitwise np.convolve(x, taps, "same") wherever x is the longer; a shorter x
+        # keeps its own length and centre, as if zero-padded past the taps
+        rng = substream(6, "test", f"centered{taps}")
+        if taps == "pulse":
+            taps = PULSE
+        else:
+            taps = rng.normal(size=taps) + 1j * rng.normal(size=taps)
+        for n in [*range(1, 41), RX_FRAME_TOTAL]:
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            got = waveform._centered_convolve(x, taps)
+            if n >= len(taps):
+                assert np.array_equal(got.view(np.uint64), np.convolve(x, taps, mode="same").view(np.uint64))
+            else:
+                padded = np.convolve(np.concatenate([x, np.zeros(len(taps))]), taps, mode="same")
+                np.testing.assert_allclose(got, padded[:n], rtol=1e-12, atol=1e-15)
+
     def test_matched_cascade_is_nyquist(self):
         # rrc * rrc sampled at symbol spacing is ~delta (ISI-free)
         rc = np.convolve(PULSE, PULSE)
