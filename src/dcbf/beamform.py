@@ -164,6 +164,8 @@ def _mmse_solve(cov: np.ndarray, b: np.ndarray, delta: float | None, eps: float)
     diag = np.arange(dim)
     a[:, diag, diag] += deltas[:, None]
     try:
+        if np.any(np.linalg.cond(a[deltas == 0]) > 1e12):  # solve raises only on an exact zero pivot
+            raise np.linalg.LinAlgError("numerically singular")
         w = np.linalg.solve(a, b[..., None])[..., 0]
         w = w + np.linalg.solve(a, (b - _matvec(a, w))[..., None])[..., 0]  # one refinement step
     except np.linalg.LinAlgError as exc:

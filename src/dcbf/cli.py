@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, timesync, waveform
-from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, NodeState, substream
+from .core import ConfigError, FrameLayout, MeshConfig, NodeState, substream
 from .impairments import ChannelModel, NoiseSpec
 from .scenario import PER_NODE_FIELDS, RX_EXPERIMENTS, CycleRecord, ScenarioConfig, run_scenario
 
@@ -216,7 +216,7 @@ def _write_run_outputs(out_dir: Path, cfg: ScenarioConfig, records: list[CycleRe
     (out_dir / "manifest.json").write_text(json.dumps(manifest_obj, indent=2, sort_keys=True) + "\n")
 
 
-def _template_frames(kind: str, mesh: MeshConfig, seed: int) -> list[tuple[ComplexSignal, FrameLayout]]:
+def _template_frames(kind: str, mesh: MeshConfig, seed: int) -> list[tuple[np.ndarray, FrameLayout]]:
     """The frames of one `dump-frame --kind` (every node's for tx-node), from
     payload seed `seed`, assembled as the runners assemble theirs."""
     if kind == "rx-source":
@@ -227,7 +227,7 @@ def _template_frames(kind: str, mesh: MeshConfig, seed: int) -> list[tuple[Compl
     else:
         layout = waveform.tx_node_layout(mesh)
         designs = [(layout, contents) for contents in waveform.node_frames(mesh, seed)]
-    return [(waveform.build_frame(layout, contents, mesh.sample_rate_hz), layout) for layout, contents in designs]
+    return [(waveform.build_frame(layout, contents), layout) for layout, contents in designs]
 
 
 def _dump_template_frames(out_dir: Path, cfg: ScenarioConfig) -> None:
@@ -239,8 +239,8 @@ def _dump_template_frames(out_dir: Path, cfg: ScenarioConfig) -> None:
             frames["interferer"] = _template_frames("rx-interferer", cfg.mesh, cfg.seed)[0]
     else:
         frames = {f"node_{i + 1}": f for i, f in enumerate(_template_frames("tx-node", cfg.mesh, cfg.seed))}
-    for name, (sig, layout) in frames.items():
-        waveform.write_frame_iq(frames_dir / f"{name}.iq", sig, layout)
+    for name, (frame, layout) in frames.items():
+        waveform.write_frame_iq(frames_dir / f"{name}.iq", frame, layout, cfg.mesh.sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +386,10 @@ def cmd_dump_frame(args: argparse.Namespace) -> int:
     node = 1 if args.node_id is None else args.node_id
     if not 1 <= node <= len(frames):
         raise ConfigError("--node-id", f"must be in 1..{len(frames)}")
-    sig, layout = frames[node - 1]
+    frame, layout = frames[node - 1]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    waveform.write_frame_iq(out, sig, layout)
+    waveform.write_frame_iq(out, frame, layout, mesh.sample_rate_hz)
     print(f"wrote {out} ({layout.total_length} samples) and {out}.json")
     return 0
 

@@ -34,8 +34,8 @@ class ConfigError(ValueError):
 class ComplexSignal:
     """A finite sequence of complex baseband samples at a stated sample rate.
 
-    The universal signal carrier: every synthesized, propagated, or beamformed
-    waveform in the library is one of these.
+    A reception, checked once for 1-D finite samples; the templates the
+    program builds itself (frames, references, preambles) are plain arrays.
     """
 
     samples: np.ndarray
@@ -50,9 +50,6 @@ class ComplexSignal:
             raise ValueError("samples contain NaN or Inf")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True)

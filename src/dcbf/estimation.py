@@ -125,20 +125,26 @@ def _dtft(x: np.ndarray, w: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.n
     return np.sum(inner, axis=-2)
 
 
-def cfo_reference_table(reference: ComplexSignal, cfo_grid_hz: np.ndarray) -> np.ndarray:
+def cfo_reference_table(reference: np.ndarray, cfo_grid_hz: np.ndarray, fs: float) -> np.ndarray:
     """Dense conj(ref[t] * exp(i*2*pi*f*t/fs)) for every grid frequency, shape
     (len(ref), len(grid)).
 
     Not used by acquire(); kept as the reference that tests compare its
     statistic against (window @ table).
     """
-    t = np.arange(len(reference.samples)) / reference.sample_rate_hz
-    return np.conj(reference.samples)[:, None] * np.exp(-2j * np.pi * np.outer(t, cfo_grid_hz))
+    t = np.arange(len(reference)) / fs
+    return np.conj(reference)[:, None] * np.exp(-2j * np.pi * np.outer(t, cfo_grid_hz))
+
+
+def _check_references(refs) -> None:
+    """Raise ValueError unless every reference is 1-D with finite samples."""
+    if any(np.ndim(r) != 1 or not np.all(np.isfinite(r)) for r in refs):
+        raise ValueError("references must be 1-D with finite samples")
 
 
 def acquire(
     z: ComplexSignal,
-    references: list[ComplexSignal],
+    references: list[np.ndarray],
     lag_range: tuple[int, int] | None = None,
     *,
     cfo_grid_hz: np.ndarray,
@@ -151,17 +157,19 @@ def acquire(
     (||z window||^2 * ||ref||^2) over lags in lag_range (half-open) and
     frequencies on the grid (any spacing; a one-point grid is a lag-only
     search), and returns the strongest reference's result, the first on
-    ties. The statistic is scale invariant in z and bounded by 1. The
-    references share the lag windows, their energies (bitwise the per-window
-    sums) and the DTFT phasor factors; each takes one DTFT call.
+    ties. The reception z sets the sample rate; the references are arrays
+    (_check_references). The statistic is scale invariant in z and bounded
+    by 1. The references share the lag windows, their energies (bitwise the
+    per-window sums) and the DTFT phasor factors; each takes one DTFT call.
 
     Raises AcquisitionError, with the best statistic of any reference, when
     it falls below threshold.
     """
     zs = z.samples
-    if len({len(r.samples) for r in references}) != 1:
+    _check_references(references)
+    if len({len(r) for r in references}) != 1:
         raise ValueError("need one or more references of one length")
-    n, t_ref = len(zs), len(references[0].samples)
+    n, t_ref = len(zs), len(references[0])
     if t_ref > n:
         raise ValueError(f"reference ({t_ref}) longer than signal ({n})")
     cfo_grid_hz = np.atleast_1d(np.asarray(cfo_grid_hz, dtype=float))
@@ -173,10 +181,9 @@ def acquire(
     span = zs[lag_lo : lag_hi + t_ref - 1]  # |z|^2 once per sample; each window sums its own run
     windows = sliding_window_view(span, t_ref)
     win_energy = np.sum(sliding_window_view(np.abs(span) ** 2, t_ref), axis=1)
-    factors = _dtft_factors(t_ref, cfo_grid_hz, references[0].sample_rate_hz)
+    factors = _dtft_factors(t_ref, cfo_grid_hz, z.sample_rate_hz)
     best = None
-    for reference in references:
-        ref = reference.samples
+    for ref in references:
         inner = _dtft(windows, np.conj(ref), factors)  # (n_lags, n_freqs)
         ref_energy = float(np.sum(np.abs(ref) ** 2))
         denom = np.maximum(win_energy * ref_energy, 1e-300)
@@ -274,12 +281,12 @@ def estimate_channel(
     Minimizes ||z_window - conv(s_ref, h)||^2 over h of length t_h via the
     normal equations. CFO must already be corrected on the window.
     """
-    return estimate_channels_joint(z, [s_ref], tau_hat, t_h)[0]
+    return estimate_channels_joint(z, [s_ref.samples], tau_hat, t_h)[0]
 
 
 def estimate_channels_joint(
     z: ComplexSignal,
-    refs: list[ComplexSignal],
+    refs: list[np.ndarray],
     tau_hat: int,
     t_h: int,
 ) -> list[ChannelEstimate]:
@@ -288,10 +295,12 @@ def estimate_channels_joint(
     All references must share a length and be time-aligned at tau_hat (the
     concurrent CDMA preamble case); the joint solve separates overlapping
     transmissions exactly rather than treating cross-correlation as noise.
+    The references are arrays (_check_references).
     """
     if not refs:
         raise ValueError("need at least one reference")
-    lens = {len(r.samples) for r in refs}
+    _check_references(refs)
+    lens = {len(r) for r in refs}
     if len(lens) != 1:
         raise ValueError("references must share a length")
     (t_ref,) = lens
@@ -303,7 +312,7 @@ def estimate_channels_joint(
         raise ValueError("observation window not inside signal")
     design = np.zeros((rows, len(refs) * t_h), dtype=np.complex128)
     for i, r in enumerate(refs):
-        _conv_matrix(r.samples, t_h, out=design[:, i * t_h : (i + 1) * t_h])
+        _conv_matrix(r, t_h, out=design[:, i * t_h : (i + 1) * t_h])
     h_all, resid = _ls_solve(design, y)
     return [ChannelEstimate(taps=h_all[i * t_h : (i + 1) * t_h], residual_power=resid) for i in range(len(refs))]
 

@@ -84,6 +84,11 @@ MAX_CFO_GRID_POINTS = 4096
 # such arrays) is at most 7.5 MiB: 4033 samples on 3855 points.
 MAX_ACQUISITION_VALUES = 1 << 22
 
+# Largest fine CFO step, as a fraction of the fine metric's main lobe sample_rate_hz /
+# amble_len (244 Hz by default): there the quadratic refinement's worst noiseless bias
+# is 0.066 Hz, under 1 degree over a receive buffer (0.54 Hz at 0.2, 4.5 Hz at 0.41).
+FINE_CFO_LOBE_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -181,6 +186,10 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("interferer_cfo_hz", f"must be its default {_DEFAULTS['interferer_cfo_hz']!r}: "
                           "at interferer_power 0 the interferer never transmits")
     validate_config(cfg.mesh)
+    limit = FINE_CFO_LOBE_FRACTION * cfg.mesh.sample_rate_hz / cfg.mesh.amble_len
+    if cfg.fine_cfo_step_hz > limit:
+        raise ConfigError("fine_cfo_step_hz", f"must be ≤ {FINE_CFO_LOBE_FRACTION} of the fine metric's main lobe "
+                          f"mesh.sample_rate_hz/mesh.amble_len, {limit:.6g} Hz: coarser steps bias its refinement")
     if cfg.experiment in RX_EXPERIMENTS:
         unknowns = cfg.mesh.n_nodes * cfg.t_w
         if unknowns > MAX_MMSE_UNKNOWNS:
@@ -337,10 +346,8 @@ def _receive_references(mesh: MeshConfig, family: str):
         y.setflags(write=False)
         return y
 
-    fs = mesh.sample_rate_hz
-    pre_mf = tuple(ComplexSignal(matched(a["preamble"]), fs) for a in ambles)
-    acq_len = min(mesh.est_integration_len, len(pre_mf[0].samples))
-    acq_refs = tuple(ComplexSignal(p.samples[:acq_len], fs) for p in pre_mf)
+    pre_mf = tuple(matched(a["preamble"]) for a in ambles)
+    acq_refs = tuple(p[: mesh.est_integration_len] for p in pre_mf)
     cfo_refs = tuple(matched(a[name]) for a, name in zip(ambles, cfo_segments))
     return pre_mf, acq_refs, cfo_segments, cfo_refs
 
@@ -370,7 +377,7 @@ class _Runner:
         self.pulse = waveform.PULSE
         self.layout = layout(mesh)
         self.pre_mf, self.acq_refs, cfo_segments, self.cfo_refs = _receive_references(mesh, self.FAMILY)
-        self.t_ref = len(self.pre_mf[0].samples)
+        self.t_ref = len(self.pre_mf[0])
         self.cfo_offsets = [self.layout.segment(name).offset for name in cfo_segments]
         self.coarse_grid = np.arange(
             -cfg.coarse_cfo_span_hz, cfg.coarse_cfo_span_hz + cfg.coarse_cfo_step_hz / 2, cfg.coarse_cfo_step_hz
@@ -394,12 +401,12 @@ class _Runner:
 
         self.lag_hi, self.buf_len, _ = _receive_buffer(cfg, self.layout)
 
-    def _frame(self, contents: dict[str, np.ndarray], power: float):
-        """(samples, spans): the frame of contents scaled to the given power per
-        sample, and the (start, stop) of the layout segments that contents fill,
-        where build_frame puts every nonzero sample. Only the spans are scaled."""
-        samples = waveform.build_frame(self.layout, contents, self.fs).samples
-        spans = [(seg.offset, seg.offset + seg.length) for seg in map(self.layout.segment, contents)]
+    def _frame(self, layout: FrameLayout, contents: dict[str, np.ndarray], power: float):
+        """(samples, spans): the frame of contents on layout, its spans scaled in
+        place to the given power per sample: the (start, stop) of the segments
+        that contents fill, where build_frame puts every nonzero sample."""
+        samples = waveform.build_frame(layout, contents)
+        spans = [(seg.offset, seg.offset + seg.length) for seg in map(layout.segment, contents)]
         scale = np.sqrt(power)
         for lo, hi in spans:
             samples[lo:hi] *= scale
@@ -552,16 +559,11 @@ class _RxRunner(_Runner):
     def _transmit(self, k, rec, flags):
         cfg = self.cfg
         contents = waveform.source_frame(self.mesh, _tag64(f"{cfg.seed}:src_payload_{k}"))
-        src, spans = self._frame(contents, cfg.signal_power)
+        src, spans = self._frame(self.layout, contents, cfg.signal_power)
         sent = [(self.source, apply_node_imperfections(src, self.source, self.fs, 1, spans), spans)]
         if self.with_interf:
             contents = waveform.interferer_frame(self.buf_len, _tag64(f"{cfg.seed}:intf_payload_{k}"))
-            # the interferer fills its whole frame, scaled in place: with frames let go after
-            # their last receiver, in place and into a copy fault alike (1,789 and 1,794 minor
-            # faults per perfbench rx_interf step), where in place once doubled them (+12% step)
-            intf = waveform.build_frame(self.interferer_layout, contents, self.fs).samples
-            intf *= np.sqrt(cfg.interferer_power)
-            spans = [(0, len(intf))]
+            intf, spans = self._frame(self.interferer_layout, contents, cfg.interferer_power)
             sent.append((self.interferer, apply_node_imperfections(intf, self.interferer, self.fs, 1, spans), spans))
         return sent
 
@@ -596,7 +598,7 @@ class _RxRunner(_Runner):
             flags.append("warmup")
         else:
             weights, deltas, _ = beamform.mmse_rx_beamformers(
-                z_corrected, lags, self.pre_mf[0].samples, cfg.t_w, self.cov_window, self.mesh.diag_loading_eps
+                z_corrected, lags, self.pre_mf[0], cfg.t_w, self.cov_window, self.mesh.diag_loading_eps
             )
             delta = float(deltas[-1])
         powers, gains = beamform.rx_output_powers(
@@ -687,7 +689,7 @@ class _TxRunner(_Runner):
         sent = []
         frames = waveform.node_frames(self.mesh, _tag64(f"{cfg.seed}:tx_payload_{k}"))
         for i, (node, contents) in enumerate(zip(self.nodes, frames)):
-            samples, spans = self._frame(contents, cfg.signal_power)
+            samples, spans = self._frame(self.layout, contents, cfg.signal_power)
             if weights is not None:
                 raw = samples[pay_seg.offset : pay_seg.offset + pay_seg.length]
                 w = weights[i]

@@ -26,7 +26,6 @@ __all__ = [
     "encode_sync_message",
     "decode_sync_message",
     "estimate_offset",
-    "sync_preamble",
     "sync_wire_signal",
     "SyncRoundResult",
     "run_sync_round",
@@ -310,24 +309,16 @@ def decode_sync_message(bits: np.ndarray) -> tuple[SyncMessage, int]:
 # ---------------------------------------------------------------------------
 
 
-# np.resize repeats the 511 chips cyclically: one pad chip makes 512
+# The 512-sample acquisition preamble, read-only: a 511-chip MLS (m=9) plus
+# one cyclic pad chip (np.resize repeats the chips), on both QPSK rails at one
+# sample per chip.
 _PREAMBLE = np.resize(gen_mls(9), SYNC_PREAMBLE_LEN).astype(np.float64) * (1 + 1j) / np.sqrt(2.0)
 _PREAMBLE.setflags(write=False)
 
 
-def sync_preamble(fs: float) -> ComplexSignal:
-    """512-sample acquisition preamble: a 511-chip MLS (m=9) plus one cyclic
-    pad chip, on both QPSK rails at one sample per chip. Built once at
-    import; the samples are read-only."""
-    return ComplexSignal(_PREAMBLE, fs)
-
-
-def sync_wire_signal(msg: SyncMessage, fs: float) -> ComplexSignal:
+def sync_wire_signal(msg: SyncMessage) -> np.ndarray:
     """Preamble followed by the QPSK-mapped coded bits, one sample/symbol."""
-    bits = encode_sync_message(msg)
-    symbols = modulate(bits, "QPSK")
-    pre = sync_preamble(fs)
-    return ComplexSignal(np.concatenate([pre.samples, symbols]), fs)
+    return np.concatenate([_PREAMBLE, modulate(encode_sync_message(msg), "QPSK")])
 
 
 def _demod_qpsk_bits(symbols: np.ndarray) -> np.ndarray:
@@ -348,18 +339,15 @@ def detect_and_decode(buffer: ComplexSignal, kind: MessageKind, indexed: bool) -
     """Find the preamble by normalized cross-correlation (acquire's default
     threshold), demodulate the expected payload, and decode; returns
     (message, toa_sample, corrected)."""
-    pre = sync_preamble(buffer.sample_rate_hz)
     n_sym = _coded_bit_count(kind, indexed) // 2
-    max_lag = len(buffer.samples) - len(pre.samples) - n_sym + 1
+    max_lag = len(buffer.samples) - SYNC_PREAMBLE_LEN - n_sym + 1
     if max_lag < 1:
         raise ValueError("buffer too short for this message")
-    res = acquire(buffer, [pre], lag_range=(0, max_lag), cfo_grid_hz=np.array([0.0]))
-    start = res.lag + len(pre.samples)
+    res = acquire(buffer, [_PREAMBLE], lag_range=(0, max_lag), cfo_grid_hz=np.array([0.0]))
+    start = res.lag + SYNC_PREAMBLE_LEN
     symbols = buffer.samples[start : start + n_sym]
     # undo any constant channel phase using the preamble as reference
-    ref = pre.samples
-    got = buffer.samples[res.lag : res.lag + len(ref)]
-    rot = np.vdot(ref, got)
+    rot = np.vdot(_PREAMBLE, buffer.samples[res.lag : start])
     if abs(rot) > 0:
         symbols = symbols * np.conj(rot / abs(rot))
     msg, corrected = decode_sync_message(_demod_qpsk_bits(symbols))
@@ -417,10 +405,10 @@ def run_sync_round(
         """Send msg over link at true time t_tx; returns the decoded message
         and the true arrival time of its first sample."""
         nonlocal corrected_total, reach
-        wire = sync_wire_signal(msg, fs)
+        wire = sync_wire_signal(msg)
         # the channel's output between pad zeros on either side, then the noise
         buf = np.zeros(len(wire) + link.n_taps - 1 + link.tof_delay + 2 * pad, dtype=np.complex128)
-        apply_channel(buf[pad:], wire.samples, link)
+        apply_channel(buf[pad:], wire, link)
         add_noise(buf, noise.noise_power_per_sample, rng)
         decoded, toa, corrected = detect_and_decode(ComplexSignal(buf, fs), msg.kind, msg.indexed)
         corrected_total += corrected

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ComplexSignal, ConfigError, FrameLayout, MeshConfig, Segment, substream
+from .core import ConfigError, FrameLayout, MeshConfig, Segment, substream
 
 __all__ = [
     "gen_mls",
@@ -385,27 +385,27 @@ def interferer_frame(length: int, seed: int) -> dict[str, np.ndarray]:
     return {"interference": shape_symbols(modulate(bits, "QAM256"))}
 
 
-def build_frame(layout: FrameLayout, contents: dict[str, np.ndarray], sample_rate_hz: float) -> ComplexSignal:
-    """Assemble one transmit frame: each named segment starts with its
-    content, cut to the segment; every other sample (guards, look-through,
-    other nodes' TDMA slots) is exactly zero."""
+def build_frame(layout: FrameLayout, contents: dict[str, np.ndarray]) -> np.ndarray:
+    """Assemble one transmit frame, a fresh array the caller owns: each
+    named segment starts with its content, cut to the segment; every other
+    sample (guards, look-through, other nodes' TDMA slots) is exactly zero."""
     samples = np.zeros(layout.total_length, dtype=np.complex128)
     for name, content in contents.items():
         seg = layout.segment(name)
         part = content[: seg.length]
         samples[seg.offset : seg.offset + len(part)] = part
-    return ComplexSignal(samples, sample_rate_hz)
+    return samples
 
 
-def write_frame_iq(path: str | Path, signal: ComplexSignal, layout: FrameLayout) -> None:
+def write_frame_iq(path: str | Path, samples: np.ndarray, layout: FrameLayout, sample_rate_hz: float) -> None:
     """Export a frame as interleaved little-endian float32 I/Q plus a JSON sidecar."""
     path = Path(path)
-    iq = np.empty(2 * len(signal.samples), dtype="<f4")
-    iq[0::2] = signal.samples.real
-    iq[1::2] = signal.samples.imag
+    iq = np.empty(2 * len(samples), dtype="<f4")
+    iq[0::2] = samples.real
+    iq[1::2] = samples.imag
     path.write_bytes(iq.tobytes())
     sidecar = {
-        "sample_rate_hz": signal.sample_rate_hz,
+        "sample_rate_hz": sample_rate_hz,
         "total_length": layout.total_length,
         "segments": [
             {"name": s.name, "offset": s.offset, "length": s.length} for s in layout.segments

@@ -193,6 +193,18 @@ class TestMmse:
         with pytest.raises(ValueError, match="delta"):
             mmse_rx_beamformer(mats, z, delta=0.0)
 
+    def test_zero_delta_rank_deficient_raises(self):
+        # 3 nodes x t_w = 8 unknowns over t_z = 6 training samples: Z Z^H has
+        # rank 13 of 24 but no exact zero pivot, so only its condition number shows it
+        rng = substream(17, "t", "mmse")
+        s = _rand(rng, 6)
+        mats = [build_delay_matrix(_sig(_rand(rng, 6)), 0, 6, 8, f"n{i}") for i in range(3)]
+        zstack = np.vstack([m.data for m in mats])
+        assert np.linalg.matrix_rank(zstack @ zstack.conj().T) == 13
+        with pytest.raises(ValueError, match="delta"):
+            mmse_rx_beamformer(mats, s, delta=0.0)
+        assert mmse_rx_beamformer(mats, s).solve_residual < 1e-9  # the default loading solves it
+
 
 class TestMmseSolve:
     """_mmse_solve (one stacked solve, one refinement step) against dense

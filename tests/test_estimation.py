@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dcbf.core import ComplexSignal, substream
+from dcbf import waveform
+from dcbf.core import ComplexSignal, MeshConfig, substream
 from dcbf.estimation import (
     AcquisitionError,
     _dtft,
@@ -18,6 +19,7 @@ from dcbf.estimation import (
     ml_cfo_windows,
     remove_dc,
 )
+from dcbf.scenario import FINE_CFO_LOBE_FRACTION, ScenarioConfig, _fine_grid
 
 FS = 2e6
 
@@ -27,14 +29,22 @@ def _sig(x):
 
 
 def _pn_ref(rng, n=512):
-    return _sig((rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2))
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+
+
+# references that acquire and estimate_channels_joint refuse: a non-finite sample, a 2-D shape
+BAD_REFERENCES = {
+    "nan": np.where(np.arange(64) == 9, np.nan, 1.0).astype(complex),
+    "inf": np.where(np.arange(64) == 9, np.inf, 1.0).astype(complex),
+    "2-D": np.ones((2, 32), complex),
+}
 
 
 class TestAcquire:
     def test_pure_delay(self):
         rng = substream(0, "t", "acq")
         ref = _pn_ref(rng)
-        z = np.concatenate([np.zeros(37, complex), ref.samples, np.zeros(20, complex)])
+        z = np.concatenate([np.zeros(37, complex), ref, np.zeros(20, complex)])
         res = acquire(_sig(z), [ref], lag_range=(0, 60), cfo_grid_hz=np.array([0.0]))
         assert res.lag == 37
         assert res.detection_stat == pytest.approx(1.0)
@@ -43,7 +53,7 @@ class TestAcquire:
         rng = substream(1, "t", "acq")
         ref = _pn_ref(rng)
         t = np.arange(512) / FS
-        z = np.concatenate([ref.samples * np.exp(2j * np.pi * 250 * t), np.zeros(8, complex)])
+        z = np.concatenate([ref * np.exp(2j * np.pi * 250 * t), np.zeros(8, complex)])
         res = acquire(_sig(z), [ref], cfo_grid_hz=np.arange(-500, 501, 50))
         assert res.lag == 0
         assert res.coarse_cfo_hz == 250.0
@@ -52,7 +62,7 @@ class TestAcquire:
     def test_scale_invariance(self):
         rng = substream(2, "t", "acq")
         ref = _pn_ref(rng)
-        z = np.concatenate([np.zeros(5, complex), ref.samples, np.zeros(5, complex)])
+        z = np.concatenate([np.zeros(5, complex), ref, np.zeros(5, complex)])
         r1 = acquire(_sig(z), [ref], cfo_grid_hz=np.array([0.0]))
         r2 = acquire(_sig(z * (3.7 - 2j)), [ref], cfo_grid_hz=np.array([0.0]))
         assert r1.lag == r2.lag
@@ -85,8 +95,8 @@ class TestAcquire:
         rng = substream(22, "t", "acq")
         refs = [_pn_ref(rng, 256) for _ in range(3)]
         z = np.zeros(300, complex)
-        z[37 : 37 + 256] = refs[1].samples + 0.3 * refs[2].samples
-        z[5 : 5 + 256] += 0.2 * refs[0].samples
+        z[37 : 37 + 256] = refs[1] + 0.3 * refs[2]
+        z[5 : 5 + 256] += 0.2 * refs[0]
         grid = np.arange(-500, 501, 50.0)
         each = [acquire(_sig(z), [ref], cfo_grid_hz=grid, threshold=0.0) for ref in refs]
         res = acquire(_sig(z), refs, cfo_grid_hz=grid, threshold=0.0)
@@ -115,18 +125,24 @@ class TestAcquire:
         with pytest.raises(ValueError, match="longer"):
             acquire(_sig(np.zeros(32, complex)), [ref], cfo_grid_hz=np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", BAD_REFERENCES.values(), ids=BAD_REFERENCES.keys())
+    def test_malformed_reference_rejected(self, bad):
+        z = _sig(np.ones(128, complex))
+        with pytest.raises(ValueError, match="1-D with finite samples"):
+            acquire(z, [np.ones(64, complex), bad], cfo_grid_hz=np.array([0.0]), threshold=0.0)
+
 
 class TestMlCfo:
     def test_zero_cfo(self):
         rng = substream(6, "t", "cfo")
-        ref = _pn_ref(rng, 2048)
+        ref = _sig(_pn_ref(rng, 2048))
         res = ml_cfo(ref, ref, 0, np.arange(-100, 101, 1.0))
         assert res.f_hat_hz == pytest.approx(0.0, abs=1e-6)
         assert not res.at_boundary
 
     def test_grid_aligned_cfo_noiseless(self):
         rng = substream(7, "t", "cfo")
-        ref = _pn_ref(rng, 2048)
+        ref = _sig(_pn_ref(rng, 2048))
         t = np.arange(2048) / FS
         z = _sig(ref.samples * np.exp(2j * np.pi * 40.0 * t))
         res = ml_cfo(z, ref, 0, np.arange(-100, 101, 1.0), refine=False)
@@ -136,7 +152,7 @@ class TestMlCfo:
         # quadratic refinement must land within grid_step/10 of the value a
         # 100x finer brute-force grid would find
         rng = substream(8, "t", "cfo")
-        ref = _pn_ref(rng, 8192)
+        ref = _sig(_pn_ref(rng, 8192))
         t = np.arange(8192) / FS
         step = 1.0
         for f_true in (13.37, -71.62, 44.09):
@@ -148,7 +164,7 @@ class TestMlCfo:
 
     def test_boundary_flag(self):
         rng = substream(9, "t", "cfo")
-        ref = _pn_ref(rng, 1024)
+        ref = _sig(_pn_ref(rng, 1024))
         t = np.arange(1024) / FS
         z = _sig(ref.samples * np.exp(2j * np.pi * 500.0 * t))
         res = ml_cfo(z, ref, 0, np.arange(-100, 101, 1.0))
@@ -157,7 +173,7 @@ class TestMlCfo:
     def test_peak_dominance_at_true_cfo(self):
         # the metric at the true grid-aligned CFO dominates every other point
         rng = substream(10, "t", "cfo")
-        ref = _pn_ref(rng, 2048)
+        ref = _sig(_pn_ref(rng, 2048))
         t = np.arange(2048) / FS
         f0 = 60.0
         z = _sig(ref.samples * np.exp(2j * np.pi * f0 * t))
@@ -167,6 +183,27 @@ class TestMlCfo:
             r = np.sum(z.samples * np.conj(ref.samples) * np.exp(-2j * np.pi * f * t))
             metrics.append(abs(r) ** 2)
         assert grid[int(np.argmax(metrics))] == f0
+
+
+class TestFineStepBias:
+    """The quadratic refinement's bias over the fine steps validate_scenario
+    admits, on the runners' fine grid and the matched source preamble."""
+
+    def test_bias_bounded_across_admitted_steps(self):
+        mesh = MeshConfig()
+        ref = waveform._centered_convolve(waveform.source_ambles(mesh)["preamble"], waveform.PULSE)
+        lobe = mesh.sample_rate_hz / len(ref)
+        t = np.arange(len(ref)) / mesh.sample_rate_hz
+        offsets = np.linspace(-45.0, 45.0, 91)  # noiseless, within two coarse steps of the coarse estimate
+        windows = np.array([ref * np.exp(2j * np.pi * f * t) for f in offsets])
+        worst = []
+        for fraction in (0.01, 0.04, 0.07, FINE_CFO_LOBE_FRACTION):
+            grid = _fine_grid(ScenarioConfig(fine_cfo_step_hz=fraction * lobe))
+            estimates = ml_cfo_windows(windows, [ref] * len(offsets), grid, mesh.sample_rate_hz)
+            assert not any(e.at_boundary for e in estimates)
+            worst.append(np.max(np.abs([e.f_hat_hz for e in estimates] - offsets)))
+        assert max(worst) <= 3e-4 * lobe  # 0.073 Hz of the 244 Hz lobe
+        assert worst == sorted(worst)  # coarser steps, larger bias: the limit is where the budget binds
 
 
 # lengths for the DTFT kernel's sqrt(n) split: a square (no padding), powers of
@@ -197,10 +234,10 @@ class TestDenseOracle:
         ref = _pn_ref(rng, n)
         z = _sig(rng.normal(size=n + 12) + 1j * rng.normal(size=n + 12))
         windows = np.lib.stride_tricks.sliding_window_view(z.samples, n)[2:12]
-        dense = windows @ cfo_reference_table(ref, grid)
-        assert _close(_dtft(windows, np.conj(ref.samples), _dtft_factors(n, grid, FS)), dense)
+        dense = windows @ cfo_reference_table(ref, grid, FS)
+        assert _close(_dtft(windows, np.conj(ref), _dtft_factors(n, grid, FS)), dense)
 
-        energies = np.sum(np.abs(windows) ** 2, axis=1)[:, None] * np.sum(np.abs(ref.samples) ** 2)
+        energies = np.sum(np.abs(windows) ** 2, axis=1)[:, None] * np.sum(np.abs(ref) ** 2)
         stats = np.abs(dense) ** 2 / energies
         li, fi = np.unravel_index(np.argmax(stats), stats.shape)
         res = acquire(z, [ref], lag_range=(2, 12), cfo_grid_hz=grid, threshold=0.0)
@@ -211,8 +248,8 @@ class TestDenseOracle:
     @pytest.mark.parametrize("n", ORACLE_LENGTHS)
     def test_ml_cfo_metric(self, n, grid):
         rng = substream(21, "t", f"cfo{n}")
-        ref = _pn_ref(rng, n)
-        z = _pn_ref(rng, n + 3)
+        ref = _sig(_pn_ref(rng, n))
+        z = _sig(_pn_ref(rng, n + 3))
         r = z.samples[3:] * np.conj(ref.samples)
         dense = np.abs(ml_cfo_table(grid, n, FS) @ r) ** 2
         got = _dtft(z.samples[3:][None], np.conj(ref.samples)[None], _dtft_factors(n, grid, FS))
@@ -284,7 +321,7 @@ class TestSharedFactors:
     @pytest.mark.parametrize("n", [1040, 8208])
     def test_ml_cfo_windows_match_one_window_calls(self, n):
         rng = substream(27, "t", f"cfo_rows{n}")
-        refs = [_pn_ref(rng, n).samples for _ in range(3)]
+        refs = [_pn_ref(rng, n) for _ in range(3)]
         t = np.arange(n) / FS
         wins = np.array([ref * np.exp(2j * np.pi * f * t) for ref, f in zip(refs, (13.37, -71.6, 99.9))])
         wins += 0.1 * (rng.normal(size=wins.shape) + 1j * rng.normal(size=wins.shape))
@@ -297,14 +334,13 @@ def _acquire_per_window(z, references, lag_range, grid):
     """acquire's search with each lag window's energy summed from that
     window's own |z|^2 values: (lag, coarse CFO, statistic) of the strongest
     reference, the first on ties. The bits that acquire must keep."""
-    zs, t_ref = z.samples, len(references[0].samples)
+    zs, t_ref = z.samples, len(references[0])
     lag_lo, lag_hi = lag_range[0], min(lag_range[1], len(zs) - t_ref + 1)
     windows = np.lib.stride_tricks.sliding_window_view(zs, t_ref)[lag_lo:lag_hi]
     win_energy = np.sum(np.abs(windows) ** 2, axis=1)
     factors = _dtft_factors(t_ref, grid, FS)
     best = None
-    for reference in references:
-        ref = reference.samples
+    for ref in references:
         inner = _dtft(windows, np.conj(ref), factors)
         denom = np.maximum(win_energy * float(np.sum(np.abs(ref) ** 2)), 1e-300)
         stats = np.abs(inner) ** 2 / denom[:, None]
@@ -327,7 +363,7 @@ class TestAcquireEnergyBits:
         refs = [_pn_ref(rng, t_ref) for _ in range(2)]
         n = t_ref + 40
         zs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        zs[11 : 11 + t_ref] += 3 * refs[1].samples * np.exp(2j * np.pi * 400.0 * np.arange(t_ref) / FS)
+        zs[11 : 11 + t_ref] += 3 * refs[1] * np.exp(2j * np.pi * 400.0 * np.arange(t_ref) / FS)
         z = _sig(zs)
         # lag_lo > 0 with lag_hi inside the signal, then lag_hi clipped at n - t_ref + 1
         for lag_range in [(3, 20), (3, n - t_ref + 9)]:
@@ -355,10 +391,10 @@ class TestFactorCache:
     def test_bounded_over_a_sweep_of_grids(self):
         rng = substream(28, "t", "sweep")
         ref = _pn_ref(rng, 256)
-        z = _sig(np.concatenate([np.zeros(5), ref.samples, np.zeros(5)]))
+        z = _sig(np.concatenate([np.zeros(5), ref, np.zeros(5)]))
         for step in range(10, 60, 5):
             acquire(z, [ref], cfo_grid_hz=np.arange(-500, 500.5, step), threshold=0.0)
-            ml_cfo(z, ref, 5, np.arange(-2 * step, 2 * step + 0.5, 1.0))
+            ml_cfo(z, _sig(ref), 5, np.arange(-2 * step, 2 * step + 0.5, 1.0))
         info = _factor_set.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
 
@@ -366,7 +402,7 @@ class TestFactorCache:
 class TestEstimateChannel:
     def test_known_two_tap_channel(self):
         rng = substream(11, "t", "ls")
-        ref = _pn_ref(rng, 256)
+        ref = _sig(_pn_ref(rng, 256))
         h = np.array([1.0, 0.5j])
         y = np.convolve(ref.samples, h)
         est = estimate_channel(_sig(y), ref, 0, 2)
@@ -375,7 +411,7 @@ class TestEstimateChannel:
 
     def test_pure_delay_channel(self):
         rng = substream(12, "t", "ls")
-        ref = _pn_ref(rng, 256)
+        ref = _sig(_pn_ref(rng, 256))
         h = np.array([0, 0, 1.0, 0])
         y = np.convolve(ref.samples, h)
         est = estimate_channel(_sig(y), ref, 0, 4)
@@ -383,7 +419,7 @@ class TestEstimateChannel:
 
     def test_matches_pseudoinverse_oracle_and_unbiased(self):
         rng = substream(13, "t", "ls")
-        ref = _pn_ref(rng, 512)
+        ref = _sig(_pn_ref(rng, 512))
         h = np.array([0.8, -0.3 + 0.4j, 0.1j])
         snr_lin = 100.0  # 20 dB
         sigma = np.sqrt(1.0 / snr_lin / 2)
@@ -407,7 +443,7 @@ class TestEstimateChannel:
     def test_reconstruction_residual_zero_noiseless(self):
         rng = substream(14, "t", "ls")
         for t_h in (1, 2, 4, 8):
-            ref = _pn_ref(rng, 256)
+            ref = _sig(_pn_ref(rng, 256))
             h = rng.normal(size=t_h) + 1j * rng.normal(size=t_h)
             y = np.convolve(ref.samples, h)
             est = estimate_channel(_sig(y), ref, 0, t_h)
@@ -417,7 +453,7 @@ class TestEstimateChannel:
 
     def test_short_reference_rejected(self):
         rng = substream(15, "t", "ls")
-        ref = _pn_ref(rng, 8)
+        ref = _sig(_pn_ref(rng, 8))
         with pytest.raises(ValueError, match="reference length"):
             estimate_channel(_sig(np.zeros(32, complex)), ref, 0, 4)
 
@@ -435,7 +471,7 @@ class TestJointEstimation:
         hs = [np.array([1.0, 0.2j]), np.array([-0.5, 0.7]), np.array([0.3 - 0.3j, 0.9j])]
         y = np.zeros(513, dtype=complex)
         for ref, h in zip(refs, hs):
-            y += np.convolve(ref.samples, h)
+            y += np.convolve(ref, h)
         ests = estimate_channels_joint(_sig(y), refs, 0, 2)
         for est, h in zip(ests, hs):
             assert np.max(np.abs(est.taps - h)) < 1e-10
@@ -445,6 +481,11 @@ class TestJointEstimation:
         refs = [_pn_ref(rng, 64), _pn_ref(rng, 32)]
         with pytest.raises(ValueError, match="share a length"):
             estimate_channels_joint(_sig(np.zeros(128, complex)), refs, 0, 2)
+
+    @pytest.mark.parametrize("bad", BAD_REFERENCES.values(), ids=BAD_REFERENCES.keys())
+    def test_malformed_reference_rejected(self, bad):
+        with pytest.raises(ValueError, match="1-D with finite samples"):
+            estimate_channels_joint(_sig(np.ones(128, complex)), [np.ones(64, complex), bad], 0, 2)
 
 
 class TestRemoveDc:

@@ -349,7 +349,7 @@ class TestArrayKernels:
             runner = _TxRunner(ScenarioConfig(experiment=experiment, mesh=MeshConfig(cycle_period_s=0.25)))
             frames = waveform.node_frames(runner.mesh, 5)
         for contents in frames:
-            x, spans = runner._frame(contents, 1.0)
+            x, spans = runner._frame(runner.layout, contents, 1.0)
             new, old = _twin_nodes(cfo_hz, walk)
             y = apply_node_imperfections(x.copy(), new, FS, sign, spans)
             expect = _old_node_imperfections(x, old, sign)

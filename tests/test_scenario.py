@@ -226,14 +226,25 @@ class TestValidation:
 
     def test_fine_grid_needs_three_points(self):
         # the fine grid spans two 50 Hz coarse steps either side in fine
-        # steps: 3 points up to a 133.3 Hz step, 2 above it
-        runner = _RxRunner(ScenarioConfig(n_cycles=1, fine_cfo_step_hz=100.0))  # 2·coarse, the boundary, runs
+        # steps: 3 points up to a 133.3 Hz step, 2 above it; a 1024-sample
+        # amble's 1953 Hz main lobe admits steps up to 195 Hz
+        mesh = MeshConfig(amble_len=1024)
+        runner = _RxRunner(ScenarioConfig(n_cycles=1, fine_cfo_step_hz=100.0, mesh=mesh))  # 2·coarse, runs
         assert list(runner.fine_grid) == [-100.0, 0.0, 100.0]
         assert len(runner.run()) == 1
-        assert len(_RxRunner(ScenarioConfig(fine_cfo_step_hz=133.0)).fine_grid) == 3
+        assert len(_RxRunner(ScenarioConfig(fine_cfo_step_hz=133.0, mesh=mesh)).fine_grid) == 3
         for step in (134.0, 250.0):
             with pytest.raises(ConfigError, match="fine_cfo_step_hz: .* holds 2 points"):
-                validate_scenario(ScenarioConfig(fine_cfo_step_hz=step))
+                validate_scenario(ScenarioConfig(fine_cfo_step_hz=step, mesh=mesh))
+
+    @pytest.mark.parametrize("experiment", ["RX_BF", "TX_BF"])
+    def test_fine_step_bounded_by_main_lobe(self, experiment):
+        # 0.1 of sample_rate_hz/amble_len: 24.41 Hz at the defaults, 48.83 Hz at 1 MHz and 2048 samples
+        for mesh, limit in ((MeshConfig(), 24.4140625), (MeshConfig(sample_rate_hz=1e6, amble_len=2048), 48.828125)):
+            validate_scenario(ScenarioConfig(experiment=experiment, mesh=mesh, fine_cfo_step_hz=limit))
+            for step in (limit * 1.001, 100.0, 133.0):  # the last two met the three-point rule alone
+                with pytest.raises(ConfigError, match="fine_cfo_step_hz: .* main lobe"):
+                    validate_scenario(ScenarioConfig(experiment=experiment, mesh=mesh, fine_cfo_step_hz=step))
 
     def test_acquisition_bounded_before_any_allocation(self):
         import tracemalloc
@@ -699,13 +710,13 @@ class TestPayloadReproduction:
         mesh = MeshConfig()
         pulse = waveform.PULSE
         layout = waveform.rx_source_layout(mesh)
-        frame = waveform.build_frame(layout, waveform.source_frame(mesh, 61), mesh.sample_rate_hz)
+        frame = waveform.build_frame(layout, waveform.source_frame(mesh, 61))
         pre_mf = np.convolve(waveform.source_ambles(mesh)["preamble"], pulse, "same")
         rng = substream(61, "t", "noise")
         zs = []
         for i in range(3):
-            noise = 1e-6 * (rng.normal(size=len(frame.samples)) + 1j * rng.normal(size=len(frame.samples)))
-            z_mf = np.convolve(frame.samples + noise, pulse, mode="same")
+            noise = 1e-6 * (rng.normal(size=len(frame)) + 1j * rng.normal(size=len(frame)))
+            z_mf = np.convolve(frame + noise, pulse, mode="same")
             zs.append(z_mf)
         mats = [build_delay_matrix(ComplexSignal(z, mesh.sample_rate_hz), 0, mesh.amble_len, 8, f"n{i}")
                 for i, z in enumerate(zs)]
@@ -714,7 +725,7 @@ class TestPayloadReproduction:
         x = apply_rx_beamformer(bf, zs, 0, length=layout.total_length)
         pay_seg = layout.segment("payload")
         y = x[pay_seg.offset + bf.output_delay : pay_seg.offset + bf.output_delay + pay_seg.length]
-        s = np.convolve(layout.extract(frame.samples, "payload"), pulse, mode="same")
+        s = np.convolve(layout.extract(frame, "payload"), pulse, mode="same")
         proj = abs(np.vdot(s, y)) ** 2 / (np.sum(np.abs(s) ** 2) * np.sum(np.abs(y) ** 2))
         assert 1 - proj <= 1e-6
 
@@ -730,11 +741,11 @@ class TestFrameDesign:
         runner = _RxRunner(ScenarioConfig(experiment="RX_BF", n_cycles=1))
         layout = waveform.rx_source_layout(runner.mesh)
         assert runner.layout == layout
-        frame = waveform.build_frame(layout, waveform.source_frame(runner.mesh, 5), runner.fs)
+        frame = waveform.build_frame(layout, waveform.source_frame(runner.mesh, 5))
         assert len(runner.pre_mf) == 1
-        assert np.array_equal(runner.pre_mf[0].samples, self._mf(layout.extract(frame.samples, "preamble")))
+        assert np.array_equal(runner.pre_mf[0], self._mf(layout.extract(frame, "preamble")))
         assert runner.cfo_offsets == [0]
-        assert len(runner.cfo_refs) == 1 and np.array_equal(runner.cfo_refs[0], runner.pre_mf[0].samples)
+        assert len(runner.cfo_refs) == 1 and np.array_equal(runner.cfo_refs[0], runner.pre_mf[0])
 
     @pytest.mark.parametrize("n_nodes", [2, 3])
     def test_tx_references_are_matched_node_ambles(self, n_nodes):
@@ -745,9 +756,9 @@ class TestFrameDesign:
         frames = waveform.node_frames(mesh, 5)
         assert len(frames) == len(runner.pre_mf) == len(runner.cfo_offsets) == len(runner.cfo_refs) == n_nodes
         for i, contents in enumerate(frames):
-            frame = waveform.build_frame(layout, contents, runner.fs).samples
+            frame = waveform.build_frame(layout, contents)
             post = layout.segment(f"postamble_{i + 1}")
-            assert np.array_equal(runner.pre_mf[i].samples, self._mf(layout.extract(frame, "preamble")))
+            assert np.array_equal(runner.pre_mf[i], self._mf(layout.extract(frame, "preamble")))
             assert runner.cfo_offsets[i] == post.offset
             assert np.array_equal(runner.cfo_refs[i], self._mf(layout.extract(frame, post.name)))
 
@@ -756,13 +767,24 @@ class TestFrameDesign:
         pre_mf, acq_refs, cfo_segments, cfo_refs = scenario._receive_references(mesh, family)
         fresh = scenario._receive_references.__wrapped__(mesh, family)
         assert cfo_segments == fresh[2]
-        cached = [s.samples for s in pre_mf + acq_refs] + list(cfo_refs)
-        new = [s.samples for s in fresh[0] + fresh[1]] + list(fresh[3])
+        cached = list(pre_mf + acq_refs + cfo_refs)
+        new = list(fresh[0] + fresh[1] + fresh[3])
         assert len(cached) == len(new)
         for a, b in zip(cached, new):
             assert a.tobytes() == b.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 a *= 1
+
+    @pytest.mark.parametrize("family", ["RX", "TX"])
+    def test_cold_references_build_no_complex_signal(self, monkeypatch, family):
+        # the references are templates: plain arrays, none wrapped as a reception
+        built = []
+        real = ComplexSignal.__post_init__
+        monkeypatch.setattr(ComplexSignal, "__post_init__", lambda sig: built.append(len(sig.samples)) or real(sig))
+        scenario._receive_references.cache_clear()
+        pre_mf, acq_refs, _, cfo_refs = scenario._receive_references(MeshConfig(), family)
+        assert built == []
+        assert all(type(r) is np.ndarray for r in pre_mf + acq_refs + cfo_refs)
 
     def test_reference_cache_bounded(self):
         for amble_len in range(1024, 4096, 256):
@@ -777,9 +799,9 @@ class TestFrameDesign:
         built = []
         real = waveform.build_frame
 
-        def spy(layout, contents, fs):
-            frame = real(layout, contents, fs)
-            built.append((layout, frame.samples.copy()))  # the runner scales and rotates its frame in place
+        def spy(layout, contents):
+            frame = real(layout, contents)
+            built.append((layout, frame.copy()))  # the runner scales and rotates its frame in place
             return frame
 
         monkeypatch.setattr(waveform, "build_frame", spy)
@@ -812,8 +834,8 @@ class TestSignalSpans:
     def _whole_frames(monkeypatch):
         real_channel, real_lo = scenario.apply_channel, scenario.apply_node_imperfections
 
-        def whole_frame(self, contents, power):
-            samples = waveform.build_frame(self.layout, contents, self.fs).samples * np.sqrt(power)
+        def whole_frame(self, layout, contents, power):
+            samples = waveform.build_frame(layout, contents) * np.sqrt(power)
             return samples, [(0, len(samples))]
 
         monkeypatch.setattr(scenario._Runner, "_frame", whole_frame)

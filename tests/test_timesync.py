@@ -22,7 +22,6 @@ from dcbf.timesync import (
     estimate_offset,
     golay_encode,
     run_sync_round,
-    sync_preamble,
     sync_wire_signal,
 )
 
@@ -295,11 +294,11 @@ class TestMessageCodec:
             SyncMessage(MessageKind.LEADER_REPLY, t_tx_follower=Timestamp(0, 0))
 
     def test_preamble_is_512_samples(self):
-        assert len(sync_preamble(2e6).samples) == 512
+        assert len(timesync._PREAMBLE) == 512 and not timesync._PREAMBLE.flags.writeable
         wire = sync_wire_signal(
-            SyncMessage(MessageKind.FOLLOWER_PROBE, follower_index=0), 2e6
+            SyncMessage(MessageKind.FOLLOWER_PROBE, follower_index=0)
         )
-        assert len(wire.samples) > 512
+        assert len(wire) > 512
 
 
 class TestEstimateOffset:

@@ -29,12 +29,12 @@ from dcbf.waveform import (
 
 def _source(cfg, seed=0):
     layout = rx_source_layout(cfg)
-    return build_frame(layout, source_frame(cfg, seed), cfg.sample_rate_hz), layout
+    return build_frame(layout, source_frame(cfg, seed)), layout
 
 
 def _node(cfg, node_id, seed=0):
     layout = tx_node_layout(cfg)
-    return build_frame(layout, node_frames(cfg, seed)[node_id - 1], cfg.sample_rate_hz), layout
+    return build_frame(layout, node_frames(cfg, seed)[node_id - 1]), layout
 
 
 class TestGenMls:
@@ -231,9 +231,9 @@ class TestFrames:
     def test_rx_source_frame_total_and_silence(self):
         sig, layout = _source(self.cfg)
         assert layout.total_length == 75560
-        assert len(sig.samples) == 75560
+        assert len(sig) == 75560
         look = layout.segment("look_through")
-        assert np.all(sig.samples[look.offset : look.offset + look.length] == 0)
+        assert np.all(sig[look.offset : look.offset + look.length] == 0)
 
     def test_guards_are_256_zero_samples(self):
         sig, layout = _source(self.cfg)
@@ -242,32 +242,32 @@ class TestFrames:
         for name in guard_names:
             seg = layout.segment(name)
             assert seg.length == 256
-            assert np.all(sig.samples[seg.offset : seg.offset + seg.length] == 0)
+            assert np.all(sig[seg.offset : seg.offset + seg.length] == 0)
 
     def test_tx_frame_total_and_tdma_slots(self):
         sig, layout = _node(self.cfg, 2)
         assert layout.total_length == 91472
         mon2 = layout.segment("monitor_2")
-        assert np.any(sig.samples[mon2.offset : mon2.offset + mon2.length] != 0)
+        assert np.any(sig[mon2.offset : mon2.offset + mon2.length] != 0)
         for other in (1, 3):
             seg = layout.segment(f"monitor_{other}")
-            assert np.all(sig.samples[seg.offset : seg.offset + seg.length] == 0)
+            assert np.all(sig[seg.offset : seg.offset + seg.length] == 0)
             post = layout.segment(f"postamble_{other}")
-            assert np.all(sig.samples[post.offset : post.offset + post.length] == 0)
-        assert np.any(sig.samples[layout.segment("postamble_2").offset :][:8192] != 0)
+            assert np.all(sig[post.offset : post.offset + post.length] == 0)
+        assert np.any(sig[layout.segment("postamble_2").offset :][:8192] != 0)
 
     def test_every_guard_and_lookthrough_zero_tx(self):
         sig, layout = _node(self.cfg, 1)
         for seg in layout.segments:
             if seg.name.startswith("guard") or seg.name == "look_through":
-                assert np.all(sig.samples[seg.offset : seg.offset + seg.length] == 0)
+                assert np.all(sig[seg.offset : seg.offset + seg.length] == 0)
 
     def test_interferer_covers_frame(self):
         layout = interferer_layout(RX_FRAME_TOTAL)
-        sig = build_frame(layout, interferer_frame(RX_FRAME_TOTAL, 0), self.cfg.sample_rate_hz)
-        assert len(sig.samples) == 75560
+        sig = build_frame(layout, interferer_frame(RX_FRAME_TOTAL, 0))
+        assert len(sig) == 75560
         # continuous transmission: active over (nearly) the full duration
-        power = np.abs(sig.samples) ** 2
+        power = np.abs(sig) ** 2
         assert np.mean(power[: len(power) // 2]) > 0.5
         assert np.mean(power[len(power) // 2 :]) > 0.5
 
@@ -290,15 +290,15 @@ class TestFrames:
         sig, layout = _source(self.cfg, seed=9)
         rebuilt = np.zeros(layout.total_length, dtype=complex)
         for seg in layout.segments:
-            rebuilt[seg.offset : seg.offset + seg.length] = layout.extract(sig.samples, seg.name)
-        assert np.array_equal(rebuilt, sig.samples)
+            rebuilt[seg.offset : seg.offset + seg.length] = layout.extract(sig, seg.name)
+        assert np.array_equal(rebuilt, sig)
 
     def test_same_seeds_same_frame(self):
         a, _ = _source(self.cfg, seed=3)
         b, _ = _source(self.cfg, seed=3)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
         c, _ = _source(self.cfg, seed=4)
-        assert not np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(a, c)
 
     def test_layout_overflow_rejected(self):
         # two 8192-sample ambles, 768 guard samples: a 70000-sample payload overflows
@@ -326,11 +326,11 @@ class TestFrames:
             assert [s.offset for s in layout.segments[1:]] == ends[:-1]
             assert ends[-1] == layout.total_length
         sig, _ = _source(cfg)
-        assert np.array_equal(rx.extract(sig.samples, "payload"), source_frame(cfg, 0)["payload"])
-        assert np.mean(np.abs(rx.extract(sig.samples, "payload")) ** 2) > 0.5
+        assert np.array_equal(rx.extract(sig, "payload"), source_frame(cfg, 0)["payload"])
+        assert np.mean(np.abs(rx.extract(sig, "payload")) ** 2) > 0.5
         sig, _ = _node(cfg, 2)
-        assert np.array_equal(tx.extract(sig.samples, "monitor_2"), tx.extract(sig.samples, "bf_payload"))
-        assert np.mean(np.abs(tx.extract(sig.samples, "monitor_2")) ** 2) > 0.5
+        assert np.array_equal(tx.extract(sig, "monitor_2"), tx.extract(sig, "bf_payload"))
+        assert np.mean(np.abs(tx.extract(sig, "monitor_2")) ** 2) > 0.5
 
     @pytest.mark.parametrize(
         "mesh, field",
@@ -371,7 +371,7 @@ class TestFrames:
         # orders 2, 3, 4 and 15; ambles shorter than the pulse keep their length
         mesh = MeshConfig(n_nodes=n_nodes, amble_len=amble_len, payload_len=1024, guard_len=8)
         sig, layout = _source(mesh)
-        assert np.array_equal(layout.extract(sig.samples, "preamble"), source_frame(mesh, 0)["preamble"])
+        assert np.array_equal(layout.extract(sig, "preamble"), source_frame(mesh, 0)["preamble"])
         pre = [a["preamble"] for a in node_ambles(mesh)]
         assert [len(p) for p in pre] == [amble_len] * n_nodes
         assert np.array_equal(pre[0], source_frame(mesh, 0)["preamble"])
@@ -394,13 +394,13 @@ class TestFrames:
     def test_iq_export_roundtrip(self, tmp_path):
         sig, layout = _source(self.cfg)
         path = tmp_path / "frame.iq"
-        write_frame_iq(path, sig, layout)
+        write_frame_iq(path, sig, layout, self.cfg.sample_rate_hz)
         samples = np.fromfile(path, "<c8")  # interleaved little-endian float32 I/Q
         meta = json.loads((tmp_path / "frame.iq.json").read_text())
         assert meta == {
-            "sample_rate_hz": sig.sample_rate_hz,
+            "sample_rate_hz": self.cfg.sample_rate_hz,
             "total_length": layout.total_length,
             "segments": [{"name": s.name, "offset": s.offset, "length": s.length} for s in layout.segments],
         }
         # float32 quantization on the wire
-        assert np.max(np.abs(samples - sig.samples)) < 1e-6
+        assert np.max(np.abs(samples - sig)) < 1e-6
