@@ -22,6 +22,7 @@ __all__ = [
     "ml_cfo_windows",
     "estimate_channel",
     "estimate_channels_joint",
+    "joint_ls_system",
     "remove_dc",
 ]
 
@@ -260,14 +261,26 @@ def ml_cfo_windows(
     return estimates
 
 
-def _ls_solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    a = design.conj().T @ design
-    b = design.conj().T @ y
+def joint_ls_system(refs: list[np.ndarray], t_h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dh, a), read-only: the conjugate transpose of the design matrix of
+    estimate_channels_joint's fit, one t_h-column convolution matrix per
+    reference side by side, and its normal matrix a = dh @ design.
+
+    They depend on the references and t_h alone, so one pair serves every
+    fit against the same references. Raises ValueError when a is numerically
+    singular (condition number above 1e12).
+    """
+    t_ref = len(refs[0])
+    design = np.zeros((t_ref + t_h - 1, len(refs) * t_h), dtype=np.complex128)
+    for i, r in enumerate(refs):
+        _conv_matrix(r, t_h, out=design[:, i * t_h : (i + 1) * t_h])
+    dh = design.conj().T
+    a = dh @ design
     if np.linalg.cond(a) > 1e12:
         raise ValueError("degenerate reference: normal matrix is numerically singular")
-    h = np.linalg.solve(a, b)
-    resid = y - design @ h
-    return h, float(np.mean(np.abs(resid) ** 2))
+    dh.setflags(write=False)
+    a.setflags(write=False)
+    return dh, a
 
 
 def estimate_channel(
@@ -289,13 +302,15 @@ def estimate_channels_joint(
     refs: list[np.ndarray],
     tau_hat: int,
     t_h: int,
+    system: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[ChannelEstimate]:
     """Jointly fit one tapped delay line per reference to a composite reception.
 
     All references must share a length and be time-aligned at tau_hat (the
     concurrent CDMA preamble case); the joint solve separates overlapping
     transmissions exactly rather than treating cross-correlation as noise.
-    The references are arrays (_check_references).
+    The references are arrays (_check_references). system is their
+    joint_ls_system(refs, t_h), built here when not given.
     """
     if not refs:
         raise ValueError("need at least one reference")
@@ -310,10 +325,14 @@ def estimate_channels_joint(
     y = z.samples[tau_hat : tau_hat + rows]
     if len(y) != rows:
         raise ValueError("observation window not inside signal")
-    design = np.zeros((rows, len(refs) * t_h), dtype=np.complex128)
-    for i, r in enumerate(refs):
-        _conv_matrix(r, t_h, out=design[:, i * t_h : (i + 1) * t_h])
-    h_all, resid = _ls_solve(design, y)
+    dh, a = joint_ls_system(refs, t_h) if system is None else system
+    if dh.shape != (len(refs) * t_h, rows):
+        raise ValueError(f"system of shape {dh.shape} does not fit {len(refs)} references and t_h = {t_h}")
+    h_all = np.linalg.solve(a, dh @ y)
+    # design @ h_all as the conjugate of conj(design) @ conj(h_all): dh.T is conj(design) in
+    # design's layout, and negating imaginary parts commutes with every rounding, so the
+    # bits are design @ h_all's without a conjugated copy of the design
+    resid = float(np.mean(np.abs(y - np.conj(dh.T @ np.conj(h_all))) ** 2))
     return [ChannelEstimate(taps=h_all[i * t_h : (i + 1) * t_h], residual_power=resid) for i in range(len(refs))]
 
 

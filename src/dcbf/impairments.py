@@ -154,10 +154,11 @@ def apply_node_imperfections(
         return x
     walk = None
     if node.phase_walk_var_per_s > 0:
-        steps = node.rng.normal(0.0, np.sqrt(node.phase_walk_var_per_s / fs), n - 1)
+        # the steps drawn in place, as rng.normal(0.0, sigma, n - 1) draws them, then summed in place
         walk = np.empty(n)
         walk[0] = 0.0
-        np.cumsum(steps, out=walk[1:])
+        _normals(node.rng, np.sqrt(node.phase_walk_var_per_s / fs), walk[1:])
+        np.cumsum(walk[1:], out=walk[1:])
     slope = 2 * np.pi * node.cfo_hz
     for lo, hi in spans:
         phase = node.phase_rad + slope * (np.arange(lo, hi) / fs)
@@ -181,6 +182,17 @@ def add_noise(x: np.ndarray, power: float, rng: np.random.Generator) -> np.ndarr
     if power == 0:
         return x
     sigma = np.sqrt(power / 2.0)
-    x.real += rng.normal(0.0, sigma, len(x))
-    x.imag += rng.normal(0.0, sigma, len(x))
+    draws = np.empty(len(x))
+    x.real += _normals(rng, sigma, draws)
+    x.imag += _normals(rng, sigma, draws)
     return x
+
+
+def _normals(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Fill out with Normal(0, sigma^2) draws in place; returns out. The
+    stream and the bits are those of rng.normal(0.0, sigma, len(out)), which
+    scales each standard normal by sigma and adds the zero mean, an exact
+    step."""
+    rng.standard_normal(out=out)
+    out *= sigma
+    return out

@@ -147,7 +147,9 @@ _DEFAULTS = {name: attrgetter(name)(ScenarioConfig()) for name in READ_BY}
 
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     """Return cfg unchanged if it can run, else raise ConfigError naming the
-    field; nothing is synthesized before every check has passed."""
+    field; no frame is synthesized before every check has passed. The last
+    check of a transmit experiment derives the joint-LS system its runner
+    fits against (_ls_system), after every cheaper check."""
     _check_field_types(cfg)
     for name, allowed in (("experiment", EXPERIMENTS), ("cov_source", ("full", "interference_only")),
                           ("channel_kind", ("random_phase", "rayleigh"))):
@@ -213,6 +215,13 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             lag_field, f"acquisition over {lags} lags needs {values:.6g} complex values, above {MAX_ACQUISITION_VALUES}"
         )
+    if cfg.experiment in TX_EXPERIMENTS:
+        try:
+            _ls_system(_reference_key(cfg.mesh, "TX"), cfg.t_h)  # the runner's own, cached
+        except ValueError as exc:
+            msg = (f"the joint LS of the {cfg.mesh.n_nodes} preambles over {cfg.t_h} taps each is numerically "
+                   "singular (normal matrix condition number above 1e12): use fewer taps")
+            raise ConfigError("t_h", msg) from exc
     return cfg
 
 
@@ -322,24 +331,32 @@ def _walk_channel(ch: ChannelModel, std: float, rng: np.random.Generator) -> Cha
     return ChannelModel(taps=ch.taps + jitter, tof_delay=ch.tof_delay, label=ch.label)
 
 
-@lru_cache(maxsize=4)
-def _receive_references(mesh: MeshConfig, family: str):
-    """(pre_mf, acq_refs, cfo_segments, cfo_refs) of the receive family
-    ("RX" or "TX") on mesh, read-only: every transmitter's preamble through
-    the matched filter (acquisition keeps the strongest detection, so that
-    one faded link cannot blind a receiver; TX's joint LS fits one channel
-    to each), their first est_integration_len samples as searched, and the
-    segments the CFO is refined on (the source's preamble under RX, each
-    node's TDMA postamble under TX) with their matched ambles.
+def _reference_key(mesh: MeshConfig, family: str) -> tuple:
+    """The arguments of _receive_references for the receive family ("RX" or
+    "TX") on mesh: the mesh fields its references read, n_nodes under TX only."""
+    return family, mesh.amble_len, mesh.est_integration_len, mesh.n_nodes if family == "TX" else None
 
-    Cached for the whole process like waveform._shaped_amble: they depend on
-    nothing else, and a sweep builds a fresh runner for every seed.
+
+@lru_cache(maxsize=4)
+def _receive_references(family: str, amble_len: int, est_integration_len: int, n_nodes: int | None):
+    """(pre_mf, acq_refs, cfo_segments, cfo_refs) of the receive family
+    ("RX" or "TX") on a mesh of these fields (_reference_key), read-only:
+    every transmitter's preamble through the matched filter (acquisition
+    keeps the strongest detection, so that one faded link cannot blind a
+    receiver; TX's joint LS fits one channel to each), their first
+    est_integration_len samples as searched, and the segments the CFO is
+    refined on (the source's preamble under RX, each of the n_nodes nodes'
+    TDMA postamble under TX) with their matched ambles.
+
+    Cached for the whole process like waveform._shaped_amble, keyed on the
+    fields they read: a sweep builds a fresh runner for every seed, and a
+    sweep over any other field asks for the same references.
     """
     if family == "RX":
-        ambles, cfo_segments = [waveform.source_ambles(mesh)], ("preamble",)
+        ambles, cfo_segments = [waveform.source_ambles(MeshConfig(amble_len=amble_len))], ("preamble",)
     else:
-        ambles = waveform.node_ambles(mesh)
-        cfo_segments = tuple(f"postamble_{i + 1}" for i in range(mesh.n_nodes))
+        ambles = waveform.node_ambles(MeshConfig(n_nodes=n_nodes, amble_len=amble_len))
+        cfo_segments = tuple(f"postamble_{i + 1}" for i in range(n_nodes))
 
     def matched(x: np.ndarray) -> np.ndarray:
         y = waveform._centered_convolve(x, waveform.PULSE)
@@ -347,9 +364,34 @@ def _receive_references(mesh: MeshConfig, family: str):
         return y
 
     pre_mf = tuple(matched(a["preamble"]) for a in ambles)
-    acq_refs = tuple(p[: mesh.est_integration_len] for p in pre_mf)
+    acq_refs = tuple(p[:est_integration_len] for p in pre_mf)
     cfo_refs = tuple(matched(a[name]) for a, name in zip(ambles, cfo_segments))
     return pre_mf, acq_refs, cfo_segments, cfo_refs
+
+
+@lru_cache(maxsize=4)
+def _ls_system(key: tuple, t_h: int):
+    """estimation.joint_ls_system of the preambles of _receive_references(*key)
+    over t_h taps, read-only; raises ValueError when its normal matrix is
+    numerically singular.
+
+    Cached for the whole process beside them: every TX cycle fits its
+    receivers' channels against the same preambles, so the design and its
+    normal matrix are derived, and the conditioning checked, once.
+    """
+    return estimation.joint_ls_system(_receive_references(*key)[0], t_h)
+
+
+def _add_arrivals(buf: np.ndarray, arrivals: list) -> list[tuple[int, int]]:
+    """Add each (frame, link, spans) of arrivals through its link into buf;
+    returns where they put nonzero samples in buf: each span shifted by its
+    link's delay and spread by its taps. A function of its own, so that no
+    loop variable keeps a frame alive once arrivals is emptied."""
+    heard = []
+    for sig, ch, spans in arrivals:
+        apply_channel(buf, sig, ch, spans)
+        heard += [(lo + ch.tof_delay, hi + ch.tof_delay + ch.n_taps - 1) for lo, hi in spans]
+    return heard
 
 
 class _Runner:
@@ -361,8 +403,11 @@ class _Runner:
     the links (LINKS) to each receiver, whose CFO is refined on the windows
     at cfo_offsets against cfo_refs, and _measure turns the receptions into
     the record and the feedback. A cycle's frames live until the last
-    receiver has heard them, its receive buffers until _measure has read
-    them: _measure may empty the receptions list it is given.
+    receiver's matched filter has run, before its acquisition and fine CFO;
+    its receive buffers live until _measure has read them: _measure may
+    empty the receptions list it is given. What a TX cycle's joint LS fits
+    against, the design and normal matrix of its preambles, is derived once
+    per process (_ls_system).
     """
 
     LINKS: tuple[str, str]
@@ -376,7 +421,8 @@ class _Runner:
         self.fs = mesh.sample_rate_hz
         self.pulse = waveform.PULSE
         self.layout = layout(mesh)
-        self.pre_mf, self.acq_refs, cfo_segments, self.cfo_refs = _receive_references(mesh, self.FAMILY)
+        refs = _receive_references(*_reference_key(mesh, self.FAMILY))
+        self.pre_mf, self.acq_refs, cfo_segments, self.cfo_refs = refs
         self.t_ref = len(self.pre_mf[0])
         self.cfo_offsets = [self.layout.segment(name).offset for name in cfo_segments]
         self.coarse_grid = np.arange(
@@ -445,20 +491,22 @@ class _Runner:
         preamble, when none clears the threshold.
 
         Each arrival is (frame, link, spans), spans holding every nonzero
-        sample of the frame. The buffer passes through the chain's stages in
-        place, the channel and the receiver's LO working on the spans only;
-        the matched filter's output is the one ComplexSignal, so a non-finite
-        sample anywhere upstream still raises here."""
+        sample of the frame; arrivals is emptied once the matched filter has
+        run. The buffer passes through the chain's stages in place, the
+        channel and the receiver's LO working on the spans only; the matched
+        filter's output is the one ComplexSignal, so a non-finite sample
+        anywhere upstream still raises here."""
         cfg = self.cfg
         buf = np.zeros(self.buf_len, dtype=np.complex128)
-        heard = []  # where the arrivals put nonzero samples: shifted by the delay, spread by the taps
-        for sig, ch, spans in arrivals:
-            apply_channel(buf, sig, ch, spans)
-            heard += [(lo + ch.tof_delay, hi + ch.tof_delay + ch.n_taps - 1) for lo, hi in spans]
+        heard = _add_arrivals(buf, arrivals)
         apply_node_imperfections(buf, self.receivers[r], self.fs, -1, _cover(heard, 0, self.buf_len))
         add_noise(buf, cfg.noise_power, self.noise_rng[r])
         estimation.remove_dc(buf)
         sig_mf = ComplexSignal(waveform._centered_convolve(buf, self.pulse), self.fs)
+        # the frames go here, not straight after the channel: below the filtered buffer just
+        # allocated, their space is a hole that acquisition and fine CFO reuse; freed any
+        # earlier, it would top glibc's heap, which trims it and then faults it back in
+        arrivals.clear()
         z_mf = sig_mf.samples
         acq = estimation.acquire(
             sig_mf, self.acq_refs, (0, self.lag_hi), cfo_grid_hz=self.coarse_grid, threshold=cfg.detection_threshold
@@ -495,13 +543,16 @@ class _Runner:
             sent = self._transmit(k, rec, flags)  # (transmitter, frame, spans) each
             receptions = []  # per receiver: (buffer, acquisition, CFO), None when not acquired
             for r, rx in enumerate(self.receivers):
+                arrivals = self._arrivals(sent, r)
+                if r == len(self.receivers) - 1:
+                    # the last receiver's arrivals hold the frames' last references, which
+                    # _receive lets go after its matched filter: only their lengths are read after
+                    sent = [(node, len(sig)) for node, sig, _ in sent]
                 try:
-                    receptions.append(self._receive(r, self._arrivals(sent, r)))
+                    receptions.append(self._receive(r, arrivals))
                 except AcquisitionError:
                     flags.append(f"acq_fail:{rx.node_id}")
                     receptions.append(None)
-            # every receiver has heard the frames: only their lengths are read from here on
-            sent = [(node, len(sig)) for node, sig, _ in sent]
             self._measure(k, rec, flags, receptions)
             rec.flags = ";".join(flags)
             records.append(rec)
@@ -634,6 +685,7 @@ class _TxRunner(_Runner):
         self.coherence = cfg.experiment == "COHERENCE"
         rx_b = self._radio("B", cfg.rx_b_cfo_hz)
         self._set_receivers([rx_b, self._radio("C", cfg.rx_c_cfo_hz)] if nulling else [rx_b])
+        self.ls_system = _ls_system(_reference_key(self.mesh, "TX"), cfg.t_h)
 
         # feedback pipeline: estimates keyed by the cycle that produced them
         self.estimates: dict[int, dict[str, list[np.ndarray]]] = {}
@@ -711,7 +763,9 @@ class _TxRunner(_Runner):
         CFO-corrected; a segment's power is the same with the rotation or without."""
         cfg = self.cfg
         window = self._derotate(z_mf, f_hat, acq.lag, acq.lag + self.t_ref + cfg.t_h - 1)
-        ests = estimation.estimate_channels_joint(ComplexSignal(window, self.fs), self.pre_mf, 0, cfg.t_h)
+        ests = estimation.estimate_channels_joint(
+            ComplexSignal(window, self.fs), self.pre_mf, 0, cfg.t_h, self.ls_system
+        )
 
         def power(segment: str) -> float:
             return metrics.segment_power(z_mf, self.layout.segment(segment), shift=acq.lag)

@@ -14,6 +14,7 @@ from dcbf.estimation import (
     cfo_reference_table,
     estimate_channel,
     estimate_channels_joint,
+    joint_ls_system,
     ml_cfo,
     ml_cfo_table,
     ml_cfo_windows,
@@ -486,6 +487,48 @@ class TestJointEstimation:
     def test_malformed_reference_rejected(self, bad):
         with pytest.raises(ValueError, match="1-D with finite samples"):
             estimate_channels_joint(_sig(np.ones(128, complex)), [np.ones(64, complex), bad], 0, 2)
+
+    @staticmethod
+    def _per_call_fit(y, refs, t_h):
+        """The fit as it was written before the system was kept: design,
+        normal matrix and conditioning rebuilt on every call."""
+        design = np.zeros((len(refs[0]) + t_h - 1, len(refs) * t_h), dtype=np.complex128)
+        for i, r in enumerate(refs):
+            for k in range(t_h):
+                design[k : k + len(r), i * t_h + k] = r
+        a = design.conj().T @ design
+        b = design.conj().T @ y
+        assert np.linalg.cond(a) <= 1e12
+        h = np.linalg.solve(a, b)
+        return h, float(np.mean(np.abs(y - design @ h) ** 2))
+
+    # the bundled TX fit (three 8,192-sample references, 4 taps each) and smaller ones
+    @pytest.mark.parametrize("n_refs, t_ref, t_h", [(1, 8, 1), (1, 64, 4), (2, 129, 3), (3, 512, 2), (3, 8192, 4)])
+    def test_kept_system_matches_per_call_fit(self, n_refs, t_ref, t_h):
+        rng = substream(t_ref, "t", "joint_system")
+        refs = [_pn_ref(rng, t_ref) for _ in range(n_refs)]
+        y = _pn_ref(rng, t_ref + t_h - 1 + 5)
+        system = joint_ls_system(refs, t_h)
+        h, resid = self._per_call_fit(y[5 : 5 + t_ref + t_h - 1], refs, t_h)
+        for ests in (estimate_channels_joint(_sig(y), refs, 5, t_h),
+                     estimate_channels_joint(_sig(y), refs, 5, t_h, system)):
+            assert np.concatenate([e.taps for e in ests]).tobytes() == h.tobytes()
+            assert all(e.residual_power == resid for e in ests)
+        for part in system:
+            assert not part.flags.writeable
+
+    def test_system_of_other_shape_rejected(self):
+        rng = substream(19, "t", "joint")
+        refs = [_pn_ref(rng, 64) for _ in range(2)]
+        y = _sig(np.ones(128, complex))
+        systems = joint_ls_system(refs, 3), joint_ls_system(refs[:1], 2), joint_ls_system([r[:32] for r in refs], 2)
+        for system in systems:
+            with pytest.raises(ValueError, match="does not fit"):
+                estimate_channels_joint(y, refs, 0, 2, system)
+
+    def test_singular_system_rejected_when_built(self):
+        with pytest.raises(ValueError, match="numerically singular"):
+            joint_ls_system([np.zeros(64, complex)], 2)
 
 
 class TestRemoveDc:

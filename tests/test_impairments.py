@@ -279,9 +279,17 @@ CLOCKS = [(0.0, 0.0), (437.0, 0.0), (0.0, 0.3), (-613.0, 0.05)]  # (cfo_hz, phas
 _DEROTATOR = _RxRunner(ScenarioConfig())  # its sample rate is FS
 
 
+# Lengths the in-place kernels are checked at: the shortest ones, odd ones, and
+# the bundled configs' frames and receive buffers (source and interferer frame
+# 75,560 and 75,641, mesh-node frame 91,472, receive buffers 75,641 and 91,553).
+KERNEL_LENGTHS = [1, 2, 3, 1000, 1001, 75560, 75641, 91472, 91553]
+
+
 class TestArrayKernels:
-    # 1,000 samples and 91,472 (a mesh-node frame): one operand order at both
-    @pytest.mark.parametrize("n", [1000, 91472])
+    # one operand order at every length but 1: on a one-sample array numpy's
+    # complex multiply into its second operand differs in the last bit from the
+    # same multiply into a fresh array, which the formula makes
+    @pytest.mark.parametrize("n", [n for n in KERNEL_LENGTHS if n > 1])
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("cfo_hz, walk", CLOCKS)
     def test_node_imperfections_match_old_formula(self, n, sign, cfo_hz, walk):
@@ -292,7 +300,26 @@ class TestArrayKernels:
         assert np.array_equal(_bits(y), _bits(_old_node_imperfections(x, old, sign)))
         assert _same_state(new, old)
 
-    @pytest.mark.parametrize("n", [1000, 91472])
+    # the walk drawn and summed in place against the formula's rng.normal(0.0,
+    # sigma, n - 1) and cumsum, at every length: rotating ones, the output is
+    # the LO phasor itself, exact under either operand order
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("cfo_hz, walk", [clock for clock in CLOCKS if clock[1] > 0])
+    def test_phase_walk_matches_normal_draws(self, n, sign, cfo_hz, walk):
+        new, old = _twin_nodes(cfo_hz, walk)
+        y = _lo(np.ones(n, complex), new, sign=sign)
+        assert np.array_equal(_bits(y), _bits(_old_node_imperfections(np.ones(n, complex), old, sign)))
+        assert _same_state(new, old)
+
+    def test_kernel_lengths_are_the_bundled_ones(self):
+        rx, tx = _RxRunner(ScenarioConfig()), _TxRunner(ScenarioConfig(experiment="TX_BF"))
+        bundled = {rx.layout.total_length, rx.interferer_layout.total_length, rx.buf_len,
+                   tx.layout.total_length, tx.buf_len}
+        assert bundled <= set(KERNEL_LENGTHS)
+
+    # the draws of rng.normal(0.0, sigma, n), real parts first, at every length
+    @pytest.mark.parametrize("n", KERNEL_LENGTHS)
     def test_add_noise_matches_old_formula(self, n):
         rng = substream(n, "test", "noise")
         x = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -123,6 +123,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(field)):
             validate_scenario(cfg)
 
+    def test_singular_joint_ls_exits_2_before_any_frame(self, tmp_path, capsys, monkeypatch):
+        # three 4096-sample preambles over 341 taps each (4·341·3 = 4092 samples,
+        # within the amble) give a normal matrix of condition number 1.4e12
+        built = []
+        monkeypatch.setattr(waveform, "build_frame", lambda *args: built.append(args))
+        cfg = ScenarioConfig(experiment="TX_BF", n_cycles=1, mesh=MeshConfig(amble_len=4096), t_h=341)
+        with pytest.raises(ConfigError, match="t_h: .* numerically singular"):
+            run_scenario(cfg)
+        out = tmp_path / "out"
+        overrides = ["--override", "mesh.amble_len=4096", "--override", "t_h=341"]
+        assert main(["run", "--config", "tx_bf", "--out", str(out), *overrides]) == 2
+        assert "config error: t_h: " in capsys.readouterr().err
+        assert not out.exists() and built == []
+
     @pytest.mark.parametrize(
         "experiment, mesh, t_h",
         [
@@ -337,11 +351,16 @@ class TestReadBy:
 
 
 class TestWorkingSet:
+    # Bounds on the traced peak of three cycles, in bytes. RX keeps one copy of
+    # each full-length receive buffer until its measurement has read it (9.11 MB
+    # measured). A TX cycle lets its three 1.46 MB frames go once the last
+    # receiver's matched filter has run, before its acquisition and fine CFO:
+    # 7.44 MB measured, 9.42 MB while the frames lived through the whole
+    # receiver. 8 MB is that peak plus 7.5%.
+    PEAK_BOUND = {"rx_bf_interf": 11e6, "coherence": 8e6}
+
     @pytest.mark.parametrize("name", ["rx_bf_interf", "coherence"])
     def test_cycle_peak_traced_memory(self, name):
-        # a cycle keeps one copy of each full-length receive buffer until its
-        # measurement has read it, and no frame past its last receiver: three
-        # cycles of a bundled config stay under 11 MB of traced allocation
         import tracemalloc
 
         cfg = dataclasses.replace(load_config(name), n_cycles=3)
@@ -352,7 +371,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11e6
+        assert peak < self.PEAK_BOUND[name]
 
 
 class TestDeterminism:
@@ -764,8 +783,9 @@ class TestFrameDesign:
 
     @pytest.mark.parametrize("family, mesh", [("RX", MeshConfig()), ("TX", MeshConfig(n_nodes=2, amble_len=4096))])
     def test_cached_references_are_read_only_and_bitwise_fresh(self, family, mesh):
-        pre_mf, acq_refs, cfo_segments, cfo_refs = scenario._receive_references(mesh, family)
-        fresh = scenario._receive_references.__wrapped__(mesh, family)
+        key = scenario._reference_key(mesh, family)
+        pre_mf, acq_refs, cfo_segments, cfo_refs = scenario._receive_references(*key)
+        fresh = scenario._receive_references.__wrapped__(*key)
         assert cfo_segments == fresh[2]
         cached = list(pre_mf + acq_refs + cfo_refs)
         new = list(fresh[0] + fresh[1] + fresh[3])
@@ -782,15 +802,51 @@ class TestFrameDesign:
         real = ComplexSignal.__post_init__
         monkeypatch.setattr(ComplexSignal, "__post_init__", lambda sig: built.append(len(sig.samples)) or real(sig))
         scenario._receive_references.cache_clear()
-        pre_mf, acq_refs, _, cfo_refs = scenario._receive_references(MeshConfig(), family)
+        pre_mf, acq_refs, _, cfo_refs = scenario._receive_references(*scenario._reference_key(MeshConfig(), family))
         assert built == []
         assert all(type(r) is np.ndarray for r in pre_mf + acq_refs + cfo_refs)
 
     def test_reference_cache_bounded(self):
         for amble_len in range(1024, 4096, 256):
-            scenario._receive_references(MeshConfig(amble_len=amble_len), "RX")
+            scenario._receive_references(*scenario._reference_key(MeshConfig(amble_len=amble_len), "RX"))
         info = scenario._receive_references.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize(
+        "experiment, meshes",
+        [
+            # six TX_BF runners that differ only in a field no reference reads
+            ("TX_BF", [MeshConfig(cycle_period_s=p) for p in (0.2, 0.25, 0.3, 0.35, 0.4, 0.2)]),
+            # under RX the references do not depend on the mesh size either
+            ("RX_BF", [MeshConfig(n_nodes=n, cycle_period_s=p) for n, p in ((3, 0.2), (2, 0.2), (4, 0.3), (1, 0.25))]),
+        ],
+    )
+    def test_caches_keyed_on_the_fields_they_read(self, experiment, meshes):
+        caches = (scenario._receive_references, scenario._ls_system)
+        for cache in caches:
+            cache.cache_clear()
+        runner = _TxRunner if experiment == "TX_BF" else _RxRunner
+        runner(ScenarioConfig(experiment=experiment, mesh=meshes[0]))
+        first = [cache.cache_info() for cache in caches]
+        assert first[0].misses == 1 and first[1].misses == (experiment == "TX_BF")
+        for mesh in meshes[1:]:
+            runner(ScenarioConfig(experiment=experiment, mesh=mesh))
+        for before, cache in zip(first, caches):
+            after = cache.cache_info()
+            assert after.misses == before.misses and after.currsize == before.currsize
+        assert caches[0].cache_info().hits >= first[0].hits + len(meshes) - 1
+        if experiment == "TX_BF":  # validate_scenario and the runner each ask for the LS system
+            assert caches[1].cache_info().hits == first[1].hits + 2 * (len(meshes) - 1)
+
+    def test_cached_ls_system_is_read_only_and_bitwise_fresh(self):
+        cfg = ScenarioConfig(experiment="TX_BF", mesh=MeshConfig(n_nodes=2, amble_len=4096), t_h=3)
+        runner = _TxRunner(cfg)
+        fresh = estimation.joint_ls_system(runner.pre_mf, cfg.t_h)
+        assert runner.ls_system is scenario._ls_system(scenario._reference_key(cfg.mesh, "TX"), cfg.t_h)
+        for a, b in zip(runner.ls_system, fresh):
+            assert a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 1
 
     def test_tx_cycle_shares_one_payload(self, monkeypatch):
         # every node frame the runner builds in a cycle carries the same
@@ -876,6 +932,12 @@ class TestSignalSpans:
 
         zc = np.multiply(_phasor((-2 * np.pi * f_hat) * (np.arange(len(z_mf)) / runner.fs)), z_mf)  # _derotate's side for a buffer
         ests = estimation.estimate_channels_joint(ComplexSignal(zc, runner.fs), runner.pre_mf, acq.lag, cfg.t_h)
+        # the runner's cached system fits as one built afresh, taps and residual to the bit
+        cached = estimation.estimate_channels_joint(
+            ComplexSignal(zc, runner.fs), runner.pre_mf, acq.lag, cfg.t_h, runner.ls_system
+        )
+        assert all(a.taps.tobytes() == e.taps.tobytes() and a.residual_power == e.residual_power
+                   for a, e in zip(cached, ests))
         power = {seg.name: metrics.segment_power(z_mf, seg, shift=acq.lag) for seg in runner.layout.segments}
         derotated = [metrics.segment_power(zc, seg, shift=acq.lag) for seg in runner.layout.segments]
         assert all(np.array_equal(a, e.taps) for a, e in zip(taps, ests))
@@ -886,8 +948,8 @@ class TestSignalSpans:
 
 
 class TestDerivedOnce:
-    """What the process caches (scenario._receive_references and the DTFT
-    factor sets in estimation) is keyed on every input it depends on: runs
+    """What the process caches (scenario._receive_references, scenario._ls_system
+    and the DTFT factor sets in estimation) is keyed on every input it depends on: runs
     interleaved in one process, each differing from the base in one key
     input, give the records of the same runs made from empty caches."""
 
@@ -903,11 +965,13 @@ class TestDerivedOnce:
         "mesh.n_nodes": dict(mesh=MeshConfig(n_nodes=2)),
         "TX family": dict(experiment="TX_BF"),
         "TX family, mesh.n_nodes": dict(experiment="TX_BF", mesh=MeshConfig(n_nodes=2)),
+        "TX family, t_h": dict(experiment="TX_BF", t_h=3),
     }
 
     @staticmethod
     def _clear_caches():
         scenario._receive_references.cache_clear()
+        scenario._ls_system.cache_clear()
         estimation._factor_set.cache_clear()
 
     @staticmethod
