@@ -6,7 +6,7 @@ import dataclasses
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,11 +180,15 @@ def substream(seed: int, entity: str | int, purpose: str) -> np.random.Generator
 
 @dataclass
 class NodeState:
-    """One node's clock model and RNG stream.
+    """One node's clock model and the RNG stream its phase walk draws from.
 
     phase_rad accumulates unwrapped.
     With phase_walk_var_per_s = 0 and cfo_hz = 0 the phase stays constant.
-    Owned by exactly one scenario runner; everything else here is immutable.
+    A node that walks (phase_walk_var_per_s > 0) needs a stream of its own,
+    rng, or two nodes would draw the same walk; one that does not walk draws
+    nothing and the runner gives it no stream. The one mutable type of this
+    module: owned by exactly one scenario runner or time-transfer round, which
+    advances phase_rad and draws from rng.
     """
 
     node_id: str
@@ -192,4 +196,8 @@ class NodeState:
     phase_rad: float = 0.0
     phase_walk_var_per_s: float = 0.0
     timestamp_offset_s: float = 0.0
-    rng: np.random.Generator = field(default_factory=lambda: substream(0, "node", "default"))
+    rng: np.random.Generator | None = None
+
+    def __post_init__(self):
+        if self.phase_walk_var_per_s > 0 and self.rng is None:
+            raise ValueError(f"rng: node {self.node_id!r} walks (phase_walk_var_per_s > 0) and needs its own stream")

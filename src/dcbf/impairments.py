@@ -142,7 +142,10 @@ def apply_node_imperfections(
     samples stay exact zeros. Every normal of the phase walk is still drawn,
     so the node's RNG and phase end as after a rotation of all of x. The
     product is taken from the phasor's side at every length, so a sample's
-    bits do not depend on how long x is.
+    bits do not depend on how long x is, provided its span holds at least two
+    samples: on a one-sample span numpy's complex multiply into its second
+    operand may differ in the last bit from the same product into a fresh
+    array.
     """
     n = len(x)
     spans = [(0, n)] if spans is None else spans

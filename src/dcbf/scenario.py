@@ -147,9 +147,17 @@ _DEFAULTS = {name: attrgetter(name)(ScenarioConfig()) for name in READ_BY}
 
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     """Return cfg unchanged if it can run, else raise ConfigError naming the
-    field; no frame is synthesized before every check has passed. The last
-    check of a transmit experiment derives the joint-LS system its runner
-    fits against (_ls_system), after every cheaper check."""
+    field; no frame is synthesized before every check has passed (_admit)."""
+    _admit(cfg)
+    return cfg
+
+
+def _admit(cfg: ScenarioConfig) -> tuple[FrameLayout, tuple[int, int], dict[str, ChannelModel]]:
+    """validate_scenario's checks, returning what they derive, which a runner
+    keeps rather than deriving again: the layout of the family's frame design,
+    (lag_hi, buf_len) of _receive_buffer and the explicit channels, parsed, by
+    label. The last check of a transmit experiment derives the joint-LS system
+    its runner fits against (_ls_system), after every cheaper check."""
     _check_field_types(cfg)
     for name, allowed in (("experiment", EXPERIMENTS), ("cov_source", ("full", "interference_only")),
                           ("channel_kind", ("random_phase", "rayleigh"))):
@@ -203,9 +211,8 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         need = 4 * cfg.t_h * cfg.mesh.n_nodes
         if cfg.mesh.amble_len < need:
             raise ConfigError("t_h", f"joint channel estimation needs mesh.amble_len ≥ 4·t_h·n_nodes = {need}")
-    if cfg.channels is not None:
-        _validate_channels(cfg)
-    lags, buf_len, lag_field = _receive_buffer(cfg, layout)
+    explicit = {} if cfg.channels is None else _parse_channels(cfg)
+    lags, buf_len, lag_field = _receive_buffer(cfg, layout, explicit)
     buf_s = buf_len / cfg.mesh.sample_rate_hz
     if cfg.mesh.cycle_period_s < buf_s:
         raise ConfigError("mesh.cycle_period_s", f"must be ≥ the receive buffer, {buf_s:.6g} s: cycles would overlap")
@@ -222,7 +229,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             msg = (f"the joint LS of the {cfg.mesh.n_nodes} preambles over {cfg.t_h} taps each is numerically "
                    "singular (normal matrix condition number above 1e12): use fewer taps")
             raise ConfigError("t_h", msg) from exc
-    return cfg
+    return layout, (lags, buf_len), explicit
 
 
 def _fine_grid(cfg: ScenarioConfig) -> np.ndarray:
@@ -239,19 +246,20 @@ def _heard_links(cfg: ScenarioConfig) -> list[str]:
     return [f.format(i + 1) for f in families for i in range(cfg.mesh.n_nodes)]
 
 
-def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout) -> tuple[int, int, str]:
+def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout, explicit: dict[str, ChannelModel]
+                    ) -> tuple[int, int, str]:
     """(lag_hi, buf_len, field): acquisition searches lags [0, lag_hi), and
     every receive buffer holds buf_len samples, room for the frame of layout
     over the longest delay and tap spread of the heard links. Drawn links
-    have no delay and channel_taps taps; explicit ones their own. field
-    names what sets the longest link: channels.<label> for an explicit one,
-    else channel_taps. validate_scenario and the runner both size from here."""
-    explicit = cfg.channels or {}
+    have no delay and channel_taps taps; the explicit ones, parsed by label,
+    their own. field names what sets the longest link: channels.<label> for
+    an explicit one, else channel_taps. Sized once, at admission (_admit),
+    which hands lag_hi and buf_len to the runner."""
     links = []  # (tof, taps, field)
     for label in _heard_links(cfg):
-        spec = explicit.get(label)
-        if spec:
-            links.append((spec.get("tof", 0), len(spec["taps"]), f"channels.{label}"))
+        ch = explicit.get(label)
+        if ch is not None:
+            links.append((ch.tof_delay, ch.n_taps, f"channels.{label}"))
         else:
             links.append((0, cfg.channel_taps, "channel_taps"))
     lag_hi = max(tof for tof, _, _ in links) + max(taps for _, taps, _ in links) + 16
@@ -259,11 +267,12 @@ def _receive_buffer(cfg: ScenarioConfig, layout: FrameLayout) -> tuple[int, int,
     return lag_hi, layout.total_length + lag_hi + 64, field
 
 
-def _validate_channels(cfg: ScenarioConfig) -> None:
-    """Every explicit channel must name a link a receiver hears and parse."""
+def _parse_channels(cfg: ScenarioConfig) -> dict[str, ChannelModel]:
+    """The explicit channels by label; each must name a link a receiver hears and parse."""
     if not isinstance(cfg.channels, dict):
         raise ConfigError("channels", "must map link labels to channel specs")
     labels = _heard_links(cfg)
+    parsed = {}
     for label, spec in cfg.channels.items():
         name = f"channels.{label}"
         if label not in labels:
@@ -271,9 +280,10 @@ def _validate_channels(cfg: ScenarioConfig) -> None:
         if not isinstance(spec, dict) or "taps" not in spec or not set(spec) <= {"taps", "tof"}:
             raise ConfigError(name, 'must be {"taps": [[re, im], ...], "tof": samples}')
         try:
-            _explicit_channel(spec, label)
+            parsed[label] = _explicit_channel(spec, label)
         except (TypeError, ValueError) as exc:
             raise ConfigError(name, str(exc)) from exc
+    return parsed
 
 
 @dataclass
@@ -318,12 +328,6 @@ def _draw_channel(rng: np.random.Generator, kind: str, n_taps: int, label: str) 
 def _explicit_channel(spec: dict, label: str) -> ChannelModel:
     taps = np.array([complex(re, im) for re, im in spec["taps"]], dtype=np.complex128)
     return ChannelModel(taps=taps, tof_delay=spec.get("tof", 0), label=label)
-
-
-def _get_channel(cfg: ScenarioConfig, rng: np.random.Generator, label: str) -> ChannelModel:
-    if cfg.channels and label in cfg.channels:
-        return _explicit_channel(cfg.channels[label], label)
-    return _draw_channel(rng, cfg.channel_kind, cfg.channel_taps, label)
 
 
 def _walk_channel(ch: ChannelModel, std: float, rng: np.random.Generator) -> ChannelModel:
@@ -397,30 +401,35 @@ def _add_arrivals(buf: np.ndarray, arrivals: list) -> list[tuple[int, int]]:
 class _Runner:
     """Mesh state, receive chain and cycle loop shared by the experiments.
 
-    An experiment family (FAMILY) is a policy: layout gives the layout of
-    its frame design in waveform and _receive_references its receive
-    references, _transmit sends a cycle's frames, _arrivals routes them over
-    the links (LINKS) to each receiver, whose CFO is refined on the windows
-    at cfo_offsets against cfo_refs, and _measure turns the receptions into
-    the record and the feedback. A cycle's frames live until the last
-    receiver's matched filter has run, before its acquisition and fine CFO;
-    its receive buffers live until _measure has read them: _measure may
-    empty the receptions list it is given. What a TX cycle's joint LS fits
-    against, the design and normal matrix of its preambles, is derived once
-    per process (_ls_system).
+    Built from what admission (_admit) derived: the frame layout, the receive
+    buffer's size and the explicit channels, parsed once for every redraw. It
+    builds only the RNG streams its run draws from, none for a process the
+    config leaves off and none for the radios out of the mesh (_radio);
+    streams are keyed by (seed, entity, purpose), so one left out moves no other.
+
+    An experiment family (FAMILY) is a policy: _receive_references gives its
+    receive references, _transmit sends a cycle's frames, _arrivals routes
+    them over the links (LINKS) to each receiver, whose CFO is refined on the
+    windows at cfo_offsets against cfo_refs, and _measure turns the
+    receptions into the record and the feedback. A cycle's frames live until
+    the last receiver's matched filter has run, before its acquisition and
+    fine CFO; its receive buffers live until _measure has read them: _measure
+    may empty the receptions list it is given. What a TX cycle's joint LS
+    fits against, the design and normal matrix of its preambles, is derived
+    once per process (_ls_system).
     """
 
     LINKS: tuple[str, str]
     FAMILY: str
 
-    def __init__(self, cfg: ScenarioConfig, layout):
-        self.cfg = validate_scenario(cfg)
+    def __init__(self, cfg: ScenarioConfig):
+        self.layout, (self.lag_hi, self.buf_len), self.explicit = _admit(cfg)
+        self.cfg = cfg
         mesh = cfg.mesh
         self.mesh = mesh
         self.n = mesh.n_nodes
         self.fs = mesh.sample_rate_hz
         self.pulse = waveform.PULSE
-        self.layout = layout(mesh)
         refs = _receive_references(*_reference_key(mesh, self.FAMILY))
         self.pre_mf, self.acq_refs, cfo_segments, self.cfo_refs = refs
         self.t_ref = len(self.pre_mf[0])
@@ -430,22 +439,17 @@ class _Runner:
         )
         self.fine_grid = _fine_grid(cfg)
 
-        seed = cfg.seed
-        self.links = self._draw_links(substream(seed, "scenario", "channels"))
-        self.walk_rng = substream(seed, "scenario", "channel_walk")
+        seed, walk = cfg.seed, cfg.phase_walk_var_per_s
+        self.links = self._draw_links("channels")
+        self.walk_rng = substream(seed, "scenario", "channel_walk") if cfg.channel_walk_std_per_cycle > 0 else None
         self.nodes = [
-            NodeState(
-                node_id=f"n{i + 1}",
-                cfo_hz=0.0,
-                phase_walk_var_per_s=cfg.phase_walk_var_per_s,
-                rng=substream(seed, f"n{i + 1}", "phase_walk"),
-            )
+            NodeState(node_id=f"n{i + 1}", phase_walk_var_per_s=walk,
+                      rng=substream(seed, f"n{i + 1}", "phase_walk") if walk > 0 else None)
             for i in range(self.n)
         ]
-        self.jitter_rng = [substream(seed, f"n{i + 1}", "ots_jitter") for i in range(self.n)]
+        self.jitter_rng = ([substream(seed, f"n{i + 1}", "ots_jitter") for i in range(self.n)]
+                           if cfg.ots_jitter_rad > 0 else [])
         self._jitter_now = [0.0] * self.n
-
-        self.lag_hi, self.buf_len, _ = _receive_buffer(cfg, self.layout)
 
     def _frame(self, layout: FrameLayout, contents: dict[str, np.ndarray], power: float):
         """(samples, spans): the frame of contents on layout, its spans scaled in
@@ -458,32 +462,44 @@ class _Runner:
             samples[lo:hi] *= scale
         return samples, spans
 
-    def _radio(self, node_id: str, cfo_hz: float) -> NodeState:
-        """An out-of-mesh radio: its own LO offset, no phase walk."""
-        return NodeState(node_id=node_id, cfo_hz=cfo_hz, rng=substream(self.cfg.seed, node_id, "phase_walk"))
+    @staticmethod
+    def _radio(node_id: str, cfo_hz: float) -> NodeState:
+        """An out-of-mesh radio (A, J, B or C): its own LO offset, no phase
+        walk, so no stream to draw one from."""
+        return NodeState(node_id=node_id, cfo_hz=cfo_hz)
 
     def _set_receivers(self, receivers: list[NodeState]) -> None:
         self.receivers = receivers
         self.noise_rng = [substream(self.cfg.seed, rx.node_id, "noise") for rx in receivers]
 
-    def _draw_links(self, rng: np.random.Generator) -> list[list[ChannelModel]]:
-        return [[_get_channel(self.cfg, rng, f.format(i + 1)) for i in range(self.n)] for f in self.LINKS]
+    def _draw_links(self, purpose: str) -> list[list[ChannelModel]]:
+        """Every link of the family, per LINKS entry and node: the explicit ones
+        as admission parsed them, the others drawn in turn from the stream
+        (seed, "scenario", purpose), built only when some link is drawn."""
+        cfg = self.cfg
+        labels = [[f.format(i + 1) for i in range(self.n)] for f in self.LINKS]
+        drawn = any(label not in self.explicit for row in labels for label in row)
+        rng = substream(cfg.seed, "scenario", purpose) if drawn else None
+        return [
+            [self.explicit[label] if label in self.explicit else
+             _draw_channel(rng, cfg.channel_kind, cfg.channel_taps, label) for label in row]
+            for row in labels
+        ]
 
     def _evolve_channels(self, k: int) -> None:
         cfg = self.cfg
         if cfg.channel_redraw_every > 0 and k > 0 and k % cfg.channel_redraw_every == 0:
-            self.links = self._draw_links(substream(cfg.seed, "scenario", f"channels_cycle{k}"))
+            self.links = self._draw_links(f"channels_cycle{k}")
         std = cfg.channel_walk_std_per_cycle
         if std > 0 and k > 0:
             self.links = [[_walk_channel(c, std, self.walk_rng) for c in chans] for chans in self.links]
 
     def _jitter_clocks(self) -> None:
-        if self.cfg.ots_jitter_rad > 0:
-            for i, node in enumerate(self.nodes):
-                # fresh per-cycle residual (not a walk): swap out last cycle's draw
-                jit = self.jitter_rng[i].normal(0.0, self.cfg.ots_jitter_rad)
-                node.phase_rad += jit - self._jitter_now[i]
-                self._jitter_now[i] = jit
+        for i, rng in enumerate(self.jitter_rng):  # none without ots_jitter_rad
+            # fresh per-cycle residual (not a walk): swap out last cycle's draw
+            jit = rng.normal(0.0, self.cfg.ots_jitter_rad)
+            self.nodes[i].phase_rad += jit - self._jitter_now[i]
+            self._jitter_now[i] = jit
 
     def _receive(self, r: int, arrivals: list[tuple[np.ndarray, ChannelModel, list[tuple[int, int]]]]):
         """Receiver r's cycle: (matched-filtered buffer, acquisition, CFO
@@ -591,7 +607,7 @@ class _RxRunner(_Runner):
     FAMILY = "RX"
 
     def __init__(self, cfg: ScenarioConfig):
-        super().__init__(cfg, waveform.rx_source_layout)
+        super().__init__(cfg)
         self.look_seg = self.layout.segment("look_through")
         self.pay_seg = self.layout.segment("payload")
         self.cov_window = None
@@ -680,7 +696,7 @@ class _TxRunner(_Runner):
 
     def __init__(self, cfg: ScenarioConfig):
         nulling = cfg.experiment == "TX_NULL"
-        super().__init__(cfg, waveform.tx_node_layout)
+        super().__init__(cfg)
         self.nulling = nulling
         self.coherence = cfg.experiment == "COHERENCE"
         rx_b = self._radio("B", cfg.rx_b_cfo_hz)

@@ -8,6 +8,7 @@ from dcbf.core import (
     ConfigError,
     FrameLayout,
     MeshConfig,
+    NodeState,
     Segment,
     substream,
     validate_config,
@@ -87,3 +88,11 @@ class TestSubstreams:
         a = substream(1, "n1", "noise").standard_normal(8)
         b = substream(2, "n1", "noise").standard_normal(8)
         assert not np.array_equal(a, b)
+
+
+class TestNodeState:
+    def test_walking_node_needs_a_stream(self):
+        with pytest.raises(ValueError, match="rng"):
+            NodeState(node_id="n", phase_walk_var_per_s=0.1)
+        assert NodeState(node_id="n").rng is None  # a node that never walks draws nothing
+        NodeState(node_id="n", phase_walk_var_per_s=0.1, rng=substream(0, "n", "phase_walk"))

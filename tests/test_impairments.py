@@ -272,6 +272,10 @@ def _twin_nodes(cfo_hz, walk):
 
 
 def _same_state(a, b):
+    """Same phase, and the same stream state when both nodes have a stream; a
+    node that never walks has none, and then neither may have one."""
+    if a.rng is None or b.rng is None:
+        return a.phase_rad == b.phase_rad and a.rng is b.rng
     return a.phase_rad == b.phase_rad and a.rng.bit_generator.state == b.rng.bit_generator.state
 
 

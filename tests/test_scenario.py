@@ -1,9 +1,11 @@
 """Tests for the cycle-by-cycle experiment runners."""
 
 import dataclasses
+import importlib
 import re
 from functools import lru_cache
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1000,3 +1002,60 @@ class TestDerivedOnce:
         assert self._lines(self.BASE) == base
         self._clear_caches()
         assert self._sync_round() == sync
+
+
+class TestRunnerSetup:
+    """A runner builds only the RNG streams its run draws from, and takes the
+    layout, receive buffer and explicit channels that admission derived."""
+
+    @staticmethod
+    def _streams(monkeypatch, cfg, cycles=1):
+        """(entity, purpose) of every stream the runner of cfg builds, in
+        order, through set-up and the given number of cycles."""
+        built = []
+        real = scenario.substream
+
+        def record(seed, entity, purpose):
+            built.append((entity, purpose))
+            return real(seed, entity, purpose)
+
+        monkeypatch.setattr(scenario, "substream", record)
+        run_scenario(dataclasses.replace(cfg, n_cycles=cycles))
+        return built
+
+    def test_benchmark_rx_interf_builds_only_noise_streams(self, monkeypatch):
+        # the benchmark's rx_interf workload: every link explicit (perfbench/workloads.py)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        links = importlib.import_module("workloads").separable_links(12)
+        cfg = apply_overrides(load_config("rx_bf_interf"), ["seed=12", links])
+        assert self._streams(monkeypatch, cfg) == [("n1", "noise"), ("n2", "noise"), ("n3", "noise")]
+
+    def test_bundled_coherence_streams(self, monkeypatch):
+        assert self._streams(monkeypatch, load_config("coherence")) == [
+            ("scenario", "channels"), ("n1", "phase_walk"), ("n2", "phase_walk"), ("n3", "phase_walk"), ("B", "noise"),
+        ]
+
+    def test_dynamics_build_their_streams(self, monkeypatch):
+        cfg = ScenarioConfig(experiment="TX_NULL", seed=5, mesh=TX_MESH, channel_redraw_every=2,
+                             channel_walk_std_per_cycle=0.05, ots_jitter_rad=0.1, phase_walk_var_per_s=0.02)
+        assert self._streams(monkeypatch, cfg, cycles=3) == [
+            ("scenario", "channels"), ("scenario", "channel_walk"),
+            ("n1", "phase_walk"), ("n2", "phase_walk"), ("n3", "phase_walk"),
+            ("n1", "ots_jitter"), ("n2", "ots_jitter"), ("n3", "ots_jitter"),
+            ("B", "noise"), ("C", "noise"), ("scenario", "channels_cycle2"),
+        ]
+
+    def test_explicit_channels_parsed_once_per_runner(self, monkeypatch):
+        channels = {f"A->n{i + 1}": {"taps": [[1.0, 0.0]], "tof": i} for i in range(3)}
+        parsed = []
+        real = scenario._explicit_channel
+
+        def count(spec, label):
+            parsed.append(label)
+            return real(spec, label)
+
+        monkeypatch.setattr(scenario, "_explicit_channel", count)
+        cfg = ScenarioConfig(experiment="RX_BF", n_cycles=3, seed=7, channels=channels, channel_redraw_every=1)
+        records = run_scenario(cfg)
+        assert sorted(parsed) == sorted(channels)
+        assert len(records) == 3 and np.isfinite(records[-1].gain_snr_db)
