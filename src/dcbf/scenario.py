@@ -61,6 +61,16 @@ COV_MAX_LEN = 16384
 # (74.5 GiB of float64 for the pulse's convolution matrix at t_w = 100000).
 MAX_MMSE_UNKNOWNS = COV_MAX_LEN // 16
 
+# Most complex values in the TX joint LS's design (estimation.joint_ls_system):
+# (amble_len + t_h - 1) rows by D = n_nodes * t_h unknowns, held twice, as the
+# design and its conjugate transpose, 128 MiB each at the bound. As amble_len
+# >= 4 * D, 4 * D^2 stays within it too: D <= 1448, so the D x D normal matrix
+# and the SVD np.linalg.cond takes of it stay within 32 MiB each. The bound
+# leaves room for systems the conditioning check rejects (1023 unknowns on
+# 4096-sample ambles, 4.5e6 values). Without it a one-node mesh of
+# 45,216-sample ambles admits t_h = 11,304: a 20 GB design and conjugate.
+MAX_LS_DESIGN_VALUES = 1 << 23
+
 # Most points of either CFO grid. Every grid point is a column of a DTFT
 # product (estimation._dtft): an acquisition holds (lags * ceil(sqrt(n))) x
 # points complex values for n integrated samples, 17 * 45 x 4096 (50 MB) at
@@ -211,6 +221,10 @@ def _admit(cfg: ScenarioConfig) -> tuple[FrameLayout, tuple[int, int], dict[str,
         need = 4 * cfg.t_h * cfg.mesh.n_nodes
         if cfg.mesh.amble_len < need:
             raise ConfigError("t_h", f"joint channel estimation needs mesh.amble_len ≥ 4·t_h·n_nodes = {need}")
+        values = (cfg.mesh.amble_len + cfg.t_h - 1) * cfg.mesh.n_nodes * cfg.t_h
+        if values > MAX_LS_DESIGN_VALUES:
+            raise ConfigError("t_h", f"the joint LS design, (mesh.amble_len + t_h − 1)·n_nodes·t_h = {values} "
+                              f"complex values, exceeds {MAX_LS_DESIGN_VALUES}")
     explicit = {} if cfg.channels is None else _parse_channels(cfg)
     lags, buf_len, lag_field = _receive_buffer(cfg, layout, explicit)
     buf_s = buf_len / cfg.mesh.sample_rate_hz
@@ -653,10 +667,12 @@ class _RxRunner(_Runner):
         # the beamformed/SISO ratio isolates the array gain
         f_common = float(np.mean([receptions[i][2] for i in detected]))
         lags = [receptions[i][1].lag for i in detected]
-        # the stack is the one copy of the detected buffers read from here on:
-        # derotated in place, and the receivers' own buffers let go
-        z_corrected = self._derotate(np.array([receptions[i][0] for i in detected]), f_common)
+        # the stack is the one copy of the detected buffers read from here on: the
+        # receivers' own buffers go before it is derotated in place, so that the
+        # derotation's phasor takes the space they leave rather than sitting on top
+        stack = np.array([receptions[i][0] for i in detected])
         receptions.clear()
+        z_corrected = self._derotate(stack, f_common)
         if rec.t_virtual_s < cfg.warmup_identity_s:
             # the centre tap alone: each node on its own, then every node summed
             weights = np.zeros((len(detected) + 1, len(detected), cfg.t_w), dtype=np.complex128)

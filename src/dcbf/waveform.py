@@ -221,7 +221,9 @@ def shape_symbols(symbols: np.ndarray) -> np.ndarray:
     """
     up = np.zeros(len(symbols) * SPS, dtype=np.complex128)
     up[::SPS] = symbols
-    return _centered_convolve(up, PULSE) * np.sqrt(SPS)
+    shaped = _centered_convolve(up, PULSE)
+    shaped *= np.sqrt(SPS)  # in place: no second full-length array
+    return shaped
 
 
 PULSE = _rrc_pulse()
@@ -381,7 +383,8 @@ def interferer_frame(length: int, seed: int) -> dict[str, np.ndarray]:
     """The interferer's frame contents (interferer_layout(length)): a
     continuous 256-QAM stream drawn from seed."""
     rng = substream(seed, "interferer", "payload_bits")
-    bits = rng.integers(0, 2, size=(length // SPS) * 8)
+    # int32: the default int64's bits in half the space, the stream left in the same state
+    bits = rng.integers(0, 2, size=(length // SPS) * 8, dtype=np.int32)
     return {"interference": shape_symbols(modulate(bits, "QAM256"))}
 
 

@@ -37,6 +37,18 @@ def _node(cfg, node_id, seed=0):
     return build_frame(layout, node_frames(cfg, seed)[node_id - 1]), layout
 
 
+def _shaped_by_formula(symbols):
+    """shape_symbols as a formula: the upsampled stream through the pulse,
+    centred, then scaled into a second array."""
+    up = np.zeros(len(symbols) * waveform.SPS, dtype=np.complex128)
+    up[:: waveform.SPS] = symbols
+    return np.convolve(up, PULSE)[(len(PULSE) - 1) // 2 :][: len(up)] * np.sqrt(waveform.SPS)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestGenMls:
     def test_m3_period7_autocorrelation(self):
         # exhaustive circular correlation over all 7 lags
@@ -213,6 +225,12 @@ class TestPulse:
                 padded = np.convolve(np.concatenate([x, np.zeros(len(taps))]), taps, mode="same")
                 np.testing.assert_allclose(got, padded[:n], rtol=1e-12, atol=1e-15)
 
+    def test_scaled_in_place_keeps_the_formula_bits(self):
+        rng = substream(7, "test", "shape")
+        for n in [*range(1, 20), 4096, 37_780]:
+            symbols = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert _same_bits(shape_symbols(symbols), _shaped_by_formula(symbols))
+
     def test_matched_cascade_is_nyquist(self):
         # rrc * rrc sampled at symbol spacing is ~delta (ISI-free)
         rc = np.convolve(PULSE, PULSE)
@@ -222,6 +240,26 @@ class TestPulse:
         others = np.delete(symbol_taps, peak)
         assert np.abs(rc[center]) == pytest.approx(1.0, abs=0.02)
         assert np.max(np.abs(others)) < 0.02
+
+
+class TestInterfererDraw:
+    # interferer_frame draws its bits as int32 rather than the default int64.
+    # Over {0, 1} numpy's bounded draw takes one 32-bit word per bit at either
+    # width, so the bits, and the stream state left for any later draw, are
+    # those of the int64 draw.
+    @pytest.mark.parametrize("size", [1, 2, 31, 1000, 65_537, "bundled"])
+    def test_int32_draw_matches_int64(self, size):
+        if size == "bundled":  # the bundled rx_bf_interf interferer spans its receive buffer
+            from dcbf.cli import load_config
+            from dcbf.scenario import _admit
+
+            size = (_admit(load_config("rx_bf_interf"))[1][1] // waveform.SPS) * 8
+        for seed in range(20):
+            wide, narrow = (substream(seed, "interferer", "payload_bits") for _ in range(2))
+            bits = narrow.integers(0, 2, size=size, dtype=np.int32)
+            assert bits.dtype == np.int32
+            assert np.array_equal(bits, wide.integers(0, 2, size=size))
+            assert narrow.bit_generator.state == wide.bit_generator.state
 
 
 class TestFrames:
@@ -270,6 +308,13 @@ class TestFrames:
         power = np.abs(sig) ** 2
         assert np.mean(power[: len(power) // 2]) > 0.5
         assert np.mean(power[len(power) // 2 :]) > 0.5
+
+    def test_interferer_matches_int64_draw(self):
+        n = RX_FRAME_TOTAL
+        for seed in (0, 3):
+            bits = substream(seed, "interferer", "payload_bits").integers(0, 2, size=(n // waveform.SPS) * 8)
+            expected = _shaped_by_formula(modulate(bits, "QAM256"))
+            assert _same_bits(interferer_frame(n, seed)["interference"], expected)
 
     def test_cdma_preamble_cross_correlation(self):
         # normalized cross-correlation peak <= 0.2 between distinct nodes,
