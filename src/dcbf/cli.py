@@ -217,8 +217,10 @@ def _write_run_outputs(out_dir: Path, cfg: ScenarioConfig, records: list[CycleRe
 
 
 def _template_frames(kind: str, mesh: MeshConfig, seed: int) -> list[tuple[np.ndarray, FrameLayout]]:
-    """The frames of one `dump-frame --kind` (every node's for tx-node), from
-    payload seed `seed`, assembled as the runners assemble theirs."""
+    """The frames of one `dump-frame --kind` (every node's for tx-node): the
+    kind's frame design, its payload drawn from seed `seed`, unscaled, with no
+    weights and no LO. A run draws each cycle's payloads from per-cycle seeds,
+    and its interferer fills the receive buffer, not RX_FRAME_TOTAL samples."""
     if kind == "rx-source":
         designs = [(waveform.rx_source_layout(mesh), waveform.source_frame(mesh, seed))]
     elif kind == "rx-interferer":

@@ -162,12 +162,14 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-def _admit(cfg: ScenarioConfig) -> tuple[FrameLayout, tuple[int, int], dict[str, ChannelModel]]:
+def _admit(cfg: ScenarioConfig) -> tuple[FrameLayout, tuple[int, int], dict[str, ChannelModel], tuple, tuple]:
     """validate_scenario's checks, returning what they derive, which a runner
     keeps rather than deriving again: the layout of the family's frame design,
-    (lag_hi, buf_len) of _receive_buffer and the explicit channels, parsed, by
-    label. The last check of a transmit experiment derives the joint-LS system
-    its runner fits against (_ls_system), after every cheaper check."""
+    (lag_hi, buf_len) of _receive_buffer, the explicit channels, parsed, by
+    label, the family's receive references (_receive_references) and the
+    (coarse, fine) CFO grids. The references come last, after every cheaper
+    check: under TX they hold the joint-LS system, whose conditioning is the
+    last check."""
     _check_field_types(cfg)
     for name, allowed in (("experiment", EXPERIMENTS), ("cov_source", ("full", "interference_only")),
                           ("channel_kind", ("random_phase", "rayleigh"))):
@@ -189,11 +191,12 @@ def _admit(cfg: ScenarioConfig) -> tuple[FrameLayout, tuple[int, int], dict[str,
     ):
         if points > MAX_CFO_GRID_POINTS:
             raise ConfigError(name, f"{rule}/{name} + 1 = {points:.6g} grid points exceeds {MAX_CFO_GRID_POINTS}")
+    span, step = cfg.coarse_cfo_span_hz, cfg.coarse_cfo_step_hz
+    coarse_grid, fine_grid = np.arange(-span, span + step / 2, step), _fine_grid(cfg)
     # the fine estimate's quadratic refinement runs through the peak and both its neighbours
-    fine_points = len(_fine_grid(cfg))
-    if fine_points < 3:
-        raise ConfigError("fine_cfo_step_hz", f"the fine grid over ±2·coarse_cfo_step_hz holds {fine_points} points, "
-                          "fewer than the 3 its refinement needs: use at most 2·coarse_cfo_step_hz")
+    if len(fine_grid) < 3:
+        raise ConfigError("fine_cfo_step_hz", f"the fine grid over ±2·coarse_cfo_step_hz holds {len(fine_grid)} "
+                          "points, fewer than the 3 its refinement needs: use at most 2·coarse_cfo_step_hz")
     if not 0 <= cfg.detection_threshold <= 1:
         raise ConfigError("detection_threshold", "must be in [0, 1]: the detection statistic is at most 1")
     for name, readers in READ_BY.items():
@@ -236,14 +239,13 @@ def _admit(cfg: ScenarioConfig) -> tuple[FrameLayout, tuple[int, int], dict[str,
         raise ConfigError(
             lag_field, f"acquisition over {lags} lags needs {values:.6g} complex values, above {MAX_ACQUISITION_VALUES}"
         )
-    if cfg.experiment in TX_EXPERIMENTS:
-        try:
-            _ls_system(_reference_key(cfg.mesh, "TX"), cfg.t_h)  # the runner's own, cached
-        except ValueError as exc:
-            msg = (f"the joint LS of the {cfg.mesh.n_nodes} preambles over {cfg.t_h} taps each is numerically "
-                   "singular (normal matrix condition number above 1e12): use fewer taps")
-            raise ConfigError("t_h", msg) from exc
-    return layout, (lags, buf_len), explicit
+    try:
+        refs = _receive_references(*_reference_key(cfg))
+    except ValueError as exc:  # raised only by the TX joint-LS system
+        msg = (f"the joint LS of the {cfg.mesh.n_nodes} preambles over {cfg.t_h} taps each is numerically "
+               "singular (normal matrix condition number above 1e12): use fewer taps")
+        raise ConfigError("t_h", msg) from exc
+    return layout, (lags, buf_len), explicit, refs, (coarse_grid, fine_grid)
 
 
 def _fine_grid(cfg: ScenarioConfig) -> np.ndarray:
@@ -349,55 +351,53 @@ def _walk_channel(ch: ChannelModel, std: float, rng: np.random.Generator) -> Cha
     return ChannelModel(taps=ch.taps + jitter, tof_delay=ch.tof_delay, label=ch.label)
 
 
-def _reference_key(mesh: MeshConfig, family: str) -> tuple:
-    """The arguments of _receive_references for the receive family ("RX" or
-    "TX") on mesh: the mesh fields its references read, n_nodes under TX only."""
-    return family, mesh.amble_len, mesh.est_integration_len, mesh.n_nodes if family == "TX" else None
+def _reference_key(cfg: ScenarioConfig) -> tuple:
+    """The arguments of _receive_references for cfg: its receive family ("RX"
+    or "TX") and the fields its references read, n_nodes and t_h under TX only."""
+    mesh = cfg.mesh
+    if cfg.experiment in RX_EXPERIMENTS:
+        return "RX", mesh.amble_len, mesh.est_integration_len, None, None
+    return "TX", mesh.amble_len, mesh.est_integration_len, mesh.n_nodes, cfg.t_h
 
 
 @lru_cache(maxsize=4)
-def _receive_references(family: str, amble_len: int, est_integration_len: int, n_nodes: int | None):
-    """(pre_mf, acq_refs, cfo_segments, cfo_refs) of the receive family
-    ("RX" or "TX") on a mesh of these fields (_reference_key), read-only:
-    every transmitter's preamble through the matched filter (acquisition
-    keeps the strongest detection, so that one faded link cannot blind a
-    receiver; TX's joint LS fits one channel to each), their first
-    est_integration_len samples as searched, and the segments the CFO is
-    refined on (the source's preamble under RX, each of the n_nodes nodes'
-    TDMA postamble under TX) with their matched ambles.
+def _receive_references(family: str, amble_len: int, est_integration_len: int, n_nodes: int | None,
+                        t_h: int | None):
+    """(pre_mf, acq_refs, cfo_segments, cfo_refs, ls_system) of the receive
+    family ("RX" or "TX") of a config with these fields (_reference_key),
+    read-only: every transmitter's preamble through the matched filter
+    (acquisition keeps the strongest detection, so that one faded link cannot
+    blind a receiver), their first est_integration_len samples as searched,
+    the segments the CFO is refined on with their matched ambles, and the
+    joint-LS system the TX receivers fit one channel per preamble against.
+    Under RX the CFO is refined on the source's preamble, so cfo_refs is
+    pre_mf, and ls_system is None; under TX on each of the n_nodes nodes'
+    TDMA postambles, and ls_system is estimation.joint_ls_system of the
+    preambles over t_h taps, which raises ValueError when its normal matrix
+    is numerically singular.
 
     Cached for the whole process like waveform._shaped_amble, keyed on the
     fields they read: a sweep builds a fresh runner for every seed, and a
-    sweep over any other field asks for the same references.
+    sweep over any other field asks for the same entry, so every TX cycle
+    fits against a system derived, and checked, once. The cache holds at most
+    4 entries; a TX entry at MAX_LS_DESIGN_VALUES keeps the system's dh and a,
+    about 160 MiB.
     """
-    if family == "RX":
-        ambles, cfo_segments = [waveform.source_ambles(MeshConfig(amble_len=amble_len))], ("preamble",)
-    else:
-        ambles = waveform.node_ambles(MeshConfig(n_nodes=n_nodes, amble_len=amble_len))
-        cfo_segments = tuple(f"postamble_{i + 1}" for i in range(n_nodes))
 
     def matched(x: np.ndarray) -> np.ndarray:
         y = waveform._centered_convolve(x, waveform.PULSE)
         y.setflags(write=False)
         return y
 
+    if family == "RX":
+        pre_mf = (matched(waveform.source_ambles(MeshConfig(amble_len=amble_len))["preamble"]),)
+        return pre_mf, tuple(p[:est_integration_len] for p in pre_mf), ("preamble",), pre_mf, None
+    ambles = waveform.node_ambles(MeshConfig(n_nodes=n_nodes, amble_len=amble_len))
+    cfo_segments = tuple(f"postamble_{i + 1}" for i in range(n_nodes))
     pre_mf = tuple(matched(a["preamble"]) for a in ambles)
     acq_refs = tuple(p[:est_integration_len] for p in pre_mf)
     cfo_refs = tuple(matched(a[name]) for a, name in zip(ambles, cfo_segments))
-    return pre_mf, acq_refs, cfo_segments, cfo_refs
-
-
-@lru_cache(maxsize=4)
-def _ls_system(key: tuple, t_h: int):
-    """estimation.joint_ls_system of the preambles of _receive_references(*key)
-    over t_h taps, read-only; raises ValueError when its normal matrix is
-    numerically singular.
-
-    Cached for the whole process beside them: every TX cycle fits its
-    receivers' channels against the same preambles, so the design and its
-    normal matrix are derived, and the conditioning checked, once.
-    """
-    return estimation.joint_ls_system(_receive_references(*key)[0], t_h)
+    return pre_mf, acq_refs, cfo_segments, cfo_refs, estimation.joint_ls_system(pre_mf, t_h)
 
 
 def _add_arrivals(buf: np.ndarray, arrivals: list) -> list[tuple[int, int]]:
@@ -416,42 +416,34 @@ class _Runner:
     """Mesh state, receive chain and cycle loop shared by the experiments.
 
     Built from what admission (_admit) derived: the frame layout, the receive
-    buffer's size and the explicit channels, parsed once for every redraw. It
+    buffer's size, the explicit channels, parsed once for every redraw, the
+    receive references with the TX joint-LS system, and the CFO grids. It
     builds only the RNG streams its run draws from, none for a process the
     config leaves off and none for the radios out of the mesh (_radio);
     streams are keyed by (seed, entity, purpose), so one left out moves no other.
 
-    An experiment family (FAMILY) is a policy: _receive_references gives its
-    receive references, _transmit sends a cycle's frames, _arrivals routes
-    them over the links (LINKS) to each receiver, whose CFO is refined on the
-    windows at cfo_offsets against cfo_refs, and _measure turns the
-    receptions into the record and the feedback. A cycle's frames live until
-    the last receiver's matched filter has run, before its acquisition and
-    fine CFO; its receive buffers live until _measure has read them: _measure
-    may empty the receptions list it is given. What a TX cycle's joint LS
-    fits against, the design and normal matrix of its preambles, is derived
-    once per process (_ls_system).
+    An experiment family is a policy: _transmit sends a cycle's frames,
+    _arrivals routes them over the links (LINKS) to each receiver, whose CFO
+    is refined on the windows at cfo_offsets against cfo_refs, and _measure
+    turns the receptions into the record and the feedback. A cycle's frames
+    live until the last receiver's matched filter has run, before its
+    acquisition and fine CFO; its receive buffers live until _measure has
+    read them: _measure may empty the receptions list it is given.
     """
 
     LINKS: tuple[str, str]
-    FAMILY: str
 
     def __init__(self, cfg: ScenarioConfig):
-        self.layout, (self.lag_hi, self.buf_len), self.explicit = _admit(cfg)
+        self.layout, (self.lag_hi, self.buf_len), self.explicit, refs, (self.coarse_grid, self.fine_grid) = _admit(cfg)
+        self.pre_mf, self.acq_refs, cfo_segments, self.cfo_refs, self.ls_system = refs
         self.cfg = cfg
         mesh = cfg.mesh
         self.mesh = mesh
         self.n = mesh.n_nodes
         self.fs = mesh.sample_rate_hz
         self.pulse = waveform.PULSE
-        refs = _receive_references(*_reference_key(mesh, self.FAMILY))
-        self.pre_mf, self.acq_refs, cfo_segments, self.cfo_refs = refs
         self.t_ref = len(self.pre_mf[0])
         self.cfo_offsets = [self.layout.segment(name).offset for name in cfo_segments]
-        self.coarse_grid = np.arange(
-            -cfg.coarse_cfo_span_hz, cfg.coarse_cfo_span_hz + cfg.coarse_cfo_step_hz / 2, cfg.coarse_cfo_step_hz
-        )
-        self.fine_grid = _fine_grid(cfg)
 
         seed, walk = cfg.seed, cfg.phase_walk_var_per_s
         self.links = self._draw_links("channels")
@@ -618,7 +610,6 @@ class _RxRunner(_Runner):
     every mesh node receives, and MMSE filters combine the nodes."""
 
     LINKS = RX_LINKS
-    FAMILY = "RX"
 
     def __init__(self, cfg: ScenarioConfig):
         super().__init__(cfg)
@@ -708,7 +699,6 @@ class _TxRunner(_Runner):
     feed back into the nodes' predistortion weights."""
 
     LINKS = TX_LINKS
-    FAMILY = "TX"
 
     def __init__(self, cfg: ScenarioConfig):
         nulling = cfg.experiment == "TX_NULL"
@@ -717,7 +707,6 @@ class _TxRunner(_Runner):
         self.coherence = cfg.experiment == "COHERENCE"
         rx_b = self._radio("B", cfg.rx_b_cfo_hz)
         self._set_receivers([rx_b, self._radio("C", cfg.rx_c_cfo_hz)] if nulling else [rx_b])
-        self.ls_system = _ls_system(_reference_key(self.mesh, "TX"), cfg.t_h)
 
         # feedback pipeline: estimates keyed by the cycle that produced them
         self.estimates: dict[int, dict[str, list[np.ndarray]]] = {}

@@ -816,12 +816,22 @@ class TestFrameDesign:
 
     @pytest.mark.parametrize("family, mesh", [("RX", MeshConfig()), ("TX", MeshConfig(n_nodes=2, amble_len=4096))])
     def test_cached_references_are_read_only_and_bitwise_fresh(self, family, mesh):
-        key = scenario._reference_key(mesh, family)
-        pre_mf, acq_refs, cfo_segments, cfo_refs = scenario._receive_references(*key)
+        cfg = ScenarioConfig(experiment=f"{family}_BF", mesh=mesh)
+        key = scenario._reference_key(cfg)
+        pre_mf, acq_refs, cfo_segments, cfo_refs, ls_system = scenario._receive_references(*key)
         fresh = scenario._receive_references.__wrapped__(*key)
         assert cfo_segments == fresh[2]
         cached = list(pre_mf + acq_refs + cfo_refs)
         new = list(fresh[0] + fresh[1] + fresh[3])
+        if family == "TX":
+            # the runner keeps the cached system, which fits as one built afresh
+            runner = _TxRunner(cfg)
+            assert runner.ls_system is ls_system
+            cached += ls_system
+            new += estimation.joint_ls_system(runner.pre_mf, cfg.t_h)
+        else:
+            # the source's preamble is both the acquisition and the CFO reference
+            assert cfo_refs is pre_mf and ls_system is None and fresh[4] is None
         assert len(cached) == len(new)
         for a, b in zip(cached, new):
             assert a.tobytes() == b.tobytes()
@@ -835,14 +845,21 @@ class TestFrameDesign:
         real = ComplexSignal.__post_init__
         monkeypatch.setattr(ComplexSignal, "__post_init__", lambda sig: built.append(len(sig.samples)) or real(sig))
         scenario._receive_references.cache_clear()
-        pre_mf, acq_refs, _, cfo_refs = scenario._receive_references(*scenario._reference_key(MeshConfig(), family))
+        pre_mf, acq_refs, _, cfo_refs, _ = scenario._receive_references(
+            *scenario._reference_key(ScenarioConfig(experiment=f"{family}_BF"))
+        )
         assert built == []
         assert all(type(r) is np.ndarray for r in pre_mf + acq_refs + cfo_refs)
 
     def test_reference_cache_bounded(self):
-        for amble_len in range(1024, 4096, 256):
-            scenario._receive_references(*scenario._reference_key(MeshConfig(amble_len=amble_len), "RX"))
+        scenario._receive_references.cache_clear()
+        cfgs = [ScenarioConfig(mesh=MeshConfig(amble_len=amble_len)) for amble_len in range(1024, 4096, 256)]
+        # TX entries that differ in t_h alone, each holding its own joint-LS system
+        cfgs += [ScenarioConfig(experiment="TX_BF", mesh=MeshConfig(amble_len=4096), t_h=t_h) for t_h in range(1, 7)]
+        for cfg in cfgs:
+            scenario._receive_references(*scenario._reference_key(cfg))
         info = scenario._receive_references.cache_info()
+        assert info.misses == len(cfgs)
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
     @pytest.mark.parametrize(
@@ -855,31 +872,18 @@ class TestFrameDesign:
         ],
     )
     def test_caches_keyed_on_the_fields_they_read(self, experiment, meshes):
-        caches = (scenario._receive_references, scenario._ls_system)
-        for cache in caches:
-            cache.cache_clear()
+        cache = scenario._receive_references
+        cache.cache_clear()
         runner = _TxRunner if experiment == "TX_BF" else _RxRunner
-        runner(ScenarioConfig(experiment=experiment, mesh=meshes[0]))
-        first = [cache.cache_info() for cache in caches]
-        assert first[0].misses == 1 and first[1].misses == (experiment == "TX_BF")
-        for mesh in meshes[1:]:
-            runner(ScenarioConfig(experiment=experiment, mesh=mesh))
-        for before, cache in zip(first, caches):
-            after = cache.cache_info()
-            assert after.misses == before.misses and after.currsize == before.currsize
-        assert caches[0].cache_info().hits >= first[0].hits + len(meshes) - 1
-        if experiment == "TX_BF":  # validate_scenario and the runner each ask for the LS system
-            assert caches[1].cache_info().hits == first[1].hits + 2 * (len(meshes) - 1)
-
-    def test_cached_ls_system_is_read_only_and_bitwise_fresh(self):
-        cfg = ScenarioConfig(experiment="TX_BF", mesh=MeshConfig(n_nodes=2, amble_len=4096), t_h=3)
-        runner = _TxRunner(cfg)
-        fresh = estimation.joint_ls_system(runner.pre_mf, cfg.t_h)
-        assert runner.ls_system is scenario._ls_system(scenario._reference_key(cfg.mesh, "TX"), cfg.t_h)
-        for a, b in zip(runner.ls_system, fresh):
-            assert a.tobytes() == b.tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                a *= 1
+        for i, mesh in enumerate(meshes):
+            cfg = ScenarioConfig(experiment=experiment, mesh=mesh)
+            # a runner's construction takes one lookup, through admission: the first misses,
+            # every later one hits the same entry
+            runner(cfg)
+            info = cache.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 2 * i, 1)
+            validate_scenario(cfg)
+            assert cache.cache_info().hits == 2 * i + 1
 
     def test_tx_cycle_shares_one_payload(self, monkeypatch):
         # every node frame the runner builds in a cycle carries the same
@@ -981,10 +985,11 @@ class TestSignalSpans:
 
 
 class TestDerivedOnce:
-    """What the process caches (scenario._receive_references, scenario._ls_system
-    and the DTFT factor sets in estimation) is keyed on every input it depends on: runs
-    interleaved in one process, each differing from the base in one key
-    input, give the records of the same runs made from empty caches."""
+    """What the process caches (scenario._receive_references, the TX joint-LS
+    system among them, and the DTFT factor sets in estimation) is keyed on
+    every input it depends on: runs interleaved in one process, each
+    differing from the base in one key input, give the records of the same
+    runs made from empty caches."""
 
     BASE = ScenarioConfig(experiment="RX_BF", n_cycles=2, seed=4)
     VARIANTS = {
@@ -1004,7 +1009,6 @@ class TestDerivedOnce:
     @staticmethod
     def _clear_caches():
         scenario._receive_references.cache_clear()
-        scenario._ls_system.cache_clear()
         estimation._factor_set.cache_clear()
 
     @staticmethod
