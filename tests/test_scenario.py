@@ -885,6 +885,16 @@ class TestFrameDesign:
             validate_scenario(cfg)
             assert cache.cache_info().hits == 2 * i + 1
 
+    def test_cached_ls_system_is_read_only_and_bitwise_fresh(self):
+        cfg = ScenarioConfig(experiment="TX_BF", mesh=MeshConfig(n_nodes=2, amble_len=4096), t_h=3)
+        runner = _TxRunner(cfg)
+        fresh = estimation.joint_ls_system(runner.pre_mf, cfg.t_h)
+        assert runner.ls_system is scenario._receive_references(*scenario._reference_key(cfg))[4]
+        for a, b in zip(runner.ls_system, fresh):
+            assert a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 1
+
     def test_tx_cycle_shares_one_payload(self, monkeypatch):
         # every node frame the runner builds in a cycle carries the same
         # payload in bf_payload and in its own monitor slot, and nothing in
