@@ -168,6 +168,9 @@ def _timeavg_db(values_db: list[float]) -> float:
 
 
 def summarize(records: list[CycleRecord], cfg: ScenarioConfig, manifest: str) -> dict:
+    """The run's summary.json. A COHERENCE run's phi_var_terminal is taken at
+    n_cycles * period, one period after the last cycle, not at (n_cycles - 1) *
+    period, where criterion 5 and perfbench's bound_gap_db take the bound."""
     steady = [r for r in records if "warmup" not in r.flags]
     n = cfg.mesh.n_nodes
     summary = {

@@ -16,6 +16,7 @@ __all__ = [
     "link_metrics",
     "snr_gain",
     "power_gain_bound",
+    "null_gain_expected",
     "rx_snr_gain_bound",
     "inr_reduction_bound",
 ]
@@ -85,11 +86,16 @@ def power_gain_bound(n: int, phi_var: float) -> float:
     bound is N^2, and it decays to N as coherence is lost. For transmit
     beamforming this is also the SNR-gain ceiling.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if phi_var < 0:
-        raise ValueError("phi_var must be >= 0")
+    _check_bound_args(n, phi_var)
     return (n * n - n) * float(np.exp(-phi_var)) + n
+
+
+def null_gain_expected(n: int, phi_var: float) -> float:
+    """Expected linear gain N(1 - e^{-phi^2}) at a receiver that weights over
+    unit-gain links null, under independent per-node phase errors of variance
+    phi_var: 2 sigma^2 under per-cycle OTS jitter sigma (tests/test_jitter_bounds.py)."""
+    _check_bound_args(n, phi_var)
+    return n * float(1.0 - np.exp(-phi_var))
 
 
 def rx_snr_gain_bound(n: int, phi_var: float) -> float:
@@ -104,8 +110,12 @@ def inr_reduction_bound(n: int, phi_var: float) -> float:
     Evaluates to 0 at zero phase error and saturates at (N-1)/N; reported
     alongside measured null depth rather than replacing it.
     """
+    _check_bound_args(n, phi_var)
+    return (n - 1) / n * float(1.0 - np.exp(-phi_var))
+
+
+def _check_bound_args(n: int, phi_var: float) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if phi_var < 0:
         raise ValueError("phi_var must be >= 0")
-    return (n - 1) / n * float(1.0 - np.exp(-phi_var))

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,57 +113,46 @@ def _from_bits(bits: np.ndarray, width: int) -> np.ndarray:
     return bits.reshape(-1, width) @ (1 << np.arange(width - 1, -1, -1))
 
 
-def _encoder_table(b_rows: tuple[int, ...], parity_bits: int) -> np.ndarray:
-    """Codeword of every data word under generator [I | B]."""
+class _Code(NamedTuple):
+    """A code's tables: the codeword of every data word, and for every
+    syndrome the correctable error pattern (-1 where none exists) and its
+    weight."""
+
+    enc: np.ndarray
+    err: np.ndarray
+    weight: np.ndarray
+    parity_bits: int
+
+    def syndrome(self, words: np.ndarray) -> np.ndarray:
+        return (self.enc[words >> self.parity_bits] ^ words) & (len(self.err) - 1)
+
+
+def _code(b_rows: tuple[int, ...], parity_bits: int, radius: int) -> _Code:
+    """The tables of the code with generator [I | B] that corrects every error
+    pattern of weight <= radius; the code's distance must exceed 2 * radius,
+    so that those patterns' syndromes are distinct."""
     # from the last row (data LSB) up, each row adds the next higher data bit:
     # the table so far is the words with that bit clear, XOR the row with it set
     parity = np.zeros(1, dtype=np.int64)
     for row in reversed(b_rows):
         parity = np.append(parity, parity ^ row)
-    return (np.arange(len(parity)) << parity_bits) | parity
+    n = len(b_rows) + parity_bits
+    enc = ((np.arange(len(parity)) << parity_bits) | parity).astype(np.min_scalar_type((1 << n) - 1))
+    size = 1 << parity_bits
+    code = _Code(enc, np.full(size, -1, dtype=np.int64), np.zeros(size, dtype=np.uint8), parity_bits)
+    for weight in range(radius + 1):
+        patterns = np.array([sum(1 << p for p in bits) for bits in combinations(range(n), weight)])
+        syndromes = code.syndrome(patterns)
+        code.err[syndromes] = patterns
+        code.weight[syndromes] = weight
+    return code
 
 
-def _error_patterns(n: int, max_weight: int) -> np.ndarray:
-    """Every n-bit error pattern with at most max_weight bits set."""
-    return np.array(
-        [sum(1 << p for p in bits) for w in range(max_weight + 1) for bits in combinations(range(n), w)]
-    )
-
-
-_GOLAY_ENC = _encoder_table(_GOLAY_B_ROWS, 12).astype(np.uint32)
-
-
-def _golay_syndrome(words: np.ndarray) -> np.ndarray:
-    return (_GOLAY_ENC[words >> 12] ^ words) & 0xFFF
-
-
-def _golay_error_table() -> np.ndarray:
-    """Syndrome -> correctable error pattern (weight <= 3), else -1. Distance
-    8 keeps the syndromes of the 2,325 correctable patterns distinct."""
-    patterns = _error_patterns(24, 3)
-    table = np.full(4096, -1, dtype=np.int64)
-    table[_golay_syndrome(patterns)] = patterns
-    return table
-
-
-_GOLAY_ERR = _golay_error_table()
-
-_HAMMING_ENC = _encoder_table(_HAMMING_B_ROWS, 3).astype(np.uint8)
-
-
-def _hamming_decode_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Word -> (data, corrected): the code is perfect, so every 7-bit word is
-    a codeword or one bit flip away from exactly one."""
-    flips = _error_patterns(7, 1)
-    received = _HAMMING_ENC[:, None] ^ flips
-    data = np.zeros(128, dtype=np.uint8)
-    corrected = np.zeros(128, dtype=np.uint8)
-    data[received] = np.arange(16)[:, None]
-    corrected[received] = flips != 0
-    return data, corrected
-
-
-_HAMMING_DATA, _HAMMING_CORR = _hamming_decode_tables()
+# Distance 8: the 2,325 patterns of weight <= 3 are corrected, weight-4
+# patterns are always detected, and weight >= 5 may silently miscorrect.
+_GOLAY = _code(_GOLAY_B_ROWS, 12, 3)
+# Perfect: every 7-bit word is a codeword or one bit flip away from exactly one.
+_HAMMING = _code(_HAMMING_B_ROWS, 3, 1)
 
 
 class FecError(ValueError):
@@ -174,21 +164,18 @@ def golay_encode(data: int) -> int:
     (data << 12) | parity."""
     if not (0 <= data < 4096):
         raise ValueError("data must be a 12-bit value")
-    return int(_GOLAY_ENC[data])
+    return int(_GOLAY.enc[data])
 
 
-def _golay_decode(words: np.ndarray) -> tuple[np.ndarray, int]:
-    """Decode 24-bit words; returns (data words, total corrected bits).
-
-    Corrects any error pattern of weight <= 3 and raises FecError if any
-    word carries a detectable heavier pattern (weight-4 patterns are always
-    detected; weight >= 5 may silently miscorrect, as for any distance-8
-    code)."""
-    err = _GOLAY_ERR[_golay_syndrome(words)]
+def _decode(words: np.ndarray, code: _Code) -> tuple[np.ndarray, int]:
+    """Decode codewords; returns (data words, total corrected bits), and
+    raises FecError if any word's syndrome has no correctable pattern."""
+    syndromes = code.syndrome(words)
+    err = code.err[syndromes]
     failed = int((err < 0).sum())
     if failed:
-        raise FecError(f"Golay decode failure in {failed} block(s): >= 4 bit errors detected")
-    return (words ^ err) >> 12, int(_to_bits(err, 24).sum())
+        raise FecError(f"decode failure in {failed} block(s): more than {code.weight.max()} bit errors detected")
+    return (words ^ err) >> code.parity_bits, int(code.weight[syndromes].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +266,10 @@ def encode_sync_message(msg: SyncMessage) -> np.ndarray:
     """Serialize, apply the outer Hamming(7,4) then inner Golay(24,12), and
     return the coded bit sequence (uint8, MSB-first within each field)."""
     data_bits = np.unpackbits(np.frombuffer(_message_payload(msg), dtype=np.uint8))
-    ham_bits = _to_bits(_HAMMING_ENC[_from_bits(data_bits, 4)], 7)
+    ham_bits = _to_bits(_HAMMING.enc[_from_bits(data_bits, 4)], 7)
     # inner code: zero-pad to a 12-bit block boundary
     ham_bits = np.append(ham_bits, np.zeros(-len(ham_bits) % 12, dtype=np.uint8))
-    return _to_bits(_GOLAY_ENC[_from_bits(ham_bits, 12)], 24)
+    return _to_bits(_GOLAY.enc[_from_bits(ham_bits, 12)], 24)
 
 
 def decode_sync_message(bits: np.ndarray) -> tuple[SyncMessage, int]:
@@ -296,12 +283,11 @@ def decode_sync_message(bits: np.ndarray) -> tuple[SyncMessage, int]:
         raise ValueError(f"coded bit count {len(bits)} is not a positive multiple of 24")
     if bits.max() > 1:
         raise ValueError("coded bits must be 0 or 1")
-    data12, corrected = _golay_decode(_from_bits(bits, 24))
+    data12, golay_corrected = _decode(_from_bits(bits, 24), _GOLAY)
     ham_bits = _to_bits(data12, 12)
-    ham_words = _from_bits(ham_bits[: len(ham_bits) // 7 * 7], 7)
-    corrected += int(_HAMMING_CORR[ham_words].sum())
-    payload = np.packbits(_to_bits(_HAMMING_DATA[ham_words], 4)).tobytes()
-    return _parse_payload(payload), corrected
+    nibbles, hamming_corrected = _decode(_from_bits(ham_bits[: len(ham_bits) // 7 * 7], 7), _HAMMING)
+    payload = np.packbits(_to_bits(nibbles, 4)).tobytes()
+    return _parse_payload(payload), golay_corrected + hamming_corrected
 
 
 # ---------------------------------------------------------------------------

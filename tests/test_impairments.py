@@ -171,6 +171,38 @@ class TestNodeImperfections:
         rms_late = np.sqrt(np.mean(np.square(diffs_late)))
         assert rms_late / rms_early == pytest.approx(2.0, rel=0.25)
 
+    # The walk between two 2-sample spans whose starts lie k samples apart:
+    # the k increments between them sum to a Normal(0, k·σ²) draw, σ² the
+    # per-sample walk variance, so over GAP_DRAWS fixed seeds the sum of the
+    # squared phase differences over k·σ² is χ² with GAP_DRAWS degrees of
+    # freedom. Its interval at a two-sided false-alarm rate of GAP_ALPHA
+    # comes from the Wilson-Hilferty approximation; at 4,000 degrees of
+    # freedom it spans −8.5% to +8.9% of k·σ², so a gap drawn with (k ± 1)·σ²
+    # fails at k = 7. Drawing each gap's sum as one normal keeps the
+    # distribution and passes as well. k·σ² is 0.01 rad², so a difference reaches ±π only
+    # 31 standard deviations out and wrapping cannot matter.
+    GAP_DRAWS = 4000
+    GAP_ALPHA = 1e-4
+
+    @pytest.mark.parametrize("k", [2, 7, 1000])
+    def test_walk_over_a_gap_has_variance_k_sigma2(self, k):
+        from statistics import NormalDist
+
+        var = 0.01 / k  # σ², the walk variance per sample
+        x = np.zeros(k + 2, dtype=complex)
+        x[[0, 1, k, k + 1]] = 1.0
+        diffs = np.empty(self.GAP_DRAWS)
+        for seed in range(self.GAP_DRAWS):
+            node = NodeState("n", phase_walk_var_per_s=var * FS, rng=substream(seed, "n", "walk-gap"))
+            y = apply_node_imperfections(x.copy(), node, FS, 1, spans=[(0, 2), (k, k + 2)])
+            diffs[seed] = np.angle(y[k] * np.conj(y[0]))
+        m = self.GAP_DRAWS
+        lo, hi = (
+            m * (1 - 2 / (9 * m) + NormalDist().inv_cdf(p) * np.sqrt(2 / (9 * m))) ** 3
+            for p in (self.GAP_ALPHA / 2, 1 - self.GAP_ALPHA / 2)
+        )
+        assert lo <= np.sum(diffs**2) / (k * var) <= hi
+
     def test_channel_then_lo_ordering_regression(self):
         # with a multi-tap channel, channel->LO differs from LO->channel;
         # the receive chain applies the channel first

@@ -12,7 +12,7 @@ The same stale weights fill the null at C. Nulling weights w put
 Σ aᵢ = 0 for aᵢ = wᵢhᵢ over the links h to C, and with independent phase
 errors φᵢ of variance 2σ², E|Σ aᵢe^{jφᵢ}|² = Σ|aᵢ|²(1 − e^{−2σ²}). Over
 unit-gain links and weights scaled to Σ|wᵢ|² = N, the expected linear gain
-at C is N(1 − e^{−2σ²}).
+at C is N(1 − e^{−2σ²}), metrics.null_gain_expected(N, 2σ²).
 
 Receive beamforming does not see the jitter: its MMSE weights come from the
 same buffers they are applied to and absorb any per-cycle constant phase.
@@ -77,7 +77,7 @@ NULL_SEED_SPREAD = {0.1: 0.313, 0.6: 0.283}
 @pytest.mark.parametrize("sigma", sorted(NULL_SEED_SPREAD))
 def test_null_depth_follows_twice_jitter_variance(sigma):
     gains = _steady_gains("TX_NULL", sigma, "gain_c_db")
-    expected = N_NODES * (1 - math.exp(-2 * sigma**2))
+    expected = metrics.null_gain_expected(N_NODES, 2 * sigma**2)
     tolerance = 3 * NULL_SEED_SPREAD[sigma] / math.sqrt(len(SEEDS))
     assert abs(np.mean(gains) / expected - 1) <= tolerance
 

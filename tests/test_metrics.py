@@ -10,6 +10,7 @@ from dcbf.metrics import (
     DB_FLOOR,
     inr_reduction_bound,
     link_metrics,
+    null_gain_expected,
     power_gain_bound,
     rx_snr_gain_bound,
     segment_power,
@@ -131,6 +132,18 @@ class TestBounds:
         for phi in (0.0, 0.3, 2.0):
             gains = [power_gain_bound(n, phi) for n in (1, 2, 3, 5, 8)]
             assert all(b >= a for a, b in zip(gains, gains[1:]))
+
+    def test_null_gain(self):
+        # a perfect null at no phase error, N incoherent powers at large error
+        assert null_gain_expected(3, 0.0) == 0.0
+        assert null_gain_expected(3, 1e9) == pytest.approx(3.0)
+        # the INR-reduction expression scaled by N^2 / (N - 1)
+        for phi in (0.02, 0.18, 0.72):
+            assert null_gain_expected(3, phi) == pytest.approx(4.5 * inr_reduction_bound(3, phi), rel=1e-12)
+        with pytest.raises(ValueError):
+            null_gain_expected(0, 0.0)
+        with pytest.raises(ValueError):
+            null_gain_expected(3, -0.1)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -28,9 +28,9 @@ from dcbf.timesync import (
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
-def decode_word(word):
-    """One 24-bit word through the wire path's Golay decoder: (data, corrected)."""
-    data, corrected = timesync._golay_decode(np.array([word]))
+def decode_word(word, code=timesync._GOLAY):
+    """One word through the wire path's decoder, Golay by default: (data, corrected)."""
+    data, corrected = timesync._decode(np.array([word]), code)
     return int(data[0]), corrected
 
 
@@ -95,20 +95,21 @@ class TestGolay:
 
 
 class TestHamming:
-    # the wire path's tables: encoder, and word -> (data, corrected)
+    # the wire path's encoder table and decoder
     def test_zero(self):
-        assert timesync._HAMMING_ENC[0] == 0
+        assert timesync._HAMMING.enc[0] == 0
 
     def test_every_single_flip_corrected(self):
         rng = substream(2, "test", "hamm")
         for data in rng.integers(0, 16, 8):
-            cw = int(timesync._HAMMING_ENC[data])
+            cw = int(timesync._HAMMING.enc[data])
             for i in range(7):
-                assert timesync._HAMMING_DATA[cw ^ (1 << i)] == data
-                assert timesync._HAMMING_CORR[cw ^ (1 << i)] == 1
+                decoded, corrected = decode_word(cw ^ (1 << i), timesync._HAMMING)
+                assert decoded == data
+                assert corrected == 1
 
     def test_pairwise_distance_at_least_3(self):
-        words = [int(w) for w in timesync._HAMMING_ENC]
+        words = [int(w) for w in timesync._HAMMING.enc]
         for i in range(16):
             for j in range(i + 1, 16):
                 assert bin(words[i] ^ words[j]).count("1") >= 3
@@ -175,15 +176,18 @@ class TestFecTablesOracle:
 
     def test_golay_tables(self):
         enc, err = _oracle_golay_tables()
-        self._assert_same(timesync._GOLAY_ENC, enc)
-        self._assert_same(timesync._GOLAY_ERR, err)
+        self._assert_same(timesync._GOLAY.enc, enc)
+        self._assert_same(timesync._GOLAY.err, err)
+        np.testing.assert_array_equal(timesync._GOLAY.weight, [bin(e).count("1") if e >= 0 else 0 for e in err])
         assert int((err >= 0).sum()) == 2325  # 1 + 24 + 276 + 2024 patterns
 
     def test_hamming_tables(self):
         enc, data, corr = _oracle_hamming_tables()
-        self._assert_same(timesync._HAMMING_ENC, enc)
-        self._assert_same(timesync._HAMMING_DATA, data)
-        self._assert_same(timesync._HAMMING_CORR, corr)
+        self._assert_same(timesync._HAMMING.enc, enc)
+        # every 7-bit word decodes to the nearest codeword's data, with its distance
+        decoded = [decode_word(w, timesync._HAMMING) for w in range(128)]
+        np.testing.assert_array_equal([d for d, _ in decoded], data)
+        np.testing.assert_array_equal([c for _, c in decoded], corr)
 
     def test_golay_decode_matches_table_oracle(self):
         # codewords of 64 data words under 0..8 random flips: decoded data
